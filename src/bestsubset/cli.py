@@ -20,10 +20,10 @@ from .data import (
     standardize,
 )
 from .datagen import GenConfig, gen_dataset
-from .families import ModelFamily, fit_active, log_likelihood
+from .families import ModelFamily, fit_active
 from .oracle import exhaustive_best_subset
 from .pdas import pdas
-from .tuning import SelectionReport, criteria, gpdas, spdas
+from .tuning import SelectionReport, fixed_k_report, gpdas, spdas
 
 
 def _sparse_coefficients(names, beta, nonzero_only=True):
@@ -153,23 +153,7 @@ def cmd_fit(args) -> int:
         if args.k is None:
             raise ValueError("method 'one' requires -k")
         out = pdas(family, meta, args.k)
-        loglik = log_likelihood(family, meta, out.state.model)
-        crit = criteria(loglik, out.k, dataset.n, dataset.p)
-        report = SelectionReport(
-            family=family.tag,
-            method="one",
-            k=out.k,
-            active_set=out.state.active_set,
-            beta=out.state.beta,
-            intercept=out.state.model.intercept,
-            loss=out.loss,
-            loglik=loglik,
-            criteria=crit,
-            criterion="fixed-k",
-            pdas_iterations=out.iterations,
-            pdas_converged=out.converged,
-            solver_converged=out.state.model.solver_converged,
-        )
+        report = fixed_k_report(family, meta, out, "one", "fixed-k")
     elif args.method == "sequential":
         path, report = spdas(
             family,

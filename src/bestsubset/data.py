@@ -9,7 +9,7 @@ models have none.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,10 +65,19 @@ class Survival:
     ``status`` is 1 where the event was observed and 0 where the observation
     was censored.  Times must be strictly positive and at least one event is
     required, otherwise the partial likelihood is vacuous.
+
+    The risk-set layout is derived once here: ``order`` sorts the rows by
+    descending time, ``events`` flags the events in that order, and the
+    risk set of the row at sorted position i is the prefix
+    [0, ``risk_end[i]``) (ties included), so every risk-set sum is a
+    cumulative sum.
     """
 
     time: np.ndarray
     status: np.ndarray
+    order: np.ndarray = field(init=False, repr=False)
+    events: np.ndarray = field(init=False, repr=False)
+    risk_end: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         time = _frozen_array(self.time)
@@ -83,6 +92,13 @@ class Survival:
             raise ValueError("no events: all observations are censored")
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "status", status)
+        order = np.argsort(-time, kind="stable")
+        neg_sorted = -time[order]
+        # number of observations with time >= the sorted one's (ties included)
+        risk_end = np.searchsorted(neg_sorted, neg_sorted, side="right")
+        object.__setattr__(self, "order", _frozen_array(order, dtype=np.intp))
+        object.__setattr__(self, "events", _frozen_array(status[order] == 1.0, dtype=bool))
+        object.__setattr__(self, "risk_end", _frozen_array(risk_end, dtype=np.intp))
 
     def __len__(self):
         return self.time.shape[0]

@@ -5,10 +5,11 @@ Three model families share one interface:
 * gaussian -- squared-error loss ``|y - X b|^2 / (2n)``, solved on an active
   set by Cholesky factorization of the Gram matrix.
 * binomial -- logistic negative log-likelihood with a free (unpenalized)
-  intercept, solved by iteratively reweighted least squares.
+  intercept.
 * cox      -- negative partial likelihood over event-time risk sets
-  (Breslow handling of ties), solved by damped Newton-Raphson, optionally
-  with the Hessian replaced by its diagonal.
+  (Breslow handling of ties).
+
+Binomial and cox share one damped Newton-Raphson solver on the active set.
 
 For a coefficient vector ``b`` the coordinate functions are
 ``g_j = d loss / d b_j`` and ``h_j = d^2 loss / d b_j^2`` with all other
@@ -39,21 +40,23 @@ RIDGE_JITTER = 1e-8
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """Loss family tag plus sub-solver options."""
+    """Loss family tag plus sub-solver options.
+
+    ``max_iter`` caps the damped-Newton iterations of the binomial and cox
+    fits; the gaussian fit is a single solve.
+    """
 
     tag: str
     solver_tol: float = 1e-8
-    irls_max_iter: int = 100
-    newton_max_iter: int = 100
-    diagonal_hessian: bool = False
+    max_iter: int = 100
 
     def __post_init__(self):
         if self.tag not in ("gaussian", "binomial", "cox"):
             raise ValueError(f"unknown family {self.tag!r}")
         if self.solver_tol <= 0:
             raise ValueError("solver_tol must be positive")
-        if self.irls_max_iter < 1 or self.newton_max_iter < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +64,9 @@ class CoefficientModel:
     """A fitted coefficient vector restricted to an active set.
 
     ``beta`` is always a full p-vector with zeros off the active set;
-    ``intercept`` is nonzero only for the binomial family.
+    ``intercept`` is nonzero only for the binomial family.  ``loss`` is the
+    family loss at these coefficients as computed by :func:`fit_active`,
+    None for a model built by hand.
     """
 
     beta: np.ndarray
@@ -69,6 +74,7 @@ class CoefficientModel:
     active_set: tuple[int, ...]
     solver_converged: bool = True
     solver_iterations: int = 0
+    loss: float | None = None
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float)
@@ -77,8 +83,7 @@ class CoefficientModel:
         if active and (min(active) < 0 or max(active) >= beta.shape[0]):
             raise ValueError("active_set index out of range")
         off = np.ones(beta.shape[0], dtype=bool)
-        if active:
-            off[list(active)] = False
+        off[list(active)] = False
         if np.any(beta[off] != 0.0):
             raise ValueError("beta must vanish off the active set")
         object.__setattr__(self, "beta", beta)
@@ -105,20 +110,13 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cox_sorted(d: StandardizedDataset):
-    """Rows sorted by descending time plus the end index of each tie block.
+def _gaussian_loss(residual: np.ndarray) -> float:
+    return float(residual @ residual) / (2.0 * residual.shape[0])
 
-    After sorting, the risk set of the observation at position i is the
-    prefix [0, risk_end[i]), which turns all risk-set sums into cumulative
-    sums and keeps every evaluation O(n) per column.
-    """
-    resp = d.dataset.response
-    order = np.argsort(-resp.time, kind="stable")
-    t_sorted = resp.time[order]
-    events = resp.status[order] == 1.0
-    # number of observations with time >= t_sorted[i] (ties included)
-    risk_end = np.searchsorted(-t_sorted, -t_sorted, side="right")
-    return order, events, risk_end
+
+def _binomial_loss(eta: np.ndarray, y: np.ndarray) -> float:
+    # log(1 + exp(eta)) via logaddexp to dodge overflow
+    return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
 
 
 def _cox_log_risk(eta_sorted: np.ndarray, risk_end: np.ndarray):
@@ -130,6 +128,30 @@ def _cox_log_risk(eta_sorted: np.ndarray, risk_end: np.ndarray):
     return log_risk, w, cw
 
 
+def _cox_loss(eta_sorted: np.ndarray, resp: Survival) -> float:
+    log_risk, _, _ = _cox_log_risk(eta_sorted, resp.risk_end)
+    return float(np.sum(log_risk[resp.events] - eta_sorted[resp.events]))
+
+
+def _cox_derivatives(Xs: np.ndarray, eta_sorted: np.ndarray, resp: Survival):
+    """Score, per-row weights ``u`` and event risk-set means ``xbar``.
+
+    ``Xs`` holds the columns of interest with rows in ``resp.order``.  With
+    ``w = exp(eta)`` and ``S0(e)`` the risk-set sum of ``w`` at event e,
+    ``xbar_e`` is the w-weighted mean of the rows at risk at e and
+    ``u_i = w_i * sum(1 / S0(e))`` over the events whose risk set holds
+    row i.  The Hessian of the loss is then ``Xs' diag(u) Xs - xbar' xbar``.
+    """
+    _, w, cw = _cox_log_risk(eta_sorted, resp.risk_end)
+    last = resp.risk_end[resp.events] - 1  # end row of each event's risk set
+    denom = cw[last]
+    xbar = np.cumsum(w[:, None] * Xs, axis=0)[last] / denom[:, None]
+    at_or_after = np.bincount(last, weights=1.0 / denom, minlength=w.shape[0])
+    u = w * np.cumsum(at_or_after[::-1])[::-1]
+    score = -(Xs[resp.events] - xbar).sum(axis=0)
+    return score, u, xbar
+
+
 def loss(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel) -> float:
     """Family loss at the given coefficients.
 
@@ -138,18 +160,12 @@ def loss(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel) -> fl
     """
     _check_family(family, d)
     X = d.dataset.X
+    resp = d.dataset.response
     if family.tag == "gaussian":
-        e = d.dataset.response.y - X @ m.beta
-        return float(e @ e) / (2.0 * d.dataset.n)
+        return _gaussian_loss(resp.y - X @ m.beta)
     if family.tag == "binomial":
-        eta = m.intercept + X @ m.beta
-        y = d.dataset.response.y
-        # log(1 + exp(eta)) via logaddexp to dodge overflow
-        return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
-    order, events, risk_end = _cox_sorted(d)
-    eta_sorted = (X @ m.beta)[order]
-    log_risk, _, _ = _cox_log_risk(eta_sorted, risk_end)
-    return float(np.sum(log_risk[events] - eta_sorted[events]))
+        return _binomial_loss(m.intercept + X @ m.beta, resp.y)
+    return _cox_loss((X @ m.beta)[resp.order], resp)
 
 
 def grad_hess(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel):
@@ -172,17 +188,10 @@ def grad_hess(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel):
         g = X.T @ (prob - y)
         h = (X**2).T @ (prob * (1.0 - prob))
         return g, h
-    order, events, risk_end = _cox_sorted(d)
-    Xs = X[order]
-    eta_sorted = (X @ m.beta)[order]
-    _, w, cw = _cox_log_risk(eta_sorted, risk_end)
-    cwx = np.cumsum(w[:, None] * Xs, axis=0)
-    cwx2 = np.cumsum(w[:, None] * Xs**2, axis=0)
-    idx = risk_end[events] - 1
-    denom = cw[idx][:, None]
-    xbar = cwx[idx] / denom
-    g = -(Xs[events] - xbar).sum(axis=0)
-    h = (cwx2[idx] / denom - xbar**2).sum(axis=0)
+    resp = d.dataset.response
+    Xs = X[resp.order]
+    g, u, xbar = _cox_derivatives(Xs, (X @ m.beta)[resp.order], resp)
+    h = u @ Xs**2 - (xbar**2).sum(axis=0)
     # exact h is nonnegative; clear roundoff dust
     np.maximum(h, 0.0, out=h)
     return g, h
@@ -198,8 +207,7 @@ def dual_sacrifice(family: ModelFamily, d: StandardizedDataset, m: CoefficientMo
     """
     g, h = grad_hess(family, d, m)
     active = np.zeros(d.dataset.p, dtype=bool)
-    if m.active_set:
-        active[list(m.active_set)] = True
+    active[list(m.active_set)] = True
     h_safe = np.maximum(h, CURVATURE_FLOOR)
     gamma = np.where(active, 0.0, -g / h_safe)
     delta = np.where(active, 0.5 * h * m.beta**2, 0.5 * h_safe * gamma**2)
@@ -228,110 +236,86 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     return np.linalg.solve(A + ridge * np.eye(k), rhs)
 
 
-def _fit_gaussian(family, d, active):
-    X = d.dataset.X
-    y = d.dataset.response.y
+def _damped_newton(family: ModelFamily, objective, derivatives, coef: np.ndarray):
+    """Minimize ``objective`` from ``coef`` by damped Newton-Raphson.
+
+    ``derivatives(coef)`` returns the score and Hessian.  Each step is
+    halved until the objective stops increasing; the iteration stops once
+    the score or the step taken falls below ``family.solver_tol``, or after
+    ``family.max_iter`` iterations.  Returns ``(coef, objective at coef,
+    converged, iterations)``.
+    """
+    current = objective(coef)
+    converged = False
+    iterations = 0
+    for iterations in range(1, family.max_iter + 1):
+        score, hessian = derivatives(coef)
+        if np.max(np.abs(score)) < family.solver_tol:
+            converged = True
+            break
+        step = _solve_spd(hessian, score, "Newton")
+        scale = 1.0
+        for _ in range(40):
+            trial = coef - scale * step
+            value = objective(trial)
+            if value <= current + 1e-12:
+                break
+            scale *= 0.5
+        coef, current = trial, value
+        if np.max(np.abs(scale * step)) < family.solver_tol:
+            converged = True
+            break
+    return coef, current, converged, iterations
+
+
+def _model(d, active, coef, intercept, converged, iterations, value):
     beta = np.zeros(d.dataset.p)
+    beta[list(active)] = coef
+    return CoefficientModel(beta, intercept, active, converged, iterations, value)
+
+
+def _fit_gaussian(family, d, active):
+    XA = d.dataset.X[:, list(active)]
+    y = d.dataset.response.y
+    coef = np.zeros(len(active))
     if active:
-        cols = list(active)
-        XA = X[:, cols]
-        beta[cols] = _solve_spd(XA.T @ XA, XA.T @ y, "least-squares")
-    return CoefficientModel(beta, 0.0, active, True, 1)
+        coef = _solve_spd(XA.T @ XA, XA.T @ y, "least-squares")
+    return _model(d, active, coef, 0.0, True, 1, _gaussian_loss(y - XA @ coef))
 
 
 def _fit_binomial(family, d, active):
-    X = d.dataset.X
     y = d.dataset.response.y
-    n = d.dataset.n
-    Z = np.column_stack([np.ones(n)] + ([X[:, list(active)]] if active else []))
-    coef = np.zeros(Z.shape[1])
+    Z = np.column_stack([np.ones(d.dataset.n), d.dataset.X[:, list(active)]])
 
-    def nll(c):
-        eta = Z @ c
-        return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
-
-    current = nll(coef)
-    converged = False
-    iterations = 0
-    for iterations in range(1, family.irls_max_iter + 1):
-        eta = Z @ coef
-        prob = _sigmoid(eta)
-        score = Z.T @ (prob - y)
-        if np.max(np.abs(score)) < family.solver_tol:
-            converged = True
-            break
+    def derivatives(c):
+        prob = _sigmoid(Z @ c)
         w = np.maximum(prob * (1.0 - prob), IRLS_WEIGHT_FLOOR)
-        H = Z.T @ (Z * w[:, None])
-        step = _solve_spd(H, score, "IRLS")
-        # damped Newton: halve until the objective stops increasing
-        scale = 1.0
-        for _ in range(40):
-            trial = coef - scale * step
-            value = nll(trial)
-            if value <= current + 1e-12:
-                break
-            scale *= 0.5
-        coef, current = trial, value
-        if np.max(np.abs(scale * step)) < family.solver_tol:
-            converged = True
-            break
-    beta = np.zeros(d.dataset.p)
-    if active:
-        beta[list(active)] = coef[1:]
-    return CoefficientModel(beta, float(coef[0]), active, converged, iterations)
+        return Z.T @ (prob - y), Z.T @ (Z * w[:, None])
+
+    coef, value, converged, iterations = _damped_newton(
+        family, lambda c: _binomial_loss(Z @ c, y), derivatives, np.zeros(Z.shape[1])
+    )
+    return _model(d, active, coef[1:], float(coef[0]), converged, iterations, value)
 
 
 def _fit_cox(family, d, active):
-    X = d.dataset.X
+    resp = d.dataset.response
+    XA = d.dataset.X[:, list(active)][resp.order]
+
+    def objective(c):
+        return _cox_loss(XA @ c, resp)
+
     if not active:
-        return CoefficientModel(np.zeros(d.dataset.p), 0.0, active, True, 0)
-    order, events, risk_end = _cox_sorted(d)
-    XA = X[:, list(active)][order]
-    k = len(active)
-    coef = np.zeros(k)
+        return _model(d, active, (), 0.0, True, 0, objective(np.zeros(0)))
 
-    def npl(c):
-        eta = XA @ c
-        log_risk, _, _ = _cox_log_risk(eta, risk_end)
-        return float(np.sum(log_risk[events] - eta[events]))
+    def derivatives(c):
+        score, u, xbar = _cox_derivatives(XA, XA @ c, resp)
+        return score, XA.T @ (XA * u[:, None]) - xbar.T @ xbar
 
-    current = npl(coef)
-    converged = False
-    iterations = 0
-    for iterations in range(1, family.newton_max_iter + 1):
-        eta = XA @ coef
-        _, w, cw = _cox_log_risk(eta, risk_end)
-        idx = risk_end[events] - 1
-        denom = cw[idx]
-        cwx = np.cumsum(w[:, None] * XA, axis=0)
-        xbar = cwx[idx] / denom[:, None]
-        score = -(XA[events] - xbar).sum(axis=0)
-        if np.max(np.abs(score)) < family.solver_tol:
-            converged = True
-            break
-        if family.diagonal_hessian:
-            cwx2 = np.cumsum(w[:, None] * XA**2, axis=0)
-            hdiag = (cwx2[idx] / denom[:, None] - xbar**2).sum(axis=0)
-            step = score / np.maximum(hdiag, CURVATURE_FLOOR)
-        else:
-            outer = np.cumsum(w[:, None, None] * XA[:, :, None] * XA[:, None, :], axis=0)
-            H = (outer[idx] / denom[:, None, None]).sum(axis=0)
-            H -= np.einsum("ij,il->jl", xbar, xbar)
-            step = _solve_spd(H, score, "Newton")
-        scale = 1.0
-        for _ in range(40):
-            trial = coef - scale * step
-            value = npl(trial)
-            if value <= current + 1e-12:
-                break
-            scale *= 0.5
-        coef, current = trial, value
-        if np.max(np.abs(scale * step)) < family.solver_tol:
-            converged = True
-            break
-    beta = np.zeros(d.dataset.p)
-    beta[list(active)] = coef
-    return CoefficientModel(beta, 0.0, active, converged, iterations)
+    coef, value, converged, iterations = _damped_newton(
+        family, objective, derivatives, np.zeros(len(active))
+    )
+    return _model(d, active, coef, 0.0, converged, iterations, value)
 
 
 def fit_active(
@@ -339,8 +323,9 @@ def fit_active(
 ) -> CoefficientModel:
     """Minimize the family loss with all coordinates off ``active_set`` at zero.
 
-    Hitting an iteration cap yields a result flagged non-converged rather
-    than an error, so callers inside the active-set iteration can proceed.
+    The returned model carries the loss it reached.  Hitting an iteration
+    cap yields a result flagged non-converged rather than an error, so
+    callers inside the active-set iteration can proceed.
     """
     _check_family(family, d)
     requested = tuple(int(j) for j in active_set)
@@ -385,14 +370,18 @@ def predict(
 def log_likelihood(
     family: ModelFamily, d: StandardizedDataset, m: CoefficientModel
 ) -> float:
-    """Log-likelihood used by the information criteria.
+    """Log-likelihood used by the information criteria."""
+    return loglik_from_loss(family, d.dataset.n, loss(family, d, m))
+
+
+def loglik_from_loss(family: ModelFamily, n: int, value: float) -> float:
+    """Log-likelihood from a family loss value on n observations.
 
     The gaussian value is the profile log-likelihood without its additive
     constant, -(n/2) log(RSS/n); binomial and cox return the (partial)
     log-likelihood, i.e. the negated loss.
     """
     if family.tag == "gaussian":
-        n = d.dataset.n
-        rss = 2.0 * n * loss(family, d, m)
+        rss = 2.0 * n * value
         return -0.5 * n * math.log(max(rss, 1e-300) / n)
-    return -loss(family, d, m)
+    return -value

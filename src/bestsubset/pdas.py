@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import StandardizedDataset
-from .families import CoefficientModel, ModelFamily, dual_sacrifice, fit_active, loss
+from .families import CoefficientModel, ModelFamily, dual_sacrifice, fit_active
 
 DEFAULT_MAX_SWEEPS = 20
 
@@ -38,17 +38,17 @@ class PrimalDualState:
 
     def __post_init__(self):
         p = self.beta.shape[0]
-        active = set(self.active_set)
-        partitioned = (
-            len(self.active_set) == self.k
-            and len(self.active_set) + len(self.inactive_set) == p
-            and active | set(self.inactive_set) == set(range(p))
+        members = np.array(self.active_set + self.inactive_set, dtype=int)
+        partitioned = len(self.active_set) == self.k and np.array_equal(
+            np.sort(members), np.arange(p)
         )
         if not partitioned:
             raise ValueError("active and inactive sets must partition the indices")
-        if any(self.beta[j] != 0.0 for j in self.inactive_set):
+        on = np.zeros(p, dtype=bool)
+        on[list(self.active_set)] = True
+        if np.any(self.beta[~on] != 0.0):
             raise ValueError("beta must vanish on the inactive set")
-        if any(self.gamma[j] != 0.0 for j in self.active_set):
+        if np.any(self.gamma[on] != 0.0):
             raise ValueError("gamma must vanish on the active set")
 
 
@@ -87,15 +87,16 @@ def random_subset(p: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
 def _evaluate(family, d, active):
     model = fit_active(family, d, active)
     gamma, delta = dual_sacrifice(family, d, model)
-    inactive = tuple(j for j in range(d.dataset.p) if j not in set(active))
+    off = np.ones(d.dataset.p, dtype=bool)
+    off[list(model.active_set)] = False
     return PrimalDualState(
         beta=model.beta,
         gamma=gamma,
         delta=delta,
         active_set=model.active_set,
-        inactive_set=inactive,
+        inactive_set=tuple(np.flatnonzero(off).tolist()),
         k=len(model.active_set),
-        loss=loss(family, d, model),
+        loss=model.loss,
         model=model,
     )
 
@@ -119,14 +120,9 @@ def _sized_init(family, d, init, k) -> tuple[int, ...]:
     if len(init) == k:
         return init
     if len(init) < k:
-        _, delta0 = dual_sacrifice(family, d, fit_active(family, d, ()))
-        order = np.argsort(-delta0, kind="stable")
-        chosen = set(init)
-        for j in order:
-            if len(chosen) == k:
-                break
-            chosen.add(int(j))
-        return tuple(sorted(chosen))
+        delta0 = null_fit(family, d).state.delta.copy()
+        delta0[list(init)] = np.inf  # keep the init members on top
+        return select_top_k(delta0, k)
     model = fit_active(family, d, init)
     order = np.argsort(-np.abs(model.beta[list(init)]), kind="stable")
     return tuple(sorted(init[j] for j in order[:k]))
@@ -156,8 +152,7 @@ def pdas(
         raise ValueError("m_max must be >= 1")
 
     if init is None:
-        _, delta0 = dual_sacrifice(family, d, fit_active(family, d, ()))
-        active = select_top_k(delta0, k)
+        active = select_top_k(null_fit(family, d).state.delta, k)
     else:
         active = _sized_init(family, d, init, k)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import StandardizedDataset
-from .families import ModelFamily, log_likelihood
+from .families import ModelFamily, loglik_from_loss
 from .pdas import DEFAULT_MAX_SWEEPS, PdasOutput, null_fit, pdas, select_top_k
 
 CRITERIA = ("aic", "bic", "ebic")
@@ -134,11 +134,12 @@ def warm_start_set(prev: PdasOutput, new_k: int) -> tuple[int, ...]:
     return select_top_k(delta, new_k)
 
 
-def _entry_from(family, d, out: PdasOutput, k: int) -> PathEntry:
+def _entry_from(family, d, out: PdasOutput) -> PathEntry:
     model = out.state.model
-    crit = criteria(log_likelihood(family, d, model), k, d.dataset.n, d.dataset.p)
+    loglik = loglik_from_loss(family, d.dataset.n, out.state.loss)
+    crit = criteria(loglik, out.k, d.dataset.n, d.dataset.p)
     return PathEntry(
-        k=k,
+        k=out.k,
         active_set=out.state.active_set,
         beta=out.state.beta,
         intercept=model.intercept,
@@ -150,7 +151,7 @@ def _entry_from(family, d, out: PdasOutput, k: int) -> PathEntry:
     )
 
 
-def _report_from(family, d, entry: PathEntry, method: str, criterion: str):
+def _report_from(family, entry: PathEntry, method: str, criterion: str):
     return SelectionReport(
         family=family.tag,
         method=method,
@@ -166,6 +167,21 @@ def _report_from(family, d, entry: PathEntry, method: str, criterion: str):
         pdas_converged=entry.pdas_converged,
         solver_converged=entry.solver_converged,
     )
+
+
+def fixed_k_report(family, d, out: PdasOutput, method: str, criterion: str):
+    """Selection report for one ``pdas`` output at its own size."""
+    return _report_from(family, _entry_from(family, d, out), method, criterion)
+
+
+def _checked_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> int:
+    """``k_max``, defaulted per family and checked against the size cap."""
+    if k_max is None:
+        return default_k_max(family, n, p)
+    cap = min(n, p) if family.tag == "gaussian" else p
+    if not 1 <= k_max <= cap:
+        raise ValueError(f"k_max must be in [1, {cap}], got {k_max}")
+    return k_max
 
 
 def spdas(
@@ -184,20 +200,16 @@ def spdas(
     falls below it.
     """
     n, p = d.dataset.n, d.dataset.p
-    if k_max is None:
-        k_max = default_k_max(family, n, p)
-    cap = min(n, p) if family.tag == "gaussian" else p
-    if not 1 <= k_max <= cap:
-        raise ValueError(f"k_max must be in [1, {cap}], got {k_max}")
+    k_max = _checked_k_max(family, n, p, k_max)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     chosen = resolve_criterion(criterion, n, p)
 
     prev = null_fit(family, d)
-    entries = [_entry_from(family, d, prev, 0)]
+    entries = [_entry_from(family, d, prev)]
     for k in range(1, k_max + 1):
         out = pdas(family, d, k, init=warm_start_set(prev, k), m_max=m_max)
-        entries.append(_entry_from(family, d, out, k))
+        entries.append(_entry_from(family, d, out))
         if epsilon > 0.0:
             prev_loss = entries[-2].loss
             gain = (prev_loss - out.state.loss) / max(abs(prev_loss), 1e-10)
@@ -210,7 +222,7 @@ def spdas(
         for name in CRITERIA
     }
     path = FitPath(tuple(entries), best_by)
-    report = _report_from(family, d, path.entry_for(best_by[chosen]), "sequential", chosen)
+    report = _report_from(family, path.entry_for(best_by[chosen]), "sequential", chosen)
     return path, report
 
 
@@ -251,6 +263,8 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         raise ValueError("k_max must be >= 3")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     calls = 0
 
     def solve(k, prev):
@@ -313,9 +327,7 @@ def gpdas(
     Returns ``(report, trace)``.  Solver outputs at each interval endpoint
     warm start the corresponding run of the next iteration.
     """
-    n, p = d.dataset.n, d.dataset.p
-    if k_max is None:
-        k_max = default_k_max(family, n, p)
+    k_max = _checked_k_max(family, d.dataset.n, d.dataset.p, k_max)
 
     def run(k, prev):
         if prev is None:
@@ -328,6 +340,4 @@ def gpdas(
 
     out, rows, reason, calls = golden_section_search(run, k_max, eta, m_max)
     trace = GoldenSectionTrace(rows, out.k, reason, calls)
-    entry = _entry_from(family, d, out, out.k)
-    report = _report_from(family, d, entry, "gsection", "loss-elbow")
-    return report, trace
+    return fixed_k_report(family, d, out, "gsection", "loss-elbow"), trace

@@ -8,10 +8,12 @@ from bestsubset.data import Continuous, Dataset, Survival, standardize
 from bestsubset.families import (
     CoefficientModel,
     ModelFamily,
+    _cox_derivatives,
     dual_sacrifice,
     fit_active,
     grad_hess,
     log_likelihood,
+    loglik_from_loss,
     loss,
     predict,
 )
@@ -290,18 +292,6 @@ class TestFitActive:
         zero = loss(fam, sd, CoefficientModel(np.zeros(5), 0.0, active))
         assert fitted <= zero + 1e-12
 
-    def test_cox_diagonal_hessian_matches_full(self):
-        sd = random_standardized(
-            "cox", 70, 5, seed=43, beta=np.array([0.8, 0, -0.6, 0, 0.4]),
-            censor_rate=0.15,
-        )
-        full = fit_active(ModelFamily("cox"), sd, (0, 2, 4))
-        diag = fit_active(
-            ModelFamily("cox", diagonal_hessian=True, newton_max_iter=500), sd, (0, 2, 4)
-        )
-        assert diag.solver_converged
-        np.testing.assert_allclose(diag.beta, full.beta, atol=1e-5)
-
 
 def _identity_meta(sd):
     """Meta whose de-standardization is the identity (X already standardized)."""
@@ -350,3 +340,105 @@ class TestLogLikelihood:
         sd = random_standardized("binomial", 30, 4, seed=67)
         model = fit_active(BINOMIAL, sd, (0,))
         assert log_likelihood(BINOMIAL, sd, model) == -loss(BINOMIAL, sd, model)
+
+
+def tied_censored_cox(n=60, p=4, seed=71):
+    """Cox data with many tied times (one decimal) and about 30% censoring."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    times = np.round(rng.exponential(1.0, n), 1) + 0.1
+    status = (rng.uniform(size=n) > 0.3).astype(float)
+    status[0] = 1.0
+    sd = standardize(Dataset(X, Survival(times, status)))
+    assert len(np.unique(sd.dataset.response.time)) < n
+    return sd
+
+
+def tensor_cox_derivatives(X, time, status, beta):
+    """Reference: Breslow score and Hessian through an n x k x k tensor.
+
+    Rows are sorted by descending time, so each risk set is a prefix and
+    every risk-set sum is a cumulative sum; the Hessian cumulates the
+    per-row outer products.  Returns the score, the full Hessian and its
+    diagonal computed from the squared columns.
+    """
+    order = np.argsort(-time, kind="stable")
+    t_sorted = time[order]
+    events = status[order] == 1.0
+    risk_end = np.searchsorted(-t_sorted, -t_sorted, side="right")
+    Xs = X[order]
+    eta = Xs @ beta
+    w = np.exp(eta - eta.max())
+    cw = np.cumsum(w)
+    idx = risk_end[events] - 1
+    denom = cw[idx]
+    xbar = np.cumsum(w[:, None] * Xs, axis=0)[idx] / denom[:, None]
+    score = -(Xs[events] - xbar).sum(axis=0)
+    outer = np.cumsum(w[:, None, None] * Xs[:, :, None] * Xs[:, None, :], axis=0)
+    H = (outer[idx] / denom[:, None, None]).sum(axis=0)
+    H -= np.einsum("ij,il->jl", xbar, xbar)
+    cwx2 = np.cumsum(w[:, None] * Xs**2, axis=0)
+    hdiag = (cwx2[idx] / denom[:, None] - xbar**2).sum(axis=0)
+    return score, H, hdiag
+
+
+class TestCoxDerivatives:
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_weighted_gram_hessian_matches_tensor_formula(self, seed):
+        sd = tied_censored_cox(seed=seed)
+        resp = sd.dataset.response
+        beta = np.random.default_rng(seed).standard_normal(4) * 0.5
+        ref_score, ref_H, _ = tensor_cox_derivatives(
+            sd.dataset.X, resp.time, resp.status, beta
+        )
+        Xs = sd.dataset.X[resp.order]
+        score, u, xbar = _cox_derivatives(Xs, Xs @ beta, resp)
+        H = Xs.T @ (Xs * u[:, None]) - xbar.T @ xbar
+        np.testing.assert_allclose(score, ref_score, rtol=1e-10, atol=1e-10 * np.abs(ref_score).max())
+        np.testing.assert_allclose(H, ref_H, rtol=1e-10, atol=1e-10 * np.abs(ref_H).max())
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_grad_hess_matches_tensor_formula(self, seed):
+        sd = tied_censored_cox(seed=seed)
+        resp = sd.dataset.response
+        beta = np.random.default_rng(seed).standard_normal(4) * 0.5
+        ref_score, ref_H, ref_hdiag = tensor_cox_derivatives(
+            sd.dataset.X, resp.time, resp.status, beta
+        )
+        g, h = grad_hess(COX, sd, dense_model(beta))
+        np.testing.assert_allclose(g, ref_score, rtol=1e-10, atol=1e-10 * np.abs(g).max())
+        np.testing.assert_allclose(h, ref_hdiag, rtol=1e-10)
+        np.testing.assert_allclose(h, np.diag(ref_H), rtol=1e-10)
+
+    def test_risk_set_layout(self):
+        sd = tied_censored_cox()
+        resp = sd.dataset.response
+        t_sorted = resp.time[resp.order]
+        assert np.all(np.diff(t_sorted) <= 0)
+        np.testing.assert_array_equal(resp.events, resp.status[resp.order] == 1.0)
+        for i, end in enumerate(resp.risk_end):
+            assert end == np.sum(resp.time >= t_sorted[i])
+
+
+class TestFitLoss:
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    @pytest.mark.parametrize("active", [(), (1,), (0, 2, 3)])
+    def test_fit_reports_its_loss(self, family, active):
+        sd = random_standardized(family, 50, 4, seed=79, censor_rate=0.2)
+        model = fit_active(FAMILY[family], sd, active)
+        assert model.loss == pytest.approx(loss(FAMILY[family], sd, model), rel=1e-12)
+
+    @pytest.mark.parametrize("active", [(), (2,), (0, 1, 3)])
+    def test_cox_fit_reports_its_loss_with_ties(self, active):
+        sd = tied_censored_cox()
+        model = fit_active(COX, sd, active)
+        assert model.loss == pytest.approx(loss(COX, sd, model), rel=1e-12)
+
+    def test_log_likelihood_from_fit_loss(self):
+        for family in ("gaussian", "binomial", "cox"):
+            sd = random_standardized(family, 40, 3, seed=83, censor_rate=0.1)
+            fam = FAMILY[family]
+            model = fit_active(fam, sd, (0, 2))
+            assert loglik_from_loss(fam, 40, model.loss) == pytest.approx(
+                log_likelihood(fam, sd, model), rel=1e-12
+            )

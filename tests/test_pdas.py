@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -145,6 +146,19 @@ class TestPdas:
         big = pdas(GAUSSIAN, sd, 2, init=(0, 1, 2, 3))
         assert len(big.state.active_set) == 2
 
+    def test_init_padding_keeps_init_then_top_null_sacrifices(self):
+        cfg = GenConfig(n=80, p=10, q=3, family="gaussian", seed=41)
+        sd = standardize(gen_dataset(cfg)[0])
+        _, delta0 = dual_sacrifice(GAUSSIAN, sd, fit_active(GAUSSIAN, sd, ()))
+        for init in ((1,), (2, 7), (0, 5, 9)):
+            chosen = set(init)
+            for j in np.argsort(-delta0, kind="stable"):
+                if len(chosen) == 5:
+                    break
+                chosen.add(int(j))
+            out = pdas(GAUSSIAN, sd, 5, init=init, m_max=1)
+            assert out.history[0] == tuple(sorted(chosen))
+
     def test_k_validation(self):
         sd = orthonormal_instance(seed=7, p=4)
         with pytest.raises(ValueError):
@@ -206,6 +220,46 @@ class TestPdas:
             else:
                 assert out.loss <= 1.1 * oracle_loss
         assert matches >= 0.9 * total
+
+
+class TestPrimalDualState:
+    def state(self):
+        cfg = GenConfig(n=60, p=8, q=2, family="gaussian", seed=43)
+        return pdas(GAUSSIAN, standardize(gen_dataset(cfg)[0]), 3).state
+
+    def test_inactive_set_is_sorted_complement(self):
+        state = self.state()
+        assert state.inactive_set == tuple(
+            j for j in range(8) if j not in state.active_set
+        )
+
+    def test_rejects_non_partition(self):
+        state = self.state()
+        inactive = state.inactive_set
+        for change in (
+            {"k": 2},
+            {"inactive_set": inactive[1:]},  # index missing
+            {"inactive_set": inactive[:-1] + (inactive[0],)},  # duplicate
+            {"inactive_set": inactive[:-1] + (state.active_set[0],)},  # overlap
+            {"inactive_set": (-1,) + inactive[1:]},
+            {"inactive_set": inactive[:-1] + (8,)},
+        ):
+            with pytest.raises(ValueError, match="partition"):
+                dataclasses.replace(state, **change)
+
+    def test_rejects_beta_off_the_active_set(self):
+        state = self.state()
+        beta = state.beta.copy()
+        beta[state.inactive_set[0]] = 1.0
+        with pytest.raises(ValueError, match="beta must vanish"):
+            dataclasses.replace(state, beta=beta)
+
+    def test_rejects_gamma_on_the_active_set(self):
+        state = self.state()
+        gamma = state.gamma.copy()
+        gamma[state.active_set[0]] = 1.0
+        with pytest.raises(ValueError, match="gamma must vanish"):
+            dataclasses.replace(state, gamma=gamma)
 
 
 class TestNullFit:

@@ -293,3 +293,13 @@ class TestGpdas:
                 supported += 1
         assert hits >= 0.9 * total
         assert supported >= 0.9 * total
+
+    def test_rejects_m_max_below_one(self):
+        sd = standardize(gen_dataset(GenConfig(n=100, p=20, q=3, seed=1))[0])
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            gpdas(GAUSSIAN, sd, k_max=10, m_max=0)
+
+    def test_rejects_k_max_beyond_cap_by_name(self):
+        sd = standardize(gen_dataset(GenConfig(n=100, p=20, q=3, seed=1))[0])
+        with pytest.raises(ValueError, match=r"k_max must be in \[1, 20\], got 500"):
+            gpdas(GAUSSIAN, sd, k_max=500)
