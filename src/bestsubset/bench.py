@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, destandardize_coefficients, standardize
 from .datagen import GenConfig, gen_beta, gen_design, gen_response
-from .families import ModelFamily, fit_active, predict
+from .families import CoefficientModel, ModelFamily, fit_active, predict
 from .metrics import accuracy, concordance_index, relative_mse, tp_fp
 from .oracle import exhaustive_best_subset
 from .tuning import gpdas, spdas
@@ -114,7 +114,7 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
             report, _ = gpdas(family, d, k_max=scn.k_max, eta=scn.eta)
         elapsed = time.perf_counter() - start
         score = tp_fp(report.active_set, truth)
-        model = fit_active(family, d, report.active_set)
+        model = CoefficientModel(report.beta, report.intercept, report.active_set)
         record["methods"][name] = {
             "k": report.k,
             "active": list(report.active_set),

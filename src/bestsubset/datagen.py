@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .data import Binary, Continuous, Dataset, Survival
 
@@ -128,10 +127,18 @@ def _censoring_horizon(rates: np.ndarray, target: float) -> float:
 
     lo, hi = 1e-12, 1.0
     while censored_fraction(hi) > 0.0:
-        hi *= 10.0
         if hi > 1e12:
-            break
-    return brentq(censored_fraction, lo, hi)
+            raise ValueError(f"censoring rate {target} is out of reach")
+        hi *= 10.0
+    # the fraction falls as tau grows: bisect until the midpoint is an endpoint
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if censored_fraction(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def gen_response(

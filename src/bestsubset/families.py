@@ -168,21 +168,29 @@ def loss(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel) -> fl
     return _cox_loss((X @ m.beta)[resp.order], resp)
 
 
+def _active_predictor(X: np.ndarray, m: CoefficientModel) -> np.ndarray:
+    """``X @ m.beta`` from the active columns only (beta is zero elsewhere)."""
+    active = list(m.active_set)
+    return X[:, active] @ m.beta[active]
+
+
 def grad_hess(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel):
     """Coordinate gradient g_j and curvature h_j for every j at once.
 
     These are the per-coordinate first and second derivatives of the loss
     with all other coordinates (and the binomial intercept) held fixed.
+    The linear predictor is formed from the active columns, so the gaussian
+    case reads the full design once, for ``X' e``.
     """
     _check_family(family, d)
     X = d.dataset.X
     n = d.dataset.n
     if family.tag == "gaussian":
-        e = d.dataset.response.y - X @ m.beta
+        e = d.dataset.response.y - _active_predictor(X, m)
         g = -(X.T @ e) / n
         return g, np.ones(d.dataset.p)
     if family.tag == "binomial":
-        eta = m.intercept + X @ m.beta
+        eta = m.intercept + _active_predictor(X, m)
         prob = _sigmoid(eta)
         y = d.dataset.response.y
         g = X.T @ (prob - y)
@@ -190,7 +198,7 @@ def grad_hess(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel):
         return g, h
     resp = d.dataset.response
     Xs = X[resp.order]
-    g, u, xbar = _cox_derivatives(Xs, (X @ m.beta)[resp.order], resp)
+    g, u, xbar = _cox_derivatives(Xs, _active_predictor(X, m)[resp.order], resp)
     h = u @ Xs**2 - (xbar**2).sum(axis=0)
     # exact h is nonnegative; clear roundoff dust
     np.maximum(h, 0.0, out=h)

@@ -69,14 +69,25 @@ class PdasOutput:
 
 
 def select_top_k(delta: np.ndarray, k: int) -> tuple[int, ...]:
-    """Indices of the k largest sacrifices; ties break toward lower indices."""
-    delta = np.asarray(delta)
-    if k > delta.shape[0]:
-        raise ValueError("k exceeds the number of coordinates")
+    """Indices of the k largest sacrifices, in increasing order.
+
+    Ties break toward lower indices, ``+inf`` ranks first and NaN ranks
+    below every number.  One partition finds the k-th largest value, so the
+    cost is O(p) rather than a full sort.
+    """
+    key = -np.asarray(delta)
+    if not 0 <= k <= key.shape[0]:
+        raise ValueError("k must be between 0 and the number of coordinates")
     if k == 0:
         return ()
-    order = np.argsort(-delta, kind="stable")
-    return tuple(sorted(int(j) for j in order[:k]))
+    # partition sorts NaN last, like the ascending order of key
+    kth = np.partition(key, k - 1)[k - 1]
+    if np.isnan(kth):
+        chosen, tied = ~np.isnan(key), np.isnan(key)
+    else:
+        chosen, tied = key < kth, key == kth
+    chosen[np.flatnonzero(tied)[: k - np.count_nonzero(chosen)]] = True
+    return tuple(np.flatnonzero(chosen).tolist())
 
 
 def random_subset(p: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:

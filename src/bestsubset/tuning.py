@@ -4,7 +4,11 @@ The sequential search runs the active-set solver for k = 1..k_max, warm
 starting each size from the previous solution, and picks the k minimizing an
 information criterion (AIC, BIC, or EBIC).  The golden-section search
 instead brackets the `elbow' of the loss-versus-k curve, probing a few
-sizes per iteration, which needs only O(log k_max) solver calls.
+sizes per iteration: at most 5 solver calls per iteration and at most
+``m_max`` iterations.  The iteration count is not O(log k_max): when the
+loss is flat left of the split, the left end resets to 1, so the search
+can run many iterations before the interval collapses.  The actual number
+of solver calls is reported as ``GoldenSectionTrace.pdas_calls``.
 """
 
 import math
@@ -325,7 +329,8 @@ def gpdas(
     """Golden-section elbow search over the subset size.
 
     Returns ``(report, trace)``.  Solver outputs at each interval endpoint
-    warm start the corresponding run of the next iteration.
+    warm start the corresponding run of the next iteration.  Each iteration
+    makes at most 5 ``pdas`` calls; ``trace.pdas_calls`` counts them all.
     """
     k_max = _checked_k_max(family, d.dataset.n, d.dataset.p, k_max)
 

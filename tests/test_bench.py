@@ -1,6 +1,8 @@
 import pytest
 
+from bestsubset import bench
 from bestsubset.bench import BenchScenario, run_bench, run_replication
+from bestsubset.families import fit_active
 
 
 def small_scenario(**kw):
@@ -49,6 +51,24 @@ class TestReplication:
             for name in ("spdas", "gpdas"):
                 stats = record["methods"][name]
                 assert oracle_losses[stats["k"]] <= stats["loss"] + 1e-9
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    def test_metric_equals_refit_metric(self, family, monkeypatch):
+        scn = small_scenario(
+            family=family, methods=("spdas", "gpdas"), censor_rate=0.2 if family == "cox" else 0.0
+        )
+        original = bench._holdout_metric
+        refit_metrics = []
+
+        def holdout_metric(scn, fam, meta, model, beta_star, X_test, resp_test):
+            refit = fit_active(fam, meta, model.active_set)
+            refit_metrics.append(original(scn, fam, meta, refit, beta_star, X_test, resp_test))
+            return original(scn, fam, meta, model, beta_star, X_test, resp_test)
+
+        monkeypatch.setattr(bench, "_holdout_metric", holdout_metric)
+        record = run_replication(scn, 0)
+        metrics = [record["methods"][name]["metric"] for name in scn.methods]
+        assert metrics == refit_metrics
 
     def test_deterministic_given_seed_and_rep(self):
         scn = small_scenario()

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bestsubset
 from bestsubset.data import Binary, Survival
 from bestsubset.datagen import (
     GenConfig,
+    _censoring_horizon,
     default_magnitude_cap,
     default_signal_magnitude,
     gen_beta,
@@ -148,3 +153,45 @@ class TestDefaults:
             GenConfig(n=10, p=4, q=2, b=3.0, B=1.0).magnitude_range()
         with pytest.raises(ValueError):
             GenConfig(n=10, p=4, q=2, beta=(1.0, 2.0))
+
+
+class TestCensoringHorizon:
+    @pytest.mark.parametrize("target", [0.05, 0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_root_matches_brentq(self, target, seed):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(seed)
+        rates = np.exp(np.clip(rng.standard_normal(500) * 1.5, -30, 30))
+
+        def censored_fraction(tau):
+            lt = rates * tau
+            return float(np.mean(-np.expm1(-lt) / lt)) - target
+
+        hi = 1.0
+        while censored_fraction(hi) > 0.0:
+            hi *= 10.0
+        tau = _censoring_horizon(rates, target)
+        ref = brentq(censored_fraction, 1e-12, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert tau == pytest.approx(ref, rel=1e-12)
+        assert censored_fraction(tau) == pytest.approx(0.0, abs=1e-12)
+
+    def test_censored_fraction_hits_target(self):
+        cfg = GenConfig(n=20000, p=2, q=2, family="cox", censor_rate=0.2, b=0.5, B=1.0, seed=5)
+        data, _, _ = gen_dataset(cfg)
+        assert abs((1.0 - data.response.status.mean()) - 0.2) < 0.015
+
+    def test_unreachable_rate_rejected(self):
+        with pytest.raises(ValueError):
+            _censoring_horizon(np.full(4, 1e-30), 0.99)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # a fresh interpreter that imports this same copy of the package
+    src = os.path.dirname(os.path.dirname(bestsubset.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, bestsubset.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

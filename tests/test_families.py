@@ -9,6 +9,7 @@ from bestsubset.families import (
     CoefficientModel,
     ModelFamily,
     _cox_derivatives,
+    _sigmoid,
     dual_sacrifice,
     fit_active,
     grad_hess,
@@ -442,3 +443,31 @@ class TestFitLoss:
             assert loglik_from_loss(fam, 40, model.loss) == pytest.approx(
                 log_likelihood(fam, sd, model), rel=1e-12
             )
+
+
+def full_design_grad_hess(family, sd, m):
+    """Coordinate derivatives with the linear predictor formed as ``X @ beta``."""
+    X = sd.dataset.X
+    resp = sd.dataset.response
+    eta = X @ m.beta
+    if family.tag == "gaussian":
+        return -(X.T @ (resp.y - eta)) / sd.dataset.n, np.ones(sd.dataset.p)
+    if family.tag == "binomial":
+        prob = _sigmoid(m.intercept + eta)
+        return X.T @ (prob - resp.y), (X**2).T @ (prob * (1.0 - prob))
+    Xs = X[resp.order]
+    g, u, xbar = _cox_derivatives(Xs, eta[resp.order], resp)
+    return g, np.maximum(u @ Xs**2 - (xbar**2).sum(axis=0), 0.0)
+
+
+class TestGradHessActiveColumns:
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    @pytest.mark.parametrize("active", [(0,), (1, 4, 6), (0, 2, 3, 5, 7)])
+    def test_matches_full_design_formula(self, family, active):
+        beta = np.array([1.0, 0.0, -0.8, 0.5, 0.0, 0.3, 0.0, -0.4])
+        sd = random_standardized(family, 80, 8, seed=89, beta=beta, censor_rate=0.2)
+        model = fit_active(FAMILY[family], sd, active)
+        g, h = grad_hess(FAMILY[family], sd, model)
+        g_ref, h_ref = full_design_grad_hess(FAMILY[family], sd, model)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-12 * np.abs(g_ref).max())
+        np.testing.assert_allclose(h, h_ref, rtol=1e-12)

@@ -24,6 +24,14 @@ def orthonormal_instance(seed=0, n=32, p=6, signal_col=3, scale=5.0):
     return standardize(Dataset(X, Continuous(y)))
 
 
+def stable_argsort_top_k(delta, k):
+    """The earlier full-sort selection, kept as the reference."""
+    if k == 0:
+        return ()
+    order = np.argsort(-np.asarray(delta), kind="stable")
+    return tuple(sorted(int(j) for j in order[:k]))
+
+
 class TestSelectTopK:
     def test_simple(self):
         assert select_top_k(np.array([3.0, 1.0, 2.0]), 2) == (0, 2)
@@ -37,6 +45,41 @@ class TestSelectTopK:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             select_top_k(np.array([1.0]), 2)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            select_top_k(np.array([1.0, 2.0]), -1)
+
+    def test_inf_first_nan_last(self):
+        delta = np.array([1.0, np.nan, 3.0, np.inf, 3.0, -np.inf, np.nan])
+        picks = [select_top_k(delta, k) for k in range(8)]
+        assert picks[1] == (3,)
+        assert picks[3] == (2, 3, 4)
+        assert picks[5] == (0, 2, 3, 4, 5)
+        assert picks[6] == (0, 1, 2, 3, 4, 5)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
+                st.floats(-3.0, 3.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort_for_every_k(self, values):
+        delta = np.array(values)
+        for k in range(len(values) + 1):
+            assert select_top_k(delta, k) == stable_argsort_top_k(delta, k)
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stable_argsort_on_integer_ties(self, values):
+        delta = np.array(values)
+        for k in range(len(values) + 1):
+            assert select_top_k(delta, k) == stable_argsort_top_k(delta, k)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),

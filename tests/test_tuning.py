@@ -275,6 +275,14 @@ class TestGpdas:
         _, trace = gpdas(GAUSSIAN, sd, k_max=15)
         assert trace.pdas_calls <= 5 * len(trace.rows)
 
+    def test_pdas_call_bound_on_long_search(self):
+        # this search runs 66 iterations and ends by interval-collapse at k=12
+        cfg = GenConfig(n=500, p=100, q=10, family="gaussian", rho=0.2, seed=3)
+        sd = standardize(gen_dataset(cfg)[0])
+        _, trace = gpdas(GAUSSIAN, sd)
+        assert trace.pdas_calls <= 5 * len(trace.rows)
+        assert len(trace.rows) <= 100
+
     def test_finds_true_size_on_strong_signal(self):
         hits = 0
         supported = 0
