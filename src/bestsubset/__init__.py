@@ -31,7 +31,7 @@ from .families import (
 )
 from .metrics import SelectionScore, accuracy, concordance_index, relative_mse, tp_fp
 from .oracle import exhaustive_best_subset
-from .pdas import PdasOutput, PrimalDualState, null_fit, pdas, random_subset, select_top_k
+from .pdas import PdasOutput, null_fit, pdas, random_subset, select_top_k
 from .tuning import (
     CriterionValues,
     FitPath,
@@ -58,7 +58,6 @@ __all__ = [
     "GoldenSectionTrace",
     "ModelFamily",
     "PdasOutput",
-    "PrimalDualState",
     "SelectionReport",
     "SelectionScore",
     "StandardizedDataset",

@@ -260,18 +260,21 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
     ``response`` names the response column (a pair ``(time, status)`` for the
     cox family); it defaults to ``y`` resp. ``("time", "status")``.  With
     ``header=False`` all columns are unnamed and the response is taken from
-    the last column (last two for cox); predictors are then named X1..Xp.
+    the last column (last two for cox); predictors are then named X1..Xp,
+    and naming a ``response`` is an error.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if response is None:
         response = default_response_columns(family)
+    elif not header:
+        raise ValueError("response columns can only be named with a header")
     elif isinstance(response, str):
         response = tuple(part.strip() for part in response.split(","))
     else:
         response = tuple(response)
     n_resp = 2 if family == "cox" else 1
-    if header and len(response) != n_resp:
+    if len(response) != n_resp:
         raise ValueError(
             f"family {family!r} needs {n_resp} response column(s), got {len(response)}"
         )

@@ -6,7 +6,11 @@ coordinate, and (iii) replaces the set with the k coordinates of largest
 sacrifice.  A set that reproduces itself is a fixed point and the iteration
 stops.  On weak signals the sweep can enter a short cycle instead, so every
 visited set is remembered and any revisit stops the run, returning the
-visited state of lowest loss.
+visited set of lowest loss.
+
+A result is one :class:`PdasOutput`: the ``CoefficientModel`` fitted on
+the returned set, the duals gamma and sacrifices delta at that model, and
+the sweep count, convergence flag and visited sets.
 """
 
 from dataclasses import dataclass
@@ -20,52 +24,28 @@ DEFAULT_MAX_SWEEPS = 20
 
 
 @dataclass(frozen=True, eq=False)
-class PrimalDualState:
-    """Primal beta, dual gamma, sacrifice delta, and the set partition at one k.
+class PdasOutput:
+    """The model fitted on the returned set, its duals and sacrifices, and the run.
 
-    The primal and dual supports are complementary by construction: beta
-    vanishes off the active set, gamma vanishes on it.
+    ``gamma`` vanishes on ``model.active_set`` (``dual_sacrifice`` sets it
+    so) and ``model.beta`` vanishes off it; the inactive set is the
+    complement.  ``history`` lists the distinct sets visited, in order.
     """
 
-    beta: np.ndarray
+    model: CoefficientModel
     gamma: np.ndarray
     delta: np.ndarray
-    active_set: tuple[int, ...]
-    inactive_set: tuple[int, ...]
-    k: int
-    loss: float
-    model: CoefficientModel
-
-    def __post_init__(self):
-        p = self.beta.shape[0]
-        members = np.array(self.active_set + self.inactive_set, dtype=int)
-        partitioned = len(self.active_set) == self.k and np.array_equal(
-            np.sort(members), np.arange(p)
-        )
-        if not partitioned:
-            raise ValueError("active and inactive sets must partition the indices")
-        on = np.zeros(p, dtype=bool)
-        on[list(self.active_set)] = True
-        if np.any(self.beta[~on] != 0.0):
-            raise ValueError("beta must vanish on the inactive set")
-        if np.any(self.gamma[on] != 0.0):
-            raise ValueError("gamma must vanish on the active set")
-
-
-@dataclass(frozen=True, eq=False)
-class PdasOutput:
-    state: PrimalDualState
     iterations: int
     converged: bool
     history: tuple[tuple[int, ...], ...]
 
     @property
     def loss(self) -> float:
-        return self.state.loss
+        return self.model.loss
 
     @property
     def k(self) -> int:
-        return self.state.k
+        return len(self.model.active_set)
 
 
 def select_top_k(delta: np.ndarray, k: int) -> tuple[int, ...]:
@@ -98,24 +78,12 @@ def random_subset(p: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
 def _evaluate(family, d, active):
     model = fit_active(family, d, active)
     gamma, delta = dual_sacrifice(family, d, model)
-    off = np.ones(d.dataset.p, dtype=bool)
-    off[list(model.active_set)] = False
-    return PrimalDualState(
-        beta=model.beta,
-        gamma=gamma,
-        delta=delta,
-        active_set=model.active_set,
-        inactive_set=tuple(np.flatnonzero(off).tolist()),
-        k=len(model.active_set),
-        loss=model.loss,
-        model=model,
-    )
+    return model, gamma, delta
 
 
 def null_fit(family: ModelFamily, d: StandardizedDataset) -> PdasOutput:
-    """The empty-model state (k = 0); anchors warm starts and k-0 criteria."""
-    state = _evaluate(family, d, ())
-    return PdasOutput(state=state, iterations=0, converged=True, history=((),))
+    """The empty-model output (k = 0); anchors warm starts and k-0 criteria."""
+    return PdasOutput(*_evaluate(family, d, ()), 0, True, ((),))
 
 
 def _sized_init(family, d, init, k) -> tuple[int, ...]:
@@ -131,7 +99,7 @@ def _sized_init(family, d, init, k) -> tuple[int, ...]:
     if len(init) == k:
         return init
     if len(init) < k:
-        delta0 = null_fit(family, d).state.delta.copy()
+        delta0 = null_fit(family, d).delta.copy()
         delta0[list(init)] = np.inf  # keep the init members on top
         return select_top_k(delta0, k)
     model = fit_active(family, d, init)
@@ -151,7 +119,7 @@ def pdas(
     ``init`` is an optional starting index set (resized as needed); when
     omitted the k largest empty-model sacrifices are used.  ``converged``
     is True only when an active set reproduced itself; hitting a cycle or
-    ``m_max`` returns the best visited state with the flag down.
+    ``m_max`` returns the best visited set with the flag down.
     """
     p = d.dataset.p
     n = d.dataset.n
@@ -163,24 +131,18 @@ def pdas(
         raise ValueError("m_max must be >= 1")
 
     if init is None:
-        active = select_top_k(null_fit(family, d).state.delta, k)
+        active = select_top_k(null_fit(family, d).delta, k)
     else:
         active = _sized_init(family, d, init, k)
 
-    visited: dict[tuple[int, ...], PrimalDualState] = {}
-    history: list[tuple[int, ...]] = []
-    iterations = 0
-    state = None
+    visited: dict[tuple[int, ...], tuple] = {}  # set -> (model, gamma, delta)
     for _ in range(m_max):
-        state = _evaluate(family, d, active)
-        iterations += 1
-        history.append(active)
-        visited[active] = state
-        proposal = select_top_k(state.delta, k)
+        model, gamma, delta = visited[active] = _evaluate(family, d, active)
+        proposal = select_top_k(delta, k)
         if proposal == active:
-            return PdasOutput(state, iterations, True, tuple(history))
+            return PdasOutput(model, gamma, delta, len(visited), True, tuple(visited))
         if proposal in visited:
             break
         active = proposal
-    best = min(visited.values(), key=lambda s: (s.loss, s.active_set))
-    return PdasOutput(best, iterations, False, tuple(history))
+    best = min(visited.values(), key=lambda fit: (fit[0].loss, fit[0].active_set))
+    return PdasOutput(*best, len(visited), False, tuple(visited))

@@ -9,6 +9,10 @@ sizes per iteration: at most 5 solver calls per iteration and at most
 loss is flat left of the split, the left end resets to 1, so the search
 can run many iterations before the interval collapses.  The actual number
 of solver calls is reported as ``GoldenSectionTrace.pdas_calls``.
+
+Every size is reported by one builder, :func:`fixed_k_report`, as a
+:class:`SelectionReport`: each entry of the sequential path is one, and
+``spdas`` returns the entry it chose, not a copy of it.
 """
 
 import math
@@ -33,9 +37,6 @@ class CriterionValues:
     aic: float
     bic: float
     ebic: float
-    k: int
-    n: int
-    p: int
 
     def value(self, criterion: str) -> float:
         return getattr(self, criterion)
@@ -53,7 +54,7 @@ def criteria(loglik: float, k: int, n: int, p: int) -> CriterionValues:
     aic = deviance + 2.0 * k
     bic = deviance + k * math.log(n)
     ebic = bic + 2.0 * k * math.log(p)
-    return CriterionValues(deviance, aic, bic, ebic, k, n, p)
+    return CriterionValues(deviance, aic, bic, ebic)
 
 
 def resolve_criterion(criterion: str, n: int, p: int) -> str:
@@ -75,37 +76,12 @@ def default_k_max(family: ModelFamily, n: int, p: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class PathEntry:
-    """One record of the solution path at subset size k."""
-
-    k: int
-    active_set: tuple[int, ...]
-    beta: np.ndarray
-    intercept: float
-    loss: float
-    criteria: CriterionValues
-    pdas_iterations: int
-    pdas_converged: bool
-    solver_converged: bool
-
-
-@dataclass(frozen=True, eq=False)
-class FitPath:
-    """Solution path over k, plus the best size under each criterion."""
-
-    entries: tuple[PathEntry, ...]
-    best_by: dict[str, int]
-
-    def entry_for(self, k: int) -> PathEntry:
-        for entry in self.entries:
-            if entry.k == k:
-                return entry
-        raise KeyError(f"no path entry for k={k}")
-
-
-@dataclass(frozen=True, eq=False)
 class SelectionReport:
-    """The selected model with its diagnostics."""
+    """A model at one subset size with its criteria and diagnostics.
+
+    Both the selected model and every entry of a :class:`FitPath` are
+    reports; ``method`` and ``criterion`` say how the size was chosen.
+    """
 
     family: str
     method: str
@@ -122,60 +98,55 @@ class SelectionReport:
     solver_converged: bool
 
 
+@dataclass(frozen=True, eq=False)
+class FitPath:
+    """Solution path over k, plus the best size under each criterion."""
+
+    entries: tuple[SelectionReport, ...]
+    best_by: dict[str, int]
+
+    def entry_for(self, k: int) -> SelectionReport:
+        for entry in self.entries:
+            if entry.k == k:
+                return entry
+        raise KeyError(f"no path entry for k={k}")
+
+
 def warm_start_set(prev: PdasOutput, new_k: int) -> tuple[int, ...]:
     """Grow the previous active set with the top inactive sacrifices.
 
     The previous set is kept whole and the (new_k - k_prev) inactive
     coordinates of largest sacrifice are appended; ties go to lower indices.
     """
-    prev_active = prev.state.active_set
+    prev_active = prev.model.active_set
     if new_k < len(prev_active):
         raise ValueError("new_k must be at least the previous active set size")
     if new_k == len(prev_active):
         return prev_active
-    delta = np.asarray(prev.state.delta, dtype=float).copy()
+    delta = np.asarray(prev.delta, dtype=float).copy()
     delta[list(prev_active)] = np.inf  # keep previous members on top
     return select_top_k(delta, new_k)
 
 
-def _entry_from(family, d, out: PdasOutput) -> PathEntry:
-    model = out.state.model
-    loglik = loglik_from_loss(family, d.dataset.n, out.state.loss)
-    crit = criteria(loglik, out.k, d.dataset.n, d.dataset.p)
-    return PathEntry(
+def fixed_k_report(family, d, out: PdasOutput, method: str, criterion: str):
+    """Selection report for one ``pdas`` output at its own size."""
+    model = out.model
+    loglik = loglik_from_loss(family, d.dataset.n, model.loss)
+    return SelectionReport(
+        family=family.tag,
+        method=method,
         k=out.k,
-        active_set=out.state.active_set,
-        beta=out.state.beta,
+        active_set=model.active_set,
+        beta=model.beta,
         intercept=model.intercept,
-        loss=out.state.loss,
-        criteria=crit,
+        loss=model.loss,
+        loglik=loglik,
+        criteria=criteria(loglik, out.k, d.dataset.n, d.dataset.p),
+        criterion=criterion,
         pdas_iterations=out.iterations,
         pdas_converged=out.converged,
         solver_converged=model.solver_converged,
     )
-
-
-def _report_from(family, entry: PathEntry, method: str, criterion: str):
-    return SelectionReport(
-        family=family.tag,
-        method=method,
-        k=entry.k,
-        active_set=entry.active_set,
-        beta=entry.beta,
-        intercept=entry.intercept,
-        loss=entry.loss,
-        loglik=-0.5 * entry.criteria.deviance,
-        criteria=entry.criteria,
-        criterion=criterion,
-        pdas_iterations=entry.pdas_iterations,
-        pdas_converged=entry.pdas_converged,
-        solver_converged=entry.solver_converged,
-    )
-
-
-def fixed_k_report(family, d, out: PdasOutput, method: str, criterion: str):
-    """Selection report for one ``pdas`` output at its own size."""
-    return _report_from(family, _entry_from(family, d, out), method, criterion)
 
 
 def _checked_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> int:
@@ -209,14 +180,16 @@ def spdas(
         raise ValueError("epsilon must be nonnegative")
     chosen = resolve_criterion(criterion, n, p)
 
+    def entry(out):
+        return fixed_k_report(family, d, out, "sequential", chosen)
+
     prev = null_fit(family, d)
-    entries = [_entry_from(family, d, prev)]
+    entries = [entry(prev)]
     for k in range(1, k_max + 1):
         out = pdas(family, d, k, init=warm_start_set(prev, k), m_max=m_max)
-        entries.append(_entry_from(family, d, out))
+        entries.append(entry(out))
         if epsilon > 0.0:
-            prev_loss = entries[-2].loss
-            gain = (prev_loss - out.state.loss) / max(abs(prev_loss), 1e-10)
+            gain = (prev.loss - out.loss) / max(abs(prev.loss), 1e-10)
             if gain < epsilon:
                 break
         prev = out
@@ -226,8 +199,7 @@ def spdas(
         for name in CRITERIA
     }
     path = FitPath(tuple(entries), best_by)
-    report = _report_from(family, path.entry_for(best_by[chosen]), "sequential", chosen)
-    return path, report
+    return path, path.entry_for(best_by[chosen])
 
 
 @dataclass(frozen=True)
@@ -340,7 +312,7 @@ def gpdas(
         elif k >= prev.k:
             init = warm_start_set(prev, k)
         else:
-            init = prev.state.active_set
+            init = prev.model.active_set
         return pdas(family, d, k, init=init, m_max=pdas_m_max)
 
     out, rows, reason, calls = golden_section_search(run, k_max, eta, m_max)

@@ -100,7 +100,7 @@ def test_03_oracle_equivalence():
         sd = standardize(ds)
         out = pdas(GAUSSIAN, sd, q)
         oracle_set, oracle_loss = exhaustive_best_subset(GAUSSIAN, sd, q)
-        if out.state.active_set == oracle_set:
+        if out.model.active_set == oracle_set:
             matches += 1
         elif out.loss > 1.1 * oracle_loss:
             fallback_ok = False
@@ -254,8 +254,8 @@ def test_08_invariant_suite():
         sdd = standardize(ds)
         out = pdas(GAUSSIAN, sdd, 3)
         if out.converged:
-            again = pdas(GAUSSIAN, sdd, 3, init=out.state.active_set, m_max=1)
-            if again.state.active_set != out.state.active_set:
+            again = pdas(GAUSSIAN, sdd, 3, init=out.model.active_set, m_max=1)
+            if again.model.active_set != out.model.active_set:
                 problems.append("fixed point recheck")
 
     # cox risk-set weights: brute-force per-event weights sum to one and

@@ -68,7 +68,7 @@ def test_corpus(family):
     pins = PINS[family]
 
     out = pdas(fam, d, k)
-    _check((out.k, out.state.active_set, out.loss), pins["pdas"])
+    _check((out.k, out.model.active_set, out.loss), pins["pdas"])
 
     _, seq = spdas(fam, d, k_max=k_max, criterion="ebic")
     _check((seq.k, seq.active_set, seq.loss), pins["spdas"])

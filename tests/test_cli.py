@@ -167,6 +167,13 @@ class TestFit:
                     "--method", "one", "-k", 1]) == 1
         assert "binary response out of range" in capsys.readouterr().err
 
+    def test_named_response_without_header_reported(self, tmp_path, capsys):
+        data = tmp_path / "plain.csv"
+        data.write_text("1,2,3\n4,5,6\n7,8,10\n")
+        assert run(["fit", "--input", data, "--family", "gaussian", "--no-header",
+                    "--response", "z", "--method", "one", "-k", 1]) == 1
+        assert "only be named with a header" in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, tmp_path):
         data = gen_planted(tmp_path)
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -65,6 +65,13 @@ class TestLoadCsv:
         assert d.column_names == ("X1", "X2")
         np.testing.assert_array_equal(d.response.y, [3, 6, 9])
 
+    def test_headerless_rejects_named_response(self, tmp_path):
+        p = write(tmp_path / "d.csv", "1,2,3\n4,5,6\n7,8,9\n")
+        for family, response in (("gaussian", "z"), ("gaussian", "y"),
+                                 ("cox", ("time", "status"))):
+            with pytest.raises(ValueError, match="only be named with a header"):
+                load_csv(p, family, response=response, header=False)
+
     def test_custom_response_column(self, tmp_path):
         p = write(tmp_path / "d.csv", "out,x1\n1,2\n2,4\n")
         d = load_csv(p, "gaussian", response="out")

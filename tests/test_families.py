@@ -190,6 +190,22 @@ class TestDualSacrifice:
         assert delta[2] == pytest.approx(0.5 * model.beta[2] ** 2, rel=1e-12)
 
 
+class TestCoefficientModel:
+    def test_rejects_beta_off_the_active_set(self):
+        beta = np.array([0.0, 1.5, 0.0, 0.25])
+        CoefficientModel(beta, 0.0, (1, 3))
+        with pytest.raises(ValueError, match="beta must vanish off the active set"):
+            CoefficientModel(beta, 0.0, (1,))
+        with pytest.raises(ValueError, match="beta must vanish off the active set"):
+            CoefficientModel(beta, 0.0, ())
+
+    def test_rejects_active_index_out_of_range(self):
+        beta = np.zeros(4)
+        for active in ((-1,), (0, 4), (7,)):
+            with pytest.raises(ValueError, match="out of range"):
+                CoefficientModel(beta, 0.0, active)
+
+
 class TestFitActive:
     def test_gaussian_empty_set(self):
         sd = random_standardized("gaussian", 20, 4, seed=19)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -106,7 +105,7 @@ class TestPdas:
         sd = orthonormal_instance()
         for init in [(0,), (1,), (5,)]:
             out = pdas(GAUSSIAN, sd, 1, init=init)
-            assert out.state.active_set == (3,)
+            assert out.model.active_set == (3,)
             assert out.converged
             assert out.iterations <= 2
 
@@ -119,17 +118,17 @@ class TestPdas:
         sd = standardize(ds)
         out = pdas(GAUSSIAN, sd, 4)
         oracle_set, oracle_loss = exhaustive_best_subset(GAUSSIAN, sd, 4)
-        assert out.state.active_set == oracle_set
+        assert out.model.active_set == oracle_set
         assert out.loss == pytest.approx(oracle_loss, rel=1e-10)
         assert set(support) == set(oracle_set)
 
     def test_k_equals_p_is_unrestricted_fit(self):
         sd = orthonormal_instance(seed=3, p=5)
         out = pdas(GAUSSIAN, sd, 5)
-        assert out.state.active_set == tuple(range(5))
+        assert out.model.active_set == tuple(range(5))
         assert out.iterations == 1
         full = fit_active(GAUSSIAN, sd, tuple(range(5)))
-        np.testing.assert_allclose(out.state.beta, full.beta)
+        np.testing.assert_allclose(out.model.beta, full.beta)
 
     def test_determinism(self):
         cfg = GenConfig(n=100, p=15, q=3, family="gaussian", seed=9, b=0.5, B=2.0)
@@ -137,9 +136,9 @@ class TestPdas:
         sd = standardize(ds)
         a = pdas(GAUSSIAN, sd, 3, init=(0, 1, 2))
         b = pdas(GAUSSIAN, sd, 3, init=(0, 1, 2))
-        assert a.state.active_set == b.state.active_set
+        assert a.model.active_set == b.model.active_set
         assert a.history == b.history
-        np.testing.assert_array_equal(a.state.beta, b.state.beta)
+        np.testing.assert_array_equal(a.model.beta, b.model.beta)
 
     def test_fixed_point_certification(self):
         for seed in range(4):
@@ -151,8 +150,8 @@ class TestPdas:
             out = pdas(GAUSSIAN, sd, 3)
             if not out.converged:
                 continue
-            again = pdas(GAUSSIAN, sd, 3, init=out.state.active_set, m_max=1)
-            assert again.state.active_set == out.state.active_set
+            again = pdas(GAUSSIAN, sd, 3, init=out.model.active_set, m_max=1)
+            assert again.model.active_set == out.model.active_set
             assert again.converged
 
     def test_replay_history_shows_complementary_supports(self):
@@ -178,16 +177,16 @@ class TestPdas:
         sd = standardize(ds)
         out = pdas(GAUSSIAN, sd, 3)
         assert out.converged
-        active_min = min(out.state.delta[list(out.state.active_set)])
-        inactive_max = max(out.state.delta[list(out.state.inactive_set)])
-        assert active_min >= inactive_max
+        on = np.zeros(12, dtype=bool)
+        on[list(out.model.active_set)] = True
+        assert out.delta[on].min() >= out.delta[~on].max()
 
     def test_init_padding_and_truncation(self):
         sd = orthonormal_instance(seed=5, p=6)
         small = pdas(GAUSSIAN, sd, 3, init=(1,))
-        assert len(small.state.active_set) == 3
+        assert len(small.model.active_set) == 3
         big = pdas(GAUSSIAN, sd, 2, init=(0, 1, 2, 3))
-        assert len(big.state.active_set) == 2
+        assert len(big.model.active_set) == 2
 
     def test_init_padding_keeps_init_then_top_null_sacrifices(self):
         cfg = GenConfig(n=80, p=10, q=3, family="gaussian", seed=41)
@@ -223,7 +222,7 @@ class TestPdas:
             init = random_subset(20, 4, np.random.default_rng(seed))
             out = pdas(GAUSSIAN, sd, 4, init=init, m_max=7)
             assert out.iterations <= 7
-            assert len(out.state.active_set) == 4
+            assert len(out.model.active_set) == 4
 
     def test_cycle_returns_best_visited_loss(self):
         cfg = GenConfig(n=60, p=25, q=0, family="gaussian", seed=77)
@@ -258,59 +257,71 @@ class TestPdas:
             init = random_subset(p, q, np.random.default_rng(seed))
             out = pdas(GAUSSIAN, sd, q, init=init)
             oracle_set, oracle_loss = exhaustive_best_subset(GAUSSIAN, sd, q)
-            if out.state.active_set == oracle_set:
+            if out.model.active_set == oracle_set:
                 matches += 1
             else:
                 assert out.loss <= 1.1 * oracle_loss
         assert matches >= 0.9 * total
 
 
-class TestPrimalDualState:
-    def state(self):
-        cfg = GenConfig(n=60, p=8, q=2, family="gaussian", seed=43)
-        return pdas(GAUSSIAN, standardize(gen_dataset(cfg)[0]), 3).state
+def record_cases():
+    """Converged, cycling and m_max-capped pdas runs, keyed by how they ended."""
+    cfg = GenConfig(n=150, p=12, q=3, family="gaussian", seed=33, b=1.0, B=2.0)
+    sd = standardize(gen_dataset(cfg)[0])
+    cases = {"converged": (sd, pdas(GAUSSIAN, sd, 5))}
+    noise = standardize(gen_dataset(GenConfig(n=60, p=25, q=0, seed=77))[0])
+    for seed in range(30):
+        init = random_subset(25, 5, np.random.default_rng(seed))
+        out = pdas(GAUSSIAN, noise, 5, init=init, m_max=50)
+        if not out.converged:
+            cases.setdefault("cycle", (noise, out))
+        if out.iterations > 2:  # so two sweeps end neither converged nor cycling
+            capped = pdas(GAUSSIAN, noise, 5, init=init, m_max=2)
+            cases.setdefault("capped", (noise, capped))
+    assert set(cases) == {"converged", "cycle", "capped"}
+    return cases
 
-    def test_inactive_set_is_sorted_complement(self):
-        state = self.state()
-        assert state.inactive_set == tuple(
-            j for j in range(8) if j not in state.active_set
-        )
 
-    def test_rejects_non_partition(self):
-        state = self.state()
-        inactive = state.inactive_set
-        for change in (
-            {"k": 2},
-            {"inactive_set": inactive[1:]},  # index missing
-            {"inactive_set": inactive[:-1] + (inactive[0],)},  # duplicate
-            {"inactive_set": inactive[:-1] + (state.active_set[0],)},  # overlap
-            {"inactive_set": (-1,) + inactive[1:]},
-            {"inactive_set": inactive[:-1] + (8,)},
-        ):
-            with pytest.raises(ValueError, match="partition"):
-                dataclasses.replace(state, **change)
+class TestPdasOutput:
+    def test_history_is_distinct_sets_in_visiting_order(self):
+        for how, (sd, out) in record_cases().items():
+            assert len(set(out.history)) == len(out.history)
+            # each visited set is the top-k proposal at the one before it
+            proposals = []
+            for active in out.history:
+                model = fit_active(GAUSSIAN, sd, active)
+                _, delta = dual_sacrifice(GAUSSIAN, sd, model)
+                proposals.append(select_top_k(delta, out.k))
+            assert out.history[1:] == tuple(proposals[:-1])
+            if how == "converged":
+                assert proposals[-1] == out.history[-1] == out.model.active_set
+            elif how == "cycle":
+                assert proposals[-1] in out.history[:-1]
+            else:
+                assert proposals[-1] not in out.history
 
-    def test_rejects_beta_off_the_active_set(self):
-        state = self.state()
-        beta = state.beta.copy()
-        beta[state.inactive_set[0]] = 1.0
-        with pytest.raises(ValueError, match="beta must vanish"):
-            dataclasses.replace(state, beta=beta)
+    def test_iterations_count_the_visited_sets(self):
+        for sd, out in record_cases().values():
+            assert out.iterations == len(out.history)
 
-    def test_rejects_gamma_on_the_active_set(self):
-        state = self.state()
-        gamma = state.gamma.copy()
-        gamma[state.active_set[0]] = 1.0
-        with pytest.raises(ValueError, match="gamma must vanish"):
-            dataclasses.replace(state, gamma=gamma)
+    def test_model_duals_and_sacrifices_belong_to_the_returned_set(self):
+        for sd, out in record_cases().values():
+            assert out.model.active_set in out.history
+            assert out.k == len(out.model.active_set)
+            model = fit_active(GAUSSIAN, sd, out.model.active_set)
+            gamma, delta = dual_sacrifice(GAUSSIAN, sd, model)
+            np.testing.assert_array_equal(out.model.beta, model.beta)
+            np.testing.assert_array_equal(out.gamma, gamma)
+            np.testing.assert_array_equal(out.delta, delta)
+            assert out.loss == model.loss
 
 
 class TestNullFit:
     def test_null_state(self):
         sd = orthonormal_instance(seed=11)
         out = null_fit(GAUSSIAN, sd)
-        assert out.state.active_set == ()
-        assert out.state.k == 0
-        np.testing.assert_array_equal(out.state.beta, 0.0)
+        assert out.model.active_set == ()
+        assert out.k == 0
+        np.testing.assert_array_equal(out.model.beta, 0.0)
         y = sd.dataset.response.y
         assert out.loss == pytest.approx(y @ y / (2 * len(y)))

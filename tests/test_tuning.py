@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bestsubset.data import standardize
 from bestsubset.datagen import GenConfig, gen_dataset
-from bestsubset.families import ModelFamily
+from bestsubset.families import ModelFamily, loglik_from_loss
 from bestsubset.pdas import null_fit, pdas
 from bestsubset.tuning import (
     criteria,
@@ -85,23 +85,21 @@ class TestWarmStart:
         sd = self._out()
         out = pdas(GAUSSIAN, sd, 2)
         grown = warm_start_set(out, 3)
-        assert set(out.state.active_set) <= set(grown)
-        added = set(grown) - set(out.state.active_set)
+        assert set(out.model.active_set) <= set(grown)
+        added = set(grown) - set(out.model.active_set)
         assert len(added) == 1
-        inactive = list(out.state.inactive_set)
-        best = max(inactive, key=lambda j: (out.state.delta[j], -j))
+        inactive = [j for j in range(8) if j not in out.model.active_set]
+        best = max(inactive, key=lambda j: (out.delta[j], -j))
         assert added == {best}
 
     def test_same_size_is_identity(self):
         sd = self._out(1)
         out = pdas(GAUSSIAN, sd, 3)
-        assert warm_start_set(out, 3) == out.state.active_set
+        assert warm_start_set(out, 3) == out.model.active_set
 
     def test_tie_rule_prefers_low_index(self):
         out = SimpleNamespace(
-            state=SimpleNamespace(
-                active_set=(1,), delta=np.array([0.5, 9.0, 0.5, 0.5])
-            )
+            model=SimpleNamespace(active_set=(1,)), delta=np.array([0.5, 9.0, 0.5, 0.5])
         )
         assert warm_start_set(out, 3) == (0, 1, 2)
 
@@ -190,6 +188,24 @@ class TestSpdas:
             spdas(GAUSSIAN, sd, k_max=0)
         with pytest.raises(ValueError):
             spdas(GAUSSIAN, sd, k_max=21)
+
+    def test_report_is_the_chosen_path_entry(self):
+        sd = self.planted(14)
+        for criterion in ("aic", "bic", "ebic"):
+            path, report = spdas(GAUSSIAN, sd, k_max=8, criterion=criterion)
+            assert report is path.entry_for(report.k)
+            assert report.k == path.best_by[criterion]
+
+    def test_entries_are_reports_with_one_loglik(self):
+        for tag in ("gaussian", "binomial", "cox"):
+            family = ModelFamily(tag)
+            cfg = GenConfig(n=120, p=15, q=3, family=tag, seed=15)
+            sd = standardize(gen_dataset(cfg)[0])
+            path, _ = spdas(family, sd, k_max=5, criterion="bic")
+            for e in path.entries:
+                assert (e.family, e.method, e.criterion) == (tag, "sequential", "bic")
+                assert e.loglik == loglik_from_loss(family, 120, e.loss)
+                assert e.criteria.deviance == -2.0 * e.loglik
 
     def test_loss_monotone_on_strong_signal_path(self):
         sd = self.planted(13)
