@@ -11,7 +11,7 @@ parallel runs agree exactly.
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,20 +58,12 @@ class BenchScenario:
             raise ValueError(
                 f"infeasible scenario: oracle requires p <= 25, got p={self.p}"
             )
+        self.gen_config()  # GenConfig validates the generator fields
 
     def gen_config(self) -> GenConfig:
-        return GenConfig(
-            n=self.n,
-            p=self.p,
-            q=self.q,
-            family=self.family,
-            rho=self.rho,
-            sigma=self.sigma,
-            b=self.b,
-            B=self.B,
-            censor_rate=self.censor_rate,
-            seed=self.seed,
-        )
+        """The scenario's generator fields; the others keep GenConfig's defaults."""
+        shared = {f.name for f in fields(GenConfig)} & {f.name for f in fields(self)}
+        return GenConfig(**{name: getattr(self, name) for name in shared})
 
 
 def _holdout_metric(scn, family, meta, model, beta_star, X_test, resp_test):

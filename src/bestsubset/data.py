@@ -104,19 +104,6 @@ class Survival:
         return self.time.shape[0]
 
 
-def response_kind(response) -> str:
-    if isinstance(response, Continuous):
-        return "continuous"
-    if isinstance(response, Binary):
-        return "binary"
-    if isinstance(response, Survival):
-        return "survival"
-    raise TypeError(f"unknown response type {type(response).__name__}")
-
-
-_FAMILY_KIND = {"gaussian": "continuous", "binomial": "binary", "cox": "survival"}
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A dense design matrix with a typed response.
@@ -329,8 +316,7 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
 
 def save_csv(d: Dataset, path) -> None:
     """Write a dataset back to CSV; values use repr so reloads are bit-exact."""
-    kind = response_kind(d.response)
-    if kind == "survival":
+    if isinstance(d.response, Survival):
         resp_names = ["time", "status"]
         resp_cols = [d.response.time, d.response.status]
     else:

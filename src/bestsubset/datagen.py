@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Binary, Continuous, Dataset, Survival
+from .data import FAMILIES, Binary, Continuous, Dataset, Survival
 
 
 def default_signal_magnitude(family: str, p: int, n: int, sigma: float = 1.0) -> float:
@@ -39,13 +39,13 @@ class GenConfig:
     sigma: float = 1.0
     b: float | None = None
     B: float | None = None
-    censor_rate: float = 0.0
+    censor_rate: float = 0.0  # cox only
     signs: str = "random"  # random | positive
     beta: tuple[float, ...] | None = None  # explicit coefficient override
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "binomial", "cox"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2 or self.p < 1:
             raise ValueError("need n >= 2 and p >= 1")
@@ -55,6 +55,8 @@ class GenConfig:
             raise ValueError("sigma must be positive")
         if not 0.0 <= self.censor_rate < 1.0:
             raise ValueError("censor_rate must be in [0, 1)")
+        if self.censor_rate > 0.0 and self.family != "cox":
+            raise ValueError("censor_rate applies only to the cox family")
         if self.signs not in ("random", "positive"):
             raise ValueError("signs must be 'random' or 'positive'")
         if self.beta is not None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .data import Binary, Continuous, StandardizedDataset, Survival
+from .data import FAMILIES, Binary, Continuous, StandardizedDataset, Survival
 
 # Guards against degenerate numerics; the solvers are otherwise exact.
 CURVATURE_FLOOR = 1e-10
@@ -51,7 +51,7 @@ class ModelFamily:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.tag not in ("gaussian", "binomial", "cox"):
+        if self.tag not in FAMILIES:
             raise ValueError(f"unknown family {self.tag!r}")
         if self.solver_tol <= 0:
             raise ValueError("solver_tol must be positive")

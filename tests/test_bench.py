@@ -132,6 +132,22 @@ class TestRunBench:
         with pytest.raises(ValueError, match="unknown methods"):
             small_scenario(methods=("lasso",))
 
+    def test_generator_fields_checked_on_construction(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            small_scenario(family="poisson")
+        with pytest.raises(ValueError, match="q must be in"):
+            small_scenario(q=11)
+        with pytest.raises(ValueError, match="only to the cox family"):
+            small_scenario(censor_rate=0.2)
+
+    def test_gen_config_takes_the_shared_fields(self):
+        scn = small_scenario(family="cox", rho=0.3, sigma=2.0, censor_rate=0.2)
+        cfg = scn.gen_config()
+        for name in ("family", "n", "p", "q", "rho", "sigma", "b", "B",
+                     "censor_rate", "seed"):
+            assert getattr(cfg, name) == getattr(scn, name)
+        assert cfg.signs == "random" and cfg.beta is None
+
     def test_reference_scale_recovery(self):
         # n=200, p=20, q=4 with default signal magnitudes: nearly full recovery
         scn = BenchScenario(

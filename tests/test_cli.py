@@ -1,13 +1,41 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
+import pytest
 
+from bestsubset import bench
+from bestsubset.bench import BenchResult, BenchScenario
 from bestsubset.cli import main
+from bestsubset.datagen import GenConfig
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+REPORT_KEYS = {
+    "active", "active_indices", "aic", "bic", "coefficients", "criterion",
+    "deviance", "ebic", "family", "intercept", "k", "loglik", "loss", "method",
+    "n", "p", "pdas_converged", "pdas_iterations", "seed", "solver_converged",
+}
+PATH_ENTRY_KEYS = {
+    "active", "aic", "bic", "coefficients", "deviance", "ebic", "k", "loss",
+    "pdas_converged",
+}
+ORACLE_KEYS = {
+    "active", "active_indices", "coefficients", "family", "intercept", "k",
+    "loss", "method",
+}
+SIDECAR_CONFIG_KEYS = {
+    "B", "b", "censor_rate", "family", "n", "p", "q", "rho", "seed", "sigma",
+    "signs",
+}
+SUMMARY_COLUMNS = [
+    "method", "reps", "time_mean", "time_sd", "mse_mean", "mse_sd", "tp_mean",
+    "tp_sd", "fp_mean", "fp_sd", "k_mean", "k_sd",
+]
 
 
 def gen_planted(tmp_path, seed=123):
@@ -59,6 +87,36 @@ class TestGen:
     def test_missing_output_fails(self, capsys):
         assert run(["gen", "--family", "gaussian", "--n", 10, "--p", 3]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_sidecar_keys(self, tmp_path):
+        gen_planted(tmp_path)
+        truth = json.loads((tmp_path / "data.csv.truth.json").read_text())
+        assert set(truth) == {"config", "support", "beta"}
+        assert set(truth["config"]) == SIDECAR_CONFIG_KEYS
+        given = {"family": "gaussian", "n": 200, "p": 20, "rho": 0.2, "sigma": 1.0,
+                 "seed": 123}
+        assert {key: truth["config"][key] for key in given} == given
+
+    def test_unset_options_take_config_defaults(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run(["gen", "--family", "cox", "--n", 30, "--p", 5,
+                    "--output", out]) == 0
+        truth = json.loads((tmp_path / "d.csv.truth.json").read_text())
+        expected = GenConfig(family="cox", n=30, p=5, q=0)
+        assert truth["config"] == {
+            f.name: getattr(expected, f.name) for f in fields(GenConfig)
+            if f.name != "beta"
+        }
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_censor_rate_outside_cox_fails(self, tmp_path, capsys, family):
+        out = tmp_path / "d.csv"
+        assert run(["gen", "--family", family, "--n", 30, "--p", 5,
+                    "--censor-rate", "0.9", "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cox" in err
+        assert not out.exists()
 
 
 class TestFit:
@@ -149,6 +207,26 @@ class TestFit:
         report = json.loads(report_path.read_text())
         assert len(report["coefficients_dense"]) == 20
 
+    @pytest.mark.parametrize(
+        "method, extra",
+        [("one", {"coefficients_dense"}), ("sequential", {"path", "best_by"}),
+         ("gsection", {"gsection_trace"})],
+    )
+    def test_report_keys(self, tmp_path, method, extra):
+        data = gen_planted(tmp_path)
+        report_path = tmp_path / "report.json"
+        argv = ["fit", "--input", data, "--family", "gaussian", "--method", method,
+                "--k-max", 6, "--output", report_path]
+        if method == "one":
+            argv += ["-k", 4, "--dense"]
+        assert run(argv) == 0
+        report = json.loads(report_path.read_text())
+        assert set(report) == REPORT_KEYS | extra
+        for row in report["coefficients"]:
+            assert set(row) == {"index", "name", "coefficient"}
+        for entry in report.get("path", []):
+            assert set(entry) == PATH_ENTRY_KEYS
+
     def test_method_one_requires_k(self, tmp_path, capsys):
         data = gen_planted(tmp_path)
         assert run(["fit", "--input", data, "--family", "gaussian",
@@ -222,6 +300,38 @@ class TestOracleCommand:
         assert report["active"] == ["X1", "X2", "X5", "X9"]
         assert report["loss"] > 0
 
+    def test_oracle_keys(self, tmp_path):
+        data = gen_planted(tmp_path)
+        out = tmp_path / "oracle.json"
+        assert run(["oracle", "--input", data, "--family", "gaussian", "-k", 4,
+                    "--output", out]) == 0
+        report = json.loads(out.read_text())
+        assert set(report) == ORACLE_KEYS
+        assert report["method"] == "oracle" and report["k"] == 4
+
+    def test_csv_coefficient_table(self, tmp_path):
+        data = gen_planted(tmp_path)
+        js, table = tmp_path / "oracle.json", tmp_path / "oracle.csv"
+        for fmt, out in (("json", js), ("csv", table)):
+            assert run(["oracle", "--input", data, "--family", "gaussian", "-k", 4,
+                        "--format", fmt, "--output", out]) == 0
+        report = json.loads(js.read_text())
+        lines = table.read_text().splitlines()
+        assert lines[0] == "index,name,coefficient"
+        assert lines[1] == f"0,(intercept),{report['intercept']!r}"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(r[0]) for r in rows] == [1, 2, 5, 9]
+        assert [r[1] for r in rows] == report["active"]
+        assert [float(r[2]) for r in rows] == [
+            c["coefficient"] for c in report["coefficients"]
+        ]
+
+    def test_seed_option_removed(self, tmp_path):
+        data = gen_planted(tmp_path)
+        with pytest.raises(SystemExit):
+            run(["oracle", "--input", data, "--family", "gaussian", "-k", 2,
+                 "--seed", 1])
+
     def test_p_cap_respected(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"
         rng = np.random.default_rng(0)
@@ -250,6 +360,41 @@ class TestBenchCommand:
         assert lines[0].split(",")[:4] == ["method", "reps", "time_mean", "time_sd"]
         assert len(lines) == 3
         assert lines[1].startswith("spdas,2,")
+
+    @pytest.mark.parametrize("no_timing", [False, True])
+    def test_summary_header(self, tmp_path, no_timing):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--family", "gaussian", "--n", 60, "--p", 8, "--q", 2,
+                "--reps", 1, "--k-max", 3, "--holdout", 40, "--output", out]
+        assert run(argv + (["--no-timing"] if no_timing else [])) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        expected = [c for c in SUMMARY_COLUMNS if not (no_timing and "time" in c)]
+        assert header == expected
+
+    def test_unset_options_take_scenario_defaults(self, monkeypatch):
+        seen = []
+
+        def fake_run_bench(scenario, jobs):
+            seen.append((scenario, jobs))
+            return BenchResult(scenario, (), ())
+
+        monkeypatch.setattr(bench, "run_bench", fake_run_bench)
+        assert run(["bench", "--family", "binomial", "--n", 50, "--p", 6,
+                    "--q", 2]) == 0
+        assert seen == [(BenchScenario(family="binomial", n=50, p=6, q=2, reps=10), 1)]
+
+        seen.clear()
+        assert run(["bench", "--family", "cox", "--n", 50, "--p", 6, "--q", 2,
+                    "--reps", 3, "--methods", "spdas, gpdas", "--criterion", "bic",
+                    "--k-max", 4, "--eta", "0.05", "--epsilon", "0.001",
+                    "--rho", "0.3", "--sigma", "2", "--censor-rate", "0.2",
+                    "--holdout", 30, "--seed", 9, "--b", "0.5", "--B", "1.5",
+                    "--jobs", 2]) == 0
+        assert seen == [(BenchScenario(
+            family="cox", n=50, p=6, q=2, reps=3, methods=("spdas", "gpdas"),
+            criterion="bic", k_max=4, eta=0.05, epsilon=0.001, rho=0.3, sigma=2.0,
+            censor_rate=0.2, holdout=30, seed=9, b=0.5, B=1.5,
+        ), 2)]
 
     def test_single_rep_sd_zero(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -153,6 +153,9 @@ class TestDefaults:
             GenConfig(n=10, p=4, q=2, b=3.0, B=1.0).magnitude_range()
         with pytest.raises(ValueError):
             GenConfig(n=10, p=4, q=2, beta=(1.0, 2.0))
+        for family in ("gaussian", "binomial"):
+            with pytest.raises(ValueError, match="only to the cox family"):
+                GenConfig(n=10, p=4, q=2, family=family, censor_rate=0.5)
 
 
 class TestCensoringHorizon:
