@@ -153,7 +153,7 @@ def _load_input(args):
 
 
 def cmd_fit(args) -> int:
-    if not 0.0 < args.eta < 1.0:
+    if args.method == "gsection" and not 0.0 < args.eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
     dataset = _load_input(args)
     meta = standardize(dataset)
@@ -182,7 +182,6 @@ def cmd_fit(args) -> int:
             print(line)
 
     payload = _report_payload(report, meta, names, dense=args.dense)
-    payload["seed"] = args.seed
     if path is not None:
         payload["path"] = _path_payload(path, names, meta)
         payload["best_by"] = dict(sorted(path.best_by.items()))
@@ -322,11 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("-k", type=int, help="subset size for method 'one'")
     fit.add_argument("--k-max", type=int, help="largest candidate subset size")
     fit.add_argument("--criterion", choices=criteria, default="auto")
-    fit.add_argument("--eta", type=float, default=0.01, help="elbow tolerance")
+    fit.add_argument("--eta", type=float, default=0.01, help="elbow tolerance (gsection)")
     fit.add_argument(
         "--epsilon", type=float, default=0.0, help="sequential early-stop threshold"
     )
-    fit.add_argument("--seed", type=int, default=0)
     fit.add_argument(
         "--dense", action="store_true", help="also emit all p coefficients"
     )

@@ -192,7 +192,7 @@ def standardize(d: Dataset) -> StandardizedDataset:
             f"constant column {d.names()[j]!r} (index {j}): zero variance"
         )
     scales = norms / math.sqrt(n)
-    Xs = Xc / scales
+    Xc /= scales
 
     response = d.response
     response_center = 0.0
@@ -200,7 +200,7 @@ def standardize(d: Dataset) -> StandardizedDataset:
         response_center = float(response.y.mean())
         response = Continuous(response.y - response_center)
 
-    transformed = Dataset(Xs, response, d.column_names)
+    transformed = Dataset(Xc, response, d.column_names)
     return StandardizedDataset(transformed, centers, scales, response_center)
 
 

@@ -29,7 +29,8 @@ class PdasOutput:
 
     ``gamma`` vanishes on ``model.active_set`` (``dual_sacrifice`` sets it
     so) and ``model.beta`` vanishes off it; the inactive set is the
-    complement.  ``history`` lists the distinct sets visited, in order.
+    complement.  ``gamma`` and ``delta`` are read-only, as outputs may share
+    them.  ``history`` lists the distinct sets visited, in order.
     """
 
     model: CoefficientModel
@@ -75,23 +76,29 @@ def random_subset(p: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(sorted(int(j) for j in rng.choice(p, size=k, replace=False)))
 
 
-def _evaluate(family, d, active):
-    model = fit_active(family, d, active)
-    gamma, delta = dual_sacrifice(family, d, model)
-    return model, gamma, delta
+def _evaluate(family, d, active, evaluations):
+    """``(model, gamma, delta)`` on ``active``, via the ``evaluations`` memo."""
+    evaluations = {} if evaluations is None else evaluations
+    if active not in evaluations:
+        model = fit_active(family, d, active)
+        gamma, delta = dual_sacrifice(family, d, model)
+        gamma.setflags(write=False)  # lookups share these arrays
+        delta.setflags(write=False)
+        evaluations[active] = model, gamma, delta
+    return evaluations[active]
 
 
-def null_fit(family: ModelFamily, d: StandardizedDataset) -> PdasOutput:
+def null_fit(family: ModelFamily, d: StandardizedDataset, evaluations=None) -> PdasOutput:
     """The empty-model output (k = 0); anchors warm starts and k-0 criteria."""
-    return PdasOutput(*_evaluate(family, d, ()), 0, True, ((),))
+    return PdasOutput(*_evaluate(family, d, (), evaluations), 0, True, ((),))
 
 
-def _sized_init(family, d, init, k) -> tuple[int, ...]:
+def _sized_init(family, d, init, k, evaluations) -> tuple[int, ...]:
     """Coerce an initial set to size k.
 
     Too-small inits are padded with the coordinates of largest sacrifice at
-    the empty model; too-large inits are fitted once and trimmed to the k
-    largest |beta|.
+    the empty model; too-large inits are fitted (or looked up in
+    ``evaluations``) and trimmed to the k largest |beta|.
     """
     init = tuple(sorted(set(int(j) for j in init)))
     if init and (init[0] < 0 or init[-1] >= d.dataset.p):
@@ -99,10 +106,10 @@ def _sized_init(family, d, init, k) -> tuple[int, ...]:
     if len(init) == k:
         return init
     if len(init) < k:
-        delta0 = null_fit(family, d).delta.copy()
+        delta0 = null_fit(family, d, evaluations).delta.copy()
         delta0[list(init)] = np.inf  # keep the init members on top
         return select_top_k(delta0, k)
-    model = fit_active(family, d, init)
+    model = evaluations[init][0] if init in evaluations else fit_active(family, d, init)
     order = np.argsort(-np.abs(model.beta[list(init)]), kind="stable")
     return tuple(sorted(init[j] for j in order[:k]))
 
@@ -113,6 +120,8 @@ def pdas(
     k: int,
     init=None,
     m_max: int = DEFAULT_MAX_SWEEPS,
+    *,
+    evaluations: dict | None = None,
 ) -> PdasOutput:
     """Run the active-set fixed-point iteration at cardinality k.
 
@@ -120,6 +129,12 @@ def pdas(
     omitted the k largest empty-model sacrifices are used.  ``converged``
     is True only when an active set reproduced itself; hitting a cycle or
     ``m_max`` returns the best visited set with the flag down.
+
+    ``evaluations`` maps an active set to its ``(model, gamma, delta)`` for
+    this family and dataset.  Every set this run fits is looked up there
+    first and added when missing, so callers that run ``pdas`` repeatedly
+    on one dataset can share a dict to fit each set once.  Results do not
+    depend on it.
     """
     p = d.dataset.p
     n = d.dataset.n
@@ -129,15 +144,16 @@ def pdas(
         raise ValueError(f"k={k} exceeds n={n} for the gaussian family")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    evaluations = {} if evaluations is None else evaluations
 
     if init is None:
-        active = select_top_k(null_fit(family, d).delta, k)
+        active = select_top_k(null_fit(family, d, evaluations).delta, k)
     else:
-        active = _sized_init(family, d, init, k)
+        active = _sized_init(family, d, init, k, evaluations)
 
     visited: dict[tuple[int, ...], tuple] = {}  # set -> (model, gamma, delta)
     for _ in range(m_max):
-        model, gamma, delta = visited[active] = _evaluate(family, d, active)
+        model, gamma, delta = visited[active] = _evaluate(family, d, active, evaluations)
         proposal = select_top_k(delta, k)
         if proposal == active:
             return PdasOutput(model, gamma, delta, len(visited), True, tuple(visited))

@@ -8,7 +8,10 @@ sizes per iteration: at most 5 solver calls per iteration and at most
 ``m_max`` iterations.  The iteration count is not O(log k_max): when the
 loss is flat left of the split, the left end resets to 1, so the search
 can run many iterations before the interval collapses.  The actual number
-of solver calls is reported as ``GoldenSectionTrace.pdas_calls``.
+of solver calls is reported as ``GoldenSectionTrace.pdas_calls``.  Those
+calls revisit sets (a reset of the left end walks the same paths again), so
+``gpdas`` fits each distinct active set at most once per call and
+``pdas_calls`` counts solver calls, not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
@@ -303,8 +306,12 @@ def gpdas(
     Returns ``(report, trace)``.  Solver outputs at each interval endpoint
     warm start the corresponding run of the next iteration.  Each iteration
     makes at most 5 ``pdas`` calls; ``trace.pdas_calls`` counts them all.
+    The calls share one ``evaluations`` dict, so each distinct active set
+    is fitted at most once per ``gpdas`` call; ``pdas_calls`` counts solver
+    calls, not fits.
     """
     k_max = _checked_k_max(family, d.dataset.n, d.dataset.p, k_max)
+    evaluations = {}  # shared by this search's pdas runs, dropped on return
 
     def run(k, prev):
         if prev is None:
@@ -313,7 +320,7 @@ def gpdas(
             init = warm_start_set(prev, k)
         else:
             init = prev.model.active_set
-        return pdas(family, d, k, init=init, m_max=pdas_m_max)
+        return pdas(family, d, k, init=init, m_max=pdas_m_max, evaluations=evaluations)
 
     out, rows, reason, calls = golden_section_search(run, k_max, eta, m_max)
     trace = GoldenSectionTrace(rows, out.k, reason, calls)

@@ -320,7 +320,7 @@ def test_09_cli_determinism(tmp_path):
     for tag in ("r1", "r2"):
         rp = tmp_path / f"{tag}.json"
         run(["fit", "--input", data, "--family", "gaussian", "--method",
-             "sequential", "--k-max", 8, "--seed", 17, "--output", rp])
+             "sequential", "--k-max", 8, "--output", rp])
         reports.append(rp.read_bytes())
     fit_ok = reports[0] == reports[1]
 
@@ -328,7 +328,7 @@ def test_09_cli_determinism(tmp_path):
     for tag in ("g1", "g2"):
         rp = tmp_path / f"{tag}.json"
         run(["fit", "--input", data, "--family", "gaussian", "--method",
-             "gsection", "--k-max", 10, "--seed", 17, "--output", rp])
+             "gsection", "--k-max", 10, "--output", rp])
         gs.append(rp.read_bytes())
     gs_ok = gs[0] == gs[1]
 

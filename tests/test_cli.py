@@ -18,7 +18,7 @@ def run(argv):
 REPORT_KEYS = {
     "active", "active_indices", "aic", "bic", "coefficients", "criterion",
     "deviance", "ebic", "family", "intercept", "k", "loglik", "loss", "method",
-    "n", "p", "pdas_converged", "pdas_iterations", "seed", "solver_converged",
+    "n", "p", "pdas_converged", "pdas_iterations", "solver_converged",
 }
 PATH_ENTRY_KEYS = {
     "active", "aic", "bic", "coefficients", "deviance", "ebic", "k", "loss",
@@ -227,6 +227,23 @@ class TestFit:
         for entry in report.get("path", []):
             assert set(entry) == PATH_ENTRY_KEYS
 
+    def test_eta_checked_only_for_gsection(self, tmp_path, capsys):
+        data = gen_planted(tmp_path)
+        argv = ["fit", "--input", data, "--family", "gaussian", "--eta", "1.5",
+                "--k-max", 5, "--output", tmp_path / "report.json"]
+        assert run(argv + ["--method", "one", "-k", 2]) == 0
+        assert run(argv + ["--method", "sequential"]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--method", "gsection"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "eta" in err
+
+    def test_seed_option_removed(self, tmp_path):
+        data = gen_planted(tmp_path)
+        with pytest.raises(SystemExit):
+            run(["fit", "--input", data, "--family", "gaussian", "--method", "one",
+                 "-k", 2, "--seed", 1])
+
     def test_method_one_requires_k(self, tmp_path, capsys):
         data = gen_planted(tmp_path)
         assert run(["fit", "--input", data, "--family", "gaussian",
@@ -257,7 +274,7 @@ class TestFit:
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (r1, r2):
             run(["fit", "--input", data, "--family", "gaussian", "--method",
-                 "sequential", "--k-max", 6, "--seed", 5, "--output", out])
+                 "sequential", "--k-max", 6, "--output", out])
         assert r1.read_bytes() == r2.read_bytes()
 
     def test_binomial_end_to_end(self, tmp_path):

@@ -168,6 +168,16 @@ class TestStandardize:
         np.testing.assert_array_equal(sd.dataset.response.y, y)
         assert sd.response_center == 0.0
 
+    def test_equals_centred_over_scales_and_keeps_the_input(self, rng):
+        X = rng.standard_normal((15, 6)) * 3 + 1
+        d = Dataset(X, Continuous(rng.standard_normal(15)))
+        before = d.X.copy()
+        sd = standardize(d)
+        scales = np.sqrt(((X - X.mean(0)) ** 2).sum(axis=0)) / math.sqrt(15)
+        assert np.array_equal(sd.column_scales, scales)
+        assert np.array_equal(sd.dataset.X, (X - X.mean(0)) / scales)
+        assert np.array_equal(d.X, before)
+
     def test_constant_column_rejected(self):
         X = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         d = Dataset(X, Continuous([0.0, 1.0, 2.0]), column_names=("c0", "c1"))

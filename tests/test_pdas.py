@@ -10,6 +10,7 @@ from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import ModelFamily, dual_sacrifice, fit_active, loss
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import null_fit, pdas, random_subset, select_top_k
+from conftest import random_standardized
 
 GAUSSIAN = ModelFamily("gaussian")
 
@@ -325,3 +326,43 @@ class TestNullFit:
         np.testing.assert_array_equal(out.model.beta, 0.0)
         y = sd.dataset.response.y
         assert out.loss == pytest.approx(y @ y / (2 * len(y)))
+
+
+def assert_same_output(a, b):
+    assert a.model.active_set == b.model.active_set
+    assert a.loss == b.loss and a.model.intercept == b.model.intercept
+    np.testing.assert_array_equal(a.model.beta, b.model.beta)
+    np.testing.assert_array_equal(a.gamma, b.gamma)
+    np.testing.assert_array_equal(a.delta, b.delta)
+    assert (a.iterations, a.converged, a.history) == (b.iterations, b.converged, b.history)
+
+
+class TestSharedEvaluations:
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    def test_shared_dict_changes_no_output(self, family):
+        p = 12
+        beta = np.zeros(p)
+        beta[[1, 4, 9]] = [1.0, -0.8, 0.6]
+        sd = random_standardized(family, 90, p, seed=8, beta=beta, censor_rate=0.2)
+        fam = ModelFamily(family)
+        rng = np.random.default_rng(1)
+        inits = [None, (), (4,), random_subset(p, 3, rng), random_subset(p, 7, rng),
+                 tuple(range(p))]
+        shared, returned = {}, []
+        for k in (5, 3, 1):
+            for init in inits + returned:
+                out = pdas(fam, sd, k, init=init, evaluations=shared)
+                assert_same_output(out, pdas(fam, sd, k, init=init))
+                assert shared[out.model.active_set][0] is out.model
+            returned.append(out.model.active_set)  # a larger init found in shared
+        assert () in shared
+        for active, (model, _, _) in shared.items():
+            assert model.active_set == active
+
+    def test_gamma_and_delta_are_read_only(self):
+        sd = orthonormal_instance(seed=2)
+        for out in (pdas(GAUSSIAN, sd, 2), null_fit(GAUSSIAN, sd)):
+            with pytest.raises(ValueError):
+                out.delta[0] = 1.0
+            with pytest.raises(ValueError):
+                out.gamma[0] = 1.0

@@ -1,3 +1,4 @@
+import importlib
 import math
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from bestsubset.data import standardize
 from bestsubset.datagen import GenConfig, gen_dataset
-from bestsubset.families import ModelFamily, loglik_from_loss
+from bestsubset.families import ModelFamily, fit_active, loglik_from_loss
 from bestsubset.pdas import null_fit, pdas
 from bestsubset.tuning import (
     criteria,
@@ -22,6 +23,27 @@ from bestsubset.tuning import (
 )
 
 GAUSSIAN = ModelFamily("gaussian")
+# ``bestsubset.pdas`` is the function; the module is reached by import
+PDAS_MODULE = importlib.import_module("bestsubset.pdas")
+LONG_SEARCHES = [
+    GenConfig(n=500, p=100, q=10, rho=0.2, seed=3),  # 66 iterations, 330 calls
+    GenConfig(n=500, p=100, q=5, family="binomial", seed=3),
+]
+
+
+def memo_free_gpdas(family, sd, k_max, eta=0.01, m_max=100):
+    """gpdas's search over plain pdas runs, each fitting on its own."""
+
+    def run(k, prev):
+        if prev is None:
+            init = None
+        elif k >= prev.k:
+            init = warm_start_set(prev, k)
+        else:
+            init = prev.model.active_set
+        return pdas(family, sd, k, init=init)
+
+    return golden_section_search(run, k_max, eta, m_max)
 
 
 class TestCriteria:
@@ -327,3 +349,30 @@ class TestGpdas:
         sd = standardize(gen_dataset(GenConfig(n=100, p=20, q=3, seed=1))[0])
         with pytest.raises(ValueError, match=r"k_max must be in \[1, 20\], got 500"):
             gpdas(GAUSSIAN, sd, k_max=500)
+
+    @pytest.mark.parametrize("cfg", LONG_SEARCHES, ids=lambda c: c.family)
+    def test_each_set_fitted_once_per_call(self, monkeypatch, cfg):
+        sd = standardize(gen_dataset(cfg)[0])
+        fitted = []
+
+        def counting_fit(family, d, active):
+            fitted.append(tuple(active))
+            return fit_active(family, d, active)
+
+        monkeypatch.setattr(PDAS_MODULE, "fit_active", counting_fit)
+        gpdas(ModelFamily(cfg.family), sd)
+        assert fitted and len(fitted) == len(set(fitted))
+
+    @pytest.mark.parametrize("cfg", LONG_SEARCHES, ids=lambda c: c.family)
+    def test_same_result_as_memo_free_search(self, cfg):
+        family = ModelFamily(cfg.family)
+        sd = standardize(gen_dataset(cfg)[0])
+        report, trace = gpdas(family, sd)
+        k_max = default_k_max(family, cfg.n, cfg.p)
+        out, rows, reason, calls = memo_free_gpdas(family, sd, k_max)
+        assert (report.k, report.active_set) == (out.k, out.model.active_set)
+        assert report.loss == out.loss
+        np.testing.assert_array_equal(report.beta, out.model.beta)
+        assert report.pdas_iterations == out.iterations
+        assert report.pdas_converged == out.converged
+        assert (trace.rows, trace.reason, trace.pdas_calls) == (rows, reason, calls)
