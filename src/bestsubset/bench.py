@@ -10,7 +10,6 @@ parallel runs agree exactly.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -190,6 +189,8 @@ def run_bench(scn: BenchScenario, jobs: int = 1) -> BenchResult:
     if jobs == 1:
         records = [run_replication(scn, r) for r in range(scn.reps)]
     else:
+        # imported here so serial runs and CLI starts skip multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run_replication, [scn] * scn.reps, range(scn.reps)))
     return BenchResult(scn, tuple(records), summarize(scn, records))

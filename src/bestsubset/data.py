@@ -185,7 +185,10 @@ def standardize(d: Dataset) -> StandardizedDataset:
     n = d.n
     centers = X.mean(axis=0)
     Xc = X - centers
-    norms = np.sqrt((Xc**2).sum(axis=0))
+    # norms from 512-column blocks, so no n x p squared copy is made; the
+    # axis-0 sum adds rows in the same order whatever the block width
+    sq_sums = [(Xc[:, lo : lo + 512] ** 2).sum(axis=0) for lo in range(0, d.p, 512)]
+    norms = np.sqrt(np.concatenate(sq_sums))
     if np.any(norms == 0.0):
         j = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(

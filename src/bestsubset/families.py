@@ -3,13 +3,15 @@
 Three model families share one interface:
 
 * gaussian -- squared-error loss ``|y - X b|^2 / (2n)``, solved on an active
-  set by Cholesky factorization of the Gram matrix.
+  set from the Gram matrix, Cholesky-checked for positive definiteness.
 * binomial -- logistic negative log-likelihood with a free (unpenalized)
   intercept.
 * cox      -- negative partial likelihood over event-time risk sets
   (Breslow handling of ties).
 
 Binomial and cox share one damped Newton-Raphson solver on the active set.
+Each linear solve is a small positive-definite system done by
+``numpy.linalg`` alone, so importing the package loads no scipy.
 
 For a coefficient vector ``b`` the coordinate functions are
 ``g_j = d loss / d b_j`` and ``h_j = d^2 loss / d b_j^2`` with all other
@@ -27,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .data import FAMILIES, Binary, Continuous, StandardizedDataset, Survival
 
@@ -100,14 +101,11 @@ def _check_family(family: ModelFamily, d: StandardizedDataset) -> None:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    # clip before exponentiation; branch split keeps every exp argument <= 0
+    # clip before exponentiation; e = exp(-|eta|) keeps every exp argument
+    # <= 0: the result is 1 / (1 + e) for eta >= 0 and e / (1 + e) below
     eta = np.clip(eta, -LINEAR_PREDICTOR_CLIP, LINEAR_PREDICTOR_CLIP)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expe = np.exp(eta[~pos])
-    out[~pos] = expe / (1.0 + expe)
-    return out
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def _gaussian_loss(residual: np.ndarray) -> float:
@@ -223,18 +221,21 @@ def dual_sacrifice(family: ModelFamily, d: StandardizedDataset, m: CoefficientMo
 
 
 def _solve_spd(A: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky solve with a ridge fallback for (numerically) singular systems.
+    """SPD solve with a ridge fallback for (numerically) singular systems.
 
-    A factor whose pivot ratio collapses signals rank deficiency even when
-    the factorization itself squeaks through, so both cases take the ridge
-    path.
+    ``np.linalg.cholesky`` tests positive definiteness and
+    ``np.linalg.solve`` returns the solution.  A factor whose pivot ratio
+    collapses signals rank deficiency even when the factorization itself
+    squeaks through, so both cases take the ridge path with a
+    ``RuntimeWarning``.  Non-finite input raises ``ValueError``.
     """
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ValueError(f"non-finite entries in {context} system")
     try:
-        factor = cho_factor(A)
-        pivots = np.abs(np.diag(factor[0]))
+        pivots = np.abs(np.diagonal(np.linalg.cholesky(A)))
         if pivots.min() > 1e-7 * max(pivots.max(), 1e-300):
-            return cho_solve(factor, rhs)
-    except LinAlgError:
+            return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
         pass
     k = A.shape[0]
     ridge = RIDGE_JITTER * max(np.trace(A), 1.0) / max(k, 1)
@@ -247,17 +248,19 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
 def _damped_newton(family: ModelFamily, objective, derivatives, coef: np.ndarray):
     """Minimize ``objective`` from ``coef`` by damped Newton-Raphson.
 
-    ``derivatives(coef)`` returns the score and Hessian.  Each step is
-    halved until the objective stops increasing; the iteration stops once
-    the score or the step taken falls below ``family.solver_tol``, or after
-    ``family.max_iter`` iterations.  Returns ``(coef, objective at coef,
-    converged, iterations)``.
+    ``objective(coef)`` returns the value and the linear predictor it was
+    computed from; ``derivatives(predictor)`` returns the score and Hessian
+    at the same coefficients, so an accepted step is not recomputed.  Each
+    step is halved until the objective stops increasing; the iteration
+    stops once the score or the step taken falls below
+    ``family.solver_tol``, or after ``family.max_iter`` iterations.
+    Returns ``(coef, objective at coef, converged, iterations)``.
     """
-    current = objective(coef)
+    current, eta = objective(coef)
     converged = False
     iterations = 0
     for iterations in range(1, family.max_iter + 1):
-        score, hessian = derivatives(coef)
+        score, hessian = derivatives(eta)
         if np.max(np.abs(score)) < family.solver_tol:
             converged = True
             break
@@ -265,11 +268,11 @@ def _damped_newton(family: ModelFamily, objective, derivatives, coef: np.ndarray
         scale = 1.0
         for _ in range(40):
             trial = coef - scale * step
-            value = objective(trial)
+            value, trial_eta = objective(trial)
             if value <= current + 1e-12:
                 break
             scale *= 0.5
-        coef, current = trial, value
+        coef, current, eta = trial, value, trial_eta
         if np.max(np.abs(scale * step)) < family.solver_tol:
             converged = True
             break
@@ -295,13 +298,17 @@ def _fit_binomial(family, d, active):
     y = d.dataset.response.y
     Z = np.column_stack([np.ones(d.dataset.n), d.dataset.X[:, list(active)]])
 
-    def derivatives(c):
-        prob = _sigmoid(Z @ c)
+    def objective(c):
+        eta = Z @ c
+        return _binomial_loss(eta, y), eta
+
+    def derivatives(eta):
+        prob = _sigmoid(eta)
         w = np.maximum(prob * (1.0 - prob), IRLS_WEIGHT_FLOOR)
         return Z.T @ (prob - y), Z.T @ (Z * w[:, None])
 
     coef, value, converged, iterations = _damped_newton(
-        family, lambda c: _binomial_loss(Z @ c, y), derivatives, np.zeros(Z.shape[1])
+        family, objective, derivatives, np.zeros(Z.shape[1])
     )
     return _model(d, active, coef[1:], float(coef[0]), converged, iterations, value)
 
@@ -311,13 +318,14 @@ def _fit_cox(family, d, active):
     XA = d.dataset.X[:, list(active)][resp.order]
 
     def objective(c):
-        return _cox_loss(XA @ c, resp)
+        eta = XA @ c
+        return _cox_loss(eta, resp), eta
 
     if not active:
-        return _model(d, active, (), 0.0, True, 0, objective(np.zeros(0)))
+        return _model(d, active, (), 0.0, True, 0, objective(np.zeros(0))[0])
 
-    def derivatives(c):
-        score, u, xbar = _cox_derivatives(XA, XA @ c, resp)
+    def derivatives(eta):
+        score, u, xbar = _cox_derivatives(XA, eta, resp)
         return score, XA.T @ (XA * u[:, None]) - xbar.T @ xbar
 
     coef, value, converged, iterations = _damped_newton(

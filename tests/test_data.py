@@ -178,6 +178,18 @@ class TestStandardize:
         assert np.array_equal(sd.dataset.X, (X - X.mean(0)) / scales)
         assert np.array_equal(d.X, before)
 
+    @pytest.mark.parametrize("p", [1, 511, 512, 1300])
+    def test_blocked_norms_equal_the_squared_copy_sum(self, p):
+        # wide design, column scales over twelve decades, ragged last block
+        rng = np.random.default_rng(p)
+        X = rng.standard_normal((40, p)) * 10.0 ** rng.uniform(-6, 6, size=p)
+        X += rng.uniform(-5.0, 5.0, size=p)
+        sd = standardize(Dataset(X, Continuous(rng.standard_normal(40))))
+        Xc = X - X.mean(axis=0)
+        assert np.array_equal(
+            sd.column_scales, np.sqrt((Xc**2).sum(axis=0)) / math.sqrt(40)
+        )
+
     def test_constant_column_rejected(self):
         X = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         d = Dataset(X, Continuous([0.0, 1.0, 2.0]), column_names=("c0", "c1"))

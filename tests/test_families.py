@@ -1,15 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from bestsubset import families
 from bestsubset.data import Continuous, Dataset, Survival, standardize
 from bestsubset.families import (
+    LINEAR_PREDICTOR_CLIP,
+    RIDGE_JITTER,
     CoefficientModel,
     ModelFamily,
     _cox_derivatives,
     _sigmoid,
+    _solve_spd,
     dual_sacrifice,
     fit_active,
     grad_hess,
@@ -487,3 +494,149 @@ class TestGradHessActiveColumns:
         g_ref, h_ref = full_design_grad_hess(FAMILY[family], sd, model)
         np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-12 * np.abs(g_ref).max())
         np.testing.assert_allclose(h, h_ref, rtol=1e-12)
+
+
+def random_spd(k, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((2 * k, k))
+    return M.T @ M + np.eye(k), rng.standard_normal(k)
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("k", [1, 2, 10, 80])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_cholesky_solve(self, k, seed):
+        from scipy.linalg import cho_factor, cho_solve
+
+        A, b = random_spd(k, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _solve_spd(A, b, "test")
+        ref = cho_solve(cho_factor(A), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_indefinite_takes_the_ridge_path(self):
+        A = np.array([[2.0, 0.5], [0.5, -1.0]])
+        b = np.array([1.0, 2.0])
+        with pytest.warns(RuntimeWarning, match="singular test system; adding ridge"):
+            x = _solve_spd(A, b, "test")
+        ridge = RIDGE_JITTER * 1.0 / 2
+        assert np.array_equal(x, np.linalg.solve(A + ridge * np.eye(2), b))
+
+    @pytest.mark.parametrize("ratio", [0.99e-7, 1e-7, 0.5e-7])
+    def test_pivot_ratio_below_threshold_takes_the_ridge_path(self, ratio):
+        # the Cholesky pivots of diag(1, r^2) are exactly 1 and r
+        A = np.diag([1.0, ratio**2])
+        b = np.array([1.0, 1.0])
+        assert np.diagonal(np.linalg.cholesky(A))[1] <= 1e-7
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            x = _solve_spd(A, b, "test")
+        ridge = RIDGE_JITTER * max(np.trace(A), 1.0) / 2
+        assert np.array_equal(x, np.linalg.solve(A + ridge * np.eye(2), b))
+
+    @pytest.mark.parametrize("ratio", [1.01e-7, 2e-7])
+    def test_pivot_ratio_above_threshold_solves_exactly(self, ratio):
+        A = np.diag([1.0, ratio**2])
+        b = np.array([1.0, 1.0])
+        assert np.diagonal(np.linalg.cholesky(A))[1] > 1e-7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _solve_spd(A, b, "test")
+        assert np.array_equal(x, np.linalg.solve(A, b))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_non_finite_input_raises(self, bad, where):
+        A, b = random_spd(3, 5)
+        if where == "matrix":
+            A[1, 2] = bad
+        else:
+            b[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _solve_spd(A, b, "test")
+
+
+def masked_sigmoid(eta):
+    """The two-mask formula ``_sigmoid`` replaced, kept as its reference."""
+    eta = np.clip(eta, -LINEAR_PREDICTOR_CLIP, LINEAR_PREDICTOR_CLIP)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    expe = np.exp(eta[~pos])
+    out[~pos] = expe / (1.0 + expe)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 30.0, -30.0, 30.5, -30.5, 1e300, -1e300, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(SIGMOID_EDGES),
+            st.floats(-40.0, 40.0),
+            st.floats(allow_nan=False),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_sigmoid_bit_equal_to_the_masked_formula(values):
+    eta = np.array(values, dtype=float)
+    assert np.array_equal(
+        _sigmoid(eta).view(np.uint64), masked_sigmoid(eta).view(np.uint64)
+    )
+
+
+def recomputing_newton(family, objective, derivatives, coef):
+    """The damped Newton loop with the predictor recomputed from ``coef``."""
+    current, _ = objective(coef)
+    converged = False
+    iterations = 0
+    for iterations in range(1, family.max_iter + 1):
+        score, hessian = derivatives(objective(coef)[1])
+        if np.max(np.abs(score)) < family.solver_tol:
+            converged = True
+            break
+        step = _solve_spd(hessian, score, "Newton")
+        scale = 1.0
+        for _ in range(40):
+            trial = coef - scale * step
+            value, _ = objective(trial)
+            if value <= current + 1e-12:
+                break
+            scale *= 0.5
+        coef, current = trial, value
+        if np.max(np.abs(scale * step)) < family.solver_tol:
+            converged = True
+            break
+    return coef, current, converged, iterations
+
+
+def reuse_case(name):
+    beta = np.array([2.0, -1.5, 1.0, 0.0, 0.8, 0.0, -0.6, 0.0])
+    if name == "binomial-separated":
+        # n = 30 with eight columns and a strong signal: separated fits
+        return "binomial", random_standardized("binomial", 30, 8, seed=97, beta=4 * beta)
+    if name == "cox-ties":
+        return "cox", tied_censored_cox(n=60, p=8, seed=97)
+    return name, random_standardized(name, 60, 8, seed=97, beta=beta, censor_rate=0.2)
+
+
+class TestPredictorReuse:
+    @pytest.mark.parametrize("case", ["binomial", "binomial-separated", "cox", "cox-ties"])
+    @pytest.mark.parametrize("active", [(3,), (0, 2, 5), (0, 1, 2, 3, 4, 5, 6, 7)])
+    def test_bit_equal_to_recomputed_predictor(self, case, active, monkeypatch):
+        family, sd = reuse_case(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reused = fit_active(FAMILY[family], sd, active)
+            monkeypatch.setattr(families, "_damped_newton", recomputing_newton)
+            recomputed = fit_active(FAMILY[family], sd, active)
+        assert np.array_equal(reused.beta, recomputed.beta)
+        assert reused.intercept == recomputed.intercept
+        assert reused.loss == recomputed.loss
+        assert reused.solver_iterations == recomputed.solver_iterations
+        assert reused.solver_converged == recomputed.solver_converged
+        assert reused.solver_iterations > 1
