@@ -16,9 +16,9 @@ import numpy as np
 
 from .data import Dataset, destandardize_coefficients, standardize
 from .datagen import GenConfig, gen_beta, gen_design, gen_response
-from .families import CoefficientModel, ModelFamily, fit_active, predict
+from .families import ModelFamily, fit_active, predict
 from .metrics import accuracy, concordance_index, relative_mse, tp_fp
-from .oracle import exhaustive_best_subset
+from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
 from .tuning import gpdas, spdas
 
 METRIC_NAME = {"gaussian": "mse", "binomial": "accuracy", "cox": "cindex"}
@@ -50,13 +50,20 @@ class BenchScenario:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("need at least one replication")
+        if not self.methods:
+            raise ValueError("need at least one method")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
-        if "oracle" in self.methods and self.p > 25:
+        if "oracle" in self.methods and self.p > DEFAULT_P_CAP:
             raise ValueError(
-                f"infeasible scenario: oracle requires p <= 25, got p={self.p}"
+                f"infeasible scenario: oracle requires p <= {DEFAULT_P_CAP}, "
+                f"got p={self.p}"
             )
+        if self.holdout < 2:
+            raise ValueError(f"holdout must be >= 2, got {self.holdout}")
+        if self.family == "gaussian" and self.q == 0:
+            raise ValueError("gaussian scenario needs q >= 1 for its relative MSE")
         self.gen_config()  # GenConfig validates the generator fields
 
     def gen_config(self) -> GenConfig:
@@ -90,6 +97,21 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
     family = ModelFamily(scn.family)
     d = standardize(Dataset(X, response))
 
+    def method_row(model, loss_value, elapsed):
+        # model: anything with active_set, beta and intercept
+        score = tp_fp(model.active_set, truth)
+        return {
+            "k": len(model.active_set),
+            "active": list(model.active_set),
+            "loss": loss_value,
+            "time": elapsed,
+            "tp": score.tp,
+            "fp": score.fp,
+            "metric": _holdout_metric(
+                scn, family, d, model, beta_star, X_test, resp_test
+            ),
+        }
+
     record = {"rep": rep, "methods": {}}
     selected_ks = set()
     for name in scn.methods:
@@ -104,19 +126,7 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
         else:
             report, _ = gpdas(family, d, k_max=scn.k_max, eta=scn.eta)
         elapsed = time.perf_counter() - start
-        score = tp_fp(report.active_set, truth)
-        model = CoefficientModel(report.beta, report.intercept, report.active_set)
-        record["methods"][name] = {
-            "k": report.k,
-            "active": list(report.active_set),
-            "loss": report.loss,
-            "time": elapsed,
-            "tp": score.tp,
-            "fp": score.fp,
-            "metric": _holdout_metric(
-                scn, family, d, model, beta_star, X_test, resp_test
-            ),
-        }
+        record["methods"][name] = method_row(report, report.loss, elapsed)
         selected_ks.add(report.k)
 
     if "oracle" in scn.methods:
@@ -124,22 +134,11 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
         best_set, best_loss = exhaustive_best_subset(family, d, scn.q)
         elapsed = time.perf_counter() - start
         model = fit_active(family, d, best_set)
-        score = tp_fp(best_set, truth)
+        record["methods"]["oracle"] = method_row(model, best_loss, elapsed)
         # losses at every size any other method selected, for dominance checks
         losses = {scn.q: best_loss}
         for k in sorted(selected_ks - {scn.q}):
             _, losses[k] = exhaustive_best_subset(family, d, k)
-        record["methods"]["oracle"] = {
-            "k": scn.q,
-            "active": list(best_set),
-            "loss": best_loss,
-            "time": elapsed,
-            "tp": score.tp,
-            "fp": score.fp,
-            "metric": _holdout_metric(
-                scn, family, d, model, beta_star, X_test, resp_test
-            ),
-        }
         record["oracle_losses"] = {str(k): v for k, v in losses.items()}
     return record
 

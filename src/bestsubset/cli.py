@@ -12,6 +12,8 @@ import json
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import bench as bench_mod
 from .data import (
     FAMILIES,
@@ -24,10 +26,10 @@ from .datagen import GenConfig, gen_dataset
 from .families import ModelFamily, fit_active
 from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
 from .pdas import pdas
-from .tuning import SelectionReport, fixed_k_report, gpdas, spdas
+from .tuning import CRITERIA, SelectionReport, fixed_k_report, gpdas, spdas
 
 
-_CRITERIA = ("deviance", "aic", "bic", "ebic")
+_CRITERIA = ("deviance", *CRITERIA)
 
 
 def _from_args(cls, args, **overrides):
@@ -41,9 +43,8 @@ def _from_args(cls, args, **overrides):
 
 def _sparse_coefficients(names, beta):
     return [
-        {"index": j + 1, "name": names[j], "coefficient": float(value)}
-        for j, value in enumerate(beta)
-        if value != 0.0
+        {"index": j + 1, "name": names[j], "coefficient": float(beta[j])}
+        for j in np.flatnonzero(beta).tolist()
     ]
 
 
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Best subset selection for linear, logistic and Cox models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    criteria = ("aic", "bic", "ebic", "auto")
+    criteria = (*CRITERIA, "auto")
 
     fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
     _add_io_arguments(fit)

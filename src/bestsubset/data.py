@@ -10,10 +10,9 @@ models have none.
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
-
-FAMILIES = ("gaussian", "binomial", "cox")
 
 
 def _frozen_array(values, dtype=float):
@@ -26,6 +25,7 @@ def _frozen_array(values, dtype=float):
 class Continuous:
     """Real-valued response vector."""
 
+    columns: ClassVar[tuple[str, ...]] = ("y",)
     y: np.ndarray
 
     def __post_init__(self):
@@ -44,6 +44,7 @@ class Continuous:
 class Binary:
     """0/1 response vector."""
 
+    columns: ClassVar[tuple[str, ...]] = ("y",)
     y: np.ndarray
 
     def __post_init__(self):
@@ -73,6 +74,7 @@ class Survival:
     cumulative sum.
     """
 
+    columns: ClassVar[tuple[str, ...]] = ("time", "status")
     time: np.ndarray
     status: np.ndarray
     order: np.ndarray = field(init=False, repr=False)
@@ -102,6 +104,12 @@ class Survival:
 
     def __len__(self):
         return self.time.shape[0]
+
+
+# The response type each family fits.  ``columns`` names a type's CSV
+# columns, which are also its constructor arguments, in order.
+RESPONSES = {"gaussian": Continuous, "binomial": Binary, "cox": Survival}
+FAMILIES = tuple(RESPONSES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,29 +189,33 @@ def standardize(d: Dataset) -> StandardizedDataset:
     dropping them would desynchronize reported indices from the user's
     data).
     """
-    X = d.X
-    n = d.n
-    centers = X.mean(axis=0)
-    Xc = X - centers
-    # norms from 512-column blocks, so no n x p squared copy is made; the
-    # axis-0 sum adds rows in the same order whatever the block width
-    sq_sums = [(Xc[:, lo : lo + 512] ** 2).sum(axis=0) for lo in range(0, d.p, 512)]
-    norms = np.sqrt(np.concatenate(sq_sums))
-    if np.any(norms == 0.0):
-        j = int(np.flatnonzero(norms == 0.0)[0])
-        raise ValueError(
-            f"constant column {d.names()[j]!r} (index {j}): zero variance"
-        )
-    scales = norms / math.sqrt(n)
-    Xc /= scales
-
     response = d.response
     response_center = 0.0
     if isinstance(response, Continuous):
         response_center = float(response.y.mean())
         response = Continuous(response.y - response_center)
 
-    transformed = Dataset(Xc, response, d.column_names)
+    transformed = Dataset(d.X, response, d.column_names)
+    # the new dataset's own copy of X is the only n x p array: it is centred
+    # and scaled in place, then frozen again
+    X = transformed.X
+    X.setflags(write=True)
+    centers = X.mean(axis=0)
+    X -= centers
+    # norms from 512-column blocks, so no n x p squared copy is made; the
+    # axis-0 sum adds rows in the same order whatever the block width
+    sq_sums = [(X[:, lo : lo + 512] ** 2).sum(axis=0) for lo in range(0, d.p, 512)]
+    norms = np.sqrt(np.concatenate(sq_sums))
+    if np.any(norms == 0.0):
+        j = int(np.flatnonzero(norms == 0.0)[0])
+        raise ValueError(
+            f"constant column {d.names()[j]!r} (index {j}): zero variance"
+        )
+    scales = norms / math.sqrt(d.n)
+    X /= scales
+    X.setflags(write=False)
+    if not np.all(np.isfinite(X)):  # centring can overflow near the float limit
+        raise ValueError("X contains non-finite entries")
     return StandardizedDataset(transformed, centers, scales, response_center)
 
 
@@ -238,32 +250,27 @@ def _parse_cell(cell: str, row: int, column: str) -> float:
         ) from None
 
 
-def default_response_columns(family: str):
-    if family == "cox":
-        return ("time", "status")
-    return ("y",)
-
-
 def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
     """Read a comma-separated file into a validated :class:`Dataset`.
 
     ``response`` names the response column (a pair ``(time, status)`` for the
-    cox family); it defaults to ``y`` resp. ``("time", "status")``.  With
+    cox family); it defaults to the response type's ``columns``.  With
     ``header=False`` all columns are unnamed and the response is taken from
     the last column (last two for cox); predictors are then named X1..Xp,
     and naming a ``response`` is an error.
     """
-    if family not in FAMILIES:
+    if family not in RESPONSES:
         raise ValueError(f"unknown family {family!r}")
+    kind = RESPONSES[family]
+    n_resp = len(kind.columns)
     if response is None:
-        response = default_response_columns(family)
+        response = kind.columns
     elif not header:
         raise ValueError("response columns can only be named with a header")
     elif isinstance(response, str):
         response = tuple(part.strip() for part in response.split(","))
     else:
         response = tuple(response)
-    n_resp = 2 if family == "cox" else 1
     if len(response) != n_resp:
         raise ValueError(
             f"family {family!r} needs {n_resp} response column(s), got {len(response)}"
@@ -283,16 +290,13 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
         for col in response:
             if col not in names:
                 raise ValueError(f"response column {col!r} not found in header")
-        resp_idx = [names.index(c) for c in response]
     else:
         width = len(rows[0])
         if width < n_resp + 1:
             raise ValueError("too few columns for predictors plus response")
         body = rows
-        resp_idx = list(range(width - n_resp, width))
-        names = [f"X{j + 1}" for j in range(width - n_resp)] + list(
-            default_response_columns(family)
-        )
+        names = [f"X{j + 1}" for j in range(width - n_resp)] + list(response)
+    resp_idx = [names.index(c) for c in response]
 
     width = len(names)
     parsed = np.empty((len(body), width), dtype=float)
@@ -307,27 +311,16 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
         raise ValueError("no predictor columns left after removing the response")
     X = parsed[:, x_idx]
     x_names = tuple(names[j] for j in x_idx)
-
-    if family == "gaussian":
-        resp = Continuous(parsed[:, resp_idx[0]])
-    elif family == "binomial":
-        resp = Binary(parsed[:, resp_idx[0]])
-    else:
-        resp = Survival(parsed[:, resp_idx[0]], parsed[:, resp_idx[1]])
+    resp = kind(*(parsed[:, j] for j in resp_idx))
     return Dataset(X, resp, x_names)
 
 
 def save_csv(d: Dataset, path) -> None:
     """Write a dataset back to CSV; values use repr so reloads are bit-exact."""
-    if isinstance(d.response, Survival):
-        resp_names = ["time", "status"]
-        resp_cols = [d.response.time, d.response.status]
-    else:
-        resp_names = ["y"]
-        resp_cols = [d.response.y]
+    resp_cols = [getattr(d.response, name) for name in d.response.columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(d.names()) + resp_names)
+        writer.writerow(list(d.names()) + list(d.response.columns))
         for i in range(d.n):
             row = [repr(float(v)) for v in d.X[i]]
             row += [repr(float(col[i])) for col in resp_cols]

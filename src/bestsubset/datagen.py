@@ -3,7 +3,7 @@
 Design columns are built as Z_j + rho * (Z_{j-1} + Z_{j+1}) from i.i.d.
 standard normal columns Z (boundary terms zero), then rescaled to sqrt(n)
 norm, so adjacent predictors are positively correlated.  Coefficients have q
-nonzero entries with magnitudes drawn uniformly from [b, B].
+nonzero entries with magnitudes drawn uniformly from [b, B], 0 < b <= B < inf.
 """
 
 import math
@@ -64,6 +64,10 @@ class GenConfig:
             if len(beta) != self.p:
                 raise ValueError("explicit beta must have length p")
             object.__setattr__(self, "beta", beta)
+        elif self.q > 0:
+            b, B = self.magnitude_range()
+            if not 0 < b <= B < math.inf:
+                raise ValueError(f"magnitudes need 0 < b <= B < inf, got b={b}, B={B}")
 
     def magnitude_range(self) -> tuple[float, float]:
         b = self.b

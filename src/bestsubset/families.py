@@ -11,7 +11,8 @@ Three model families share one interface:
 
 Binomial and cox share one damped Newton-Raphson solver on the active set.
 Each linear solve is a small positive-definite system done by
-``numpy.linalg`` alone, so importing the package loads no scipy.
+``numpy.linalg`` alone, so importing the package loads no scipy.  The
+solver limits are module constants, so a ``ModelFamily`` is its tag alone.
 
 For a coefficient vector ``b`` the coordinate functions are
 ``g_j = d loss / d b_j`` and ``h_j = d^2 loss / d b_j^2`` with all other
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FAMILIES, Binary, Continuous, StandardizedDataset, Survival
+from .data import RESPONSES, StandardizedDataset, Survival
 
 # Guards against degenerate numerics; the solvers are otherwise exact.
 CURVATURE_FLOOR = 1e-10
@@ -38,26 +39,24 @@ IRLS_WEIGHT_FLOOR = 1e-10
 LINEAR_PREDICTOR_CLIP = 30.0
 RIDGE_JITTER = 1e-8
 
+# Damped Newton (binomial and cox) stopping rule; see _damped_newton.
+SOLVER_TOL = 1e-8
+MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """Loss family tag plus sub-solver options.
-
-    ``max_iter`` caps the damped-Newton iterations of the binomial and cox
-    fits; the gaussian fit is a single solve.
-    """
+    """Loss family tag; ``data.RESPONSES`` maps it to its response type."""
 
     tag: str
-    solver_tol: float = 1e-8
-    max_iter: int = 100
 
     def __post_init__(self):
-        if self.tag not in FAMILIES:
+        if self.tag not in RESPONSES:
             raise ValueError(f"unknown family {self.tag!r}")
-        if self.solver_tol <= 0:
-            raise ValueError("solver_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+
+    def max_size(self, n: int, p: int) -> int:
+        """Size cap of every fit and search (a gaussian Gram is singular past n)."""
+        return min(n, p) if self.tag == "gaussian" else p
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +91,7 @@ class CoefficientModel:
 
 
 def _check_family(family: ModelFamily, d: StandardizedDataset) -> None:
-    kind_by_tag = {"gaussian": Continuous, "binomial": Binary, "cox": Survival}
-    if not isinstance(d.dataset.response, kind_by_tag[family.tag]):
+    if not isinstance(d.dataset.response, RESPONSES[family.tag]):
         raise ValueError(
             f"family {family.tag!r} does not match response type "
             f"{type(d.dataset.response).__name__}"
@@ -245,23 +243,23 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     return np.linalg.solve(A + ridge * np.eye(k), rhs)
 
 
-def _damped_newton(family: ModelFamily, objective, derivatives, coef: np.ndarray):
+def _damped_newton(objective, derivatives, coef: np.ndarray):
     """Minimize ``objective`` from ``coef`` by damped Newton-Raphson.
 
     ``objective(coef)`` returns the value and the linear predictor it was
     computed from; ``derivatives(predictor)`` returns the score and Hessian
     at the same coefficients, so an accepted step is not recomputed.  Each
     step is halved until the objective stops increasing; the iteration
-    stops once the score or the step taken falls below
-    ``family.solver_tol``, or after ``family.max_iter`` iterations.
+    stops once the score or the step taken falls below ``SOLVER_TOL``, or
+    after ``MAX_ITER`` iterations.
     Returns ``(coef, objective at coef, converged, iterations)``.
     """
     current, eta = objective(coef)
     converged = False
     iterations = 0
-    for iterations in range(1, family.max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         score, hessian = derivatives(eta)
-        if np.max(np.abs(score)) < family.solver_tol:
+        if np.max(np.abs(score)) < SOLVER_TOL:
             converged = True
             break
         step = _solve_spd(hessian, score, "Newton")
@@ -273,7 +271,7 @@ def _damped_newton(family: ModelFamily, objective, derivatives, coef: np.ndarray
                 break
             scale *= 0.5
         coef, current, eta = trial, value, trial_eta
-        if np.max(np.abs(scale * step)) < family.solver_tol:
+        if np.max(np.abs(scale * step)) < SOLVER_TOL:
             converged = True
             break
     return coef, current, converged, iterations
@@ -285,7 +283,7 @@ def _model(d, active, coef, intercept, converged, iterations, value):
     return CoefficientModel(beta, intercept, active, converged, iterations, value)
 
 
-def _fit_gaussian(family, d, active):
+def _fit_gaussian(d, active):
     XA = d.dataset.X[:, list(active)]
     y = d.dataset.response.y
     coef = np.zeros(len(active))
@@ -294,7 +292,7 @@ def _fit_gaussian(family, d, active):
     return _model(d, active, coef, 0.0, True, 1, _gaussian_loss(y - XA @ coef))
 
 
-def _fit_binomial(family, d, active):
+def _fit_binomial(d, active):
     y = d.dataset.response.y
     Z = np.column_stack([np.ones(d.dataset.n), d.dataset.X[:, list(active)]])
 
@@ -308,12 +306,12 @@ def _fit_binomial(family, d, active):
         return Z.T @ (prob - y), Z.T @ (Z * w[:, None])
 
     coef, value, converged, iterations = _damped_newton(
-        family, objective, derivatives, np.zeros(Z.shape[1])
+        objective, derivatives, np.zeros(Z.shape[1])
     )
     return _model(d, active, coef[1:], float(coef[0]), converged, iterations, value)
 
 
-def _fit_cox(family, d, active):
+def _fit_cox(d, active):
     resp = d.dataset.response
     XA = d.dataset.X[:, list(active)][resp.order]
 
@@ -329,7 +327,7 @@ def _fit_cox(family, d, active):
         return score, XA.T @ (XA * u[:, None]) - xbar.T @ xbar
 
     coef, value, converged, iterations = _damped_newton(
-        family, objective, derivatives, np.zeros(len(active))
+        objective, derivatives, np.zeros(len(active))
     )
     return _model(d, active, coef, 0.0, converged, iterations, value)
 
@@ -350,16 +348,16 @@ def fit_active(
         raise ValueError("active_set contains duplicate indices")
     if active and (active[0] < 0 or active[-1] >= d.dataset.p):
         raise ValueError("active_set index out of range")
-    if family.tag == "gaussian" and len(active) > d.dataset.n:
+    if len(active) > family.max_size(d.dataset.n, d.dataset.p):
         raise ValueError(
             f"active set size {len(active)} exceeds n={d.dataset.n} "
             "for the gaussian family"
         )
     if family.tag == "gaussian":
-        return _fit_gaussian(family, d, active)
+        return _fit_gaussian(d, active)
     if family.tag == "binomial":
-        return _fit_binomial(family, d, active)
-    return _fit_cox(family, d, active)
+        return _fit_binomial(d, active)
+    return _fit_cox(d, active)
 
 
 def predict(

@@ -9,8 +9,9 @@ visited set is remembered and any revisit stops the run, returning the
 visited set of lowest loss.
 
 A result is one :class:`PdasOutput`: the ``CoefficientModel`` fitted on
-the returned set, the duals gamma and sacrifices delta at that model, and
-the sweep count, convergence flag and visited sets.
+the returned set, the sacrifices delta at that model (no duals: only delta
+drives the iteration), and the sweep count, convergence flag and visited
+sets.  The size cap is the family's, ``ModelFamily.max_size``.
 """
 
 from dataclasses import dataclass
@@ -25,16 +26,14 @@ DEFAULT_MAX_SWEEPS = 20
 
 @dataclass(frozen=True, eq=False)
 class PdasOutput:
-    """The model fitted on the returned set, its duals and sacrifices, and the run.
+    """The model fitted on the returned set, its sacrifices, and the run.
 
-    ``gamma`` vanishes on ``model.active_set`` (``dual_sacrifice`` sets it
-    so) and ``model.beta`` vanishes off it; the inactive set is the
-    complement.  ``gamma`` and ``delta`` are read-only, as outputs may share
-    them.  ``history`` lists the distinct sets visited, in order.
+    ``model.beta`` vanishes off ``model.active_set``; the inactive set is
+    the complement.  ``delta`` is read-only, as outputs may share it.
+    ``history`` lists the distinct sets visited, in order.
     """
 
     model: CoefficientModel
-    gamma: np.ndarray
     delta: np.ndarray
     iterations: int
     converged: bool
@@ -77,14 +76,13 @@ def random_subset(p: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
 
 
 def _evaluate(family, d, active, evaluations):
-    """``(model, gamma, delta)`` on ``active``, via the ``evaluations`` memo."""
+    """``(model, delta)`` on ``active``, via the ``evaluations`` memo."""
     evaluations = {} if evaluations is None else evaluations
     if active not in evaluations:
         model = fit_active(family, d, active)
-        gamma, delta = dual_sacrifice(family, d, model)
-        gamma.setflags(write=False)  # lookups share these arrays
-        delta.setflags(write=False)
-        evaluations[active] = model, gamma, delta
+        _, delta = dual_sacrifice(family, d, model)
+        delta.setflags(write=False)  # lookups share this array
+        evaluations[active] = model, delta
     return evaluations[active]
 
 
@@ -93,12 +91,19 @@ def null_fit(family: ModelFamily, d: StandardizedDataset, evaluations=None) -> P
     return PdasOutput(*_evaluate(family, d, (), evaluations), 0, True, ((),))
 
 
+def grow_set(active, delta, k: int) -> tuple[int, ...]:
+    """``active`` plus the top ``delta`` outside it, k in all; ties to lower j."""
+    delta = np.array(delta, dtype=float)
+    delta[list(active)] = np.inf  # keep the members on top
+    return select_top_k(delta, k)
+
+
 def _sized_init(family, d, init, k, evaluations) -> tuple[int, ...]:
     """Coerce an initial set to size k.
 
-    Too-small inits are padded with the coordinates of largest sacrifice at
-    the empty model; too-large inits are fitted (or looked up in
-    ``evaluations``) and trimmed to the k largest |beta|.
+    Too-small inits are grown with the coordinates of largest sacrifice at
+    the empty model; too-large inits are fitted (via ``evaluations``) and
+    trimmed to the k largest |beta|.
     """
     init = tuple(sorted(set(int(j) for j in init)))
     if init and (init[0] < 0 or init[-1] >= d.dataset.p):
@@ -106,10 +111,8 @@ def _sized_init(family, d, init, k, evaluations) -> tuple[int, ...]:
     if len(init) == k:
         return init
     if len(init) < k:
-        delta0 = null_fit(family, d, evaluations).delta.copy()
-        delta0[list(init)] = np.inf  # keep the init members on top
-        return select_top_k(delta0, k)
-    model = evaluations[init][0] if init in evaluations else fit_active(family, d, init)
+        return grow_set(init, null_fit(family, d, evaluations).delta, k)
+    model, _ = _evaluate(family, d, init, evaluations)
     order = np.argsort(-np.abs(model.beta[list(init)]), kind="stable")
     return tuple(sorted(init[j] for j in order[:k]))
 
@@ -130,7 +133,7 @@ def pdas(
     is True only when an active set reproduced itself; hitting a cycle or
     ``m_max`` returns the best visited set with the flag down.
 
-    ``evaluations`` maps an active set to its ``(model, gamma, delta)`` for
+    ``evaluations`` maps an active set to its ``(model, delta)`` for
     this family and dataset.  Every set this run fits is looked up there
     first and added when missing, so callers that run ``pdas`` repeatedly
     on one dataset can share a dict to fit each set once.  Results do not
@@ -140,23 +143,20 @@ def pdas(
     n = d.dataset.n
     if not 1 <= k <= p:
         raise ValueError(f"k must be in [1, {p}], got {k}")
-    if family.tag == "gaussian" and k > n:
+    if k > family.max_size(n, p):
         raise ValueError(f"k={k} exceeds n={n} for the gaussian family")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     evaluations = {} if evaluations is None else evaluations
 
-    if init is None:
-        active = select_top_k(null_fit(family, d, evaluations).delta, k)
-    else:
-        active = _sized_init(family, d, init, k, evaluations)
+    active = _sized_init(family, d, () if init is None else init, k, evaluations)
 
-    visited: dict[tuple[int, ...], tuple] = {}  # set -> (model, gamma, delta)
+    visited: dict[tuple[int, ...], tuple] = {}  # set -> (model, delta)
     for _ in range(m_max):
-        model, gamma, delta = visited[active] = _evaluate(family, d, active, evaluations)
+        model, delta = visited[active] = _evaluate(family, d, active, evaluations)
         proposal = select_top_k(delta, k)
         if proposal == active:
-            return PdasOutput(model, gamma, delta, len(visited), True, tuple(visited))
+            return PdasOutput(model, delta, len(visited), True, tuple(visited))
         if proposal in visited:
             break
         active = proposal

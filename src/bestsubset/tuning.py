@@ -5,17 +5,19 @@ starting each size from the previous solution, and picks the k minimizing an
 information criterion (AIC, BIC, or EBIC).  The golden-section search
 instead brackets the `elbow' of the loss-versus-k curve, probing a few
 sizes per iteration: at most 5 solver calls per iteration and at most
-``m_max`` iterations.  The iteration count is not O(log k_max): when the
-loss is flat left of the split, the left end resets to 1, so the search
-can run many iterations before the interval collapses.  The actual number
-of solver calls is reported as ``GoldenSectionTrace.pdas_calls``.  Those
-calls revisit sets (a reset of the left end walks the same paths again), so
-``gpdas`` fits each distinct active set at most once per call and
-``pdas_calls`` counts solver calls, not fits.
+``GSECTION_MAX_ITER`` iterations.  The iteration count is not
+O(log k_max): when the loss is flat left of the split, the left end resets
+to 1, so the search can run many iterations before the interval collapses.
+The actual number of solver calls is reported as
+``GoldenSectionTrace.pdas_calls``.  Those calls revisit sets (a reset of
+the left end walks the same paths again), so ``gpdas`` fits each distinct
+active set at most once per call and ``pdas_calls`` counts solver calls,
+not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
-``spdas`` returns the entry it chose, not a copy of it.
+``spdas`` returns the entry it chose, not a copy of it.  Both searches cap
+``k_max`` at ``ModelFamily.max_size`` and run ``pdas`` with its sweep cap.
 """
 
 import math
@@ -25,11 +27,12 @@ import numpy as np
 
 from .data import StandardizedDataset
 from .families import ModelFamily, loglik_from_loss
-from .pdas import DEFAULT_MAX_SWEEPS, PdasOutput, null_fit, pdas, select_top_k
+from .pdas import PdasOutput, grow_set, null_fit, pdas
 
 CRITERIA = ("aic", "bic", "ebic")
 LOSS_FLOOR = 1e-8
 GOLDEN_RATIO = 0.618
+GSECTION_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,7 @@ def warm_start_set(prev: PdasOutput, new_k: int) -> tuple[int, ...]:
         raise ValueError("new_k must be at least the previous active set size")
     if new_k == len(prev_active):
         return prev_active
-    delta = np.asarray(prev.delta, dtype=float).copy()
-    delta[list(prev_active)] = np.inf  # keep previous members on top
-    return select_top_k(delta, new_k)
+    return grow_set(prev_active, prev.delta, new_k)
 
 
 def fixed_k_report(family, d, out: PdasOutput, method: str, criterion: str):
@@ -156,7 +157,7 @@ def _checked_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> in
     """``k_max``, defaulted per family and checked against the size cap."""
     if k_max is None:
         return default_k_max(family, n, p)
-    cap = min(n, p) if family.tag == "gaussian" else p
+    cap = family.max_size(n, p)
     if not 1 <= k_max <= cap:
         raise ValueError(f"k_max must be in [1, {cap}], got {k_max}")
     return k_max
@@ -168,7 +169,6 @@ def spdas(
     k_max: int | None = None,
     criterion: str = "auto",
     epsilon: float = 0.0,
-    m_max: int = DEFAULT_MAX_SWEEPS,
 ):
     """Sequential sweep over k = 1..k_max with warm starts.
 
@@ -189,7 +189,7 @@ def spdas(
     prev = null_fit(family, d)
     entries = [entry(prev)]
     for k in range(1, k_max + 1):
-        out = pdas(family, d, k, init=warm_start_set(prev, k), m_max=m_max)
+        out = pdas(family, d, k, init=warm_start_set(prev, k))
         entries.append(entry(out))
         if epsilon > 0.0:
             gain = (prev.loss - out.loss) / max(abs(prev.loss), 1e-10)
@@ -298,14 +298,13 @@ def gpdas(
     d: StandardizedDataset,
     k_max: int | None = None,
     eta: float = 0.01,
-    m_max: int = 100,
-    pdas_m_max: int = DEFAULT_MAX_SWEEPS,
 ):
     """Golden-section elbow search over the subset size.
 
     Returns ``(report, trace)``.  Solver outputs at each interval endpoint
     warm start the corresponding run of the next iteration.  Each iteration
-    makes at most 5 ``pdas`` calls; ``trace.pdas_calls`` counts them all.
+    makes at most 5 ``pdas`` calls, for at most ``GSECTION_MAX_ITER``
+    iterations; ``trace.pdas_calls`` counts them all.
     The calls share one ``evaluations`` dict, so each distinct active set
     is fitted at most once per ``gpdas`` call; ``pdas_calls`` counts solver
     calls, not fits.
@@ -320,8 +319,8 @@ def gpdas(
             init = warm_start_set(prev, k)
         else:
             init = prev.model.active_set
-        return pdas(family, d, k, init=init, m_max=pdas_m_max, evaluations=evaluations)
+        return pdas(family, d, k, init=init, evaluations=evaluations)
 
-    out, rows, reason, calls = golden_section_search(run, k_max, eta, m_max)
+    out, rows, reason, calls = golden_section_search(run, k_max, eta, GSECTION_MAX_ITER)
     trace = GoldenSectionTrace(rows, out.k, reason, calls)
     return fixed_k_report(family, d, out, "gsection", "loss-elbow"), trace

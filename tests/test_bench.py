@@ -77,6 +77,29 @@ class TestReplication:
         assert a == b
 
 
+class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(b=2.0, B=1.0), "b <= B"),
+            (dict(b=-1.0, B=1.0), "0 < b <= B"),
+            (dict(holdout=0), "holdout must be >= 2, got 0"),
+            (dict(holdout=1), "holdout must be >= 2, got 1"),
+            (dict(family="binomial", holdout=0), "holdout must be >= 2"),
+            (dict(methods=()), "need at least one method"),
+            (dict(q=0), "gaussian scenario needs q >= 1"),
+        ],
+    )
+    def test_rejected_at_construction(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            small_scenario(**kw)
+
+    def test_null_signal_runs_outside_gaussian(self):
+        scn = small_scenario(family="binomial", q=0, reps=1, methods=("spdas",))
+        stats = run_replication(scn, 0)["methods"]["spdas"]
+        assert stats["tp"] == 0 and 0.0 <= stats["metric"] <= 1.0
+
+
 class TestRunBench:
     def test_summary_rows(self):
         result = run_bench(small_scenario())

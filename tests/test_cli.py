@@ -7,7 +7,7 @@ import pytest
 
 from bestsubset import bench
 from bestsubset.bench import BenchResult, BenchScenario
-from bestsubset.cli import main
+from bestsubset.cli import _sparse_coefficients, main
 from bestsubset.datagen import GenConfig
 
 
@@ -117,6 +117,60 @@ class TestGen:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cox" in err
         assert not out.exists()
+
+
+class TestRejectedScenarios:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 3, "--b", -1,
+             "--B", 1],
+            ["gen", "--family", "gaussian", "--n", 20, "--p", 1, "--q", 1],
+            ["gen", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 3,
+             "--B", "inf"],
+            ["bench", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 2,
+             "--b", 2, "--B", 1],
+            ["bench", "--family", "binomial", "--n", 50, "--p", 10, "--q", 2,
+             "--holdout", 0],
+            ["bench", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 0],
+            ["bench", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 2,
+             "--methods", ","],
+        ],
+        ids=["gen-negative-b", "gen-zero-b", "gen-infinite-B", "bench-b-above-B",
+             "bench-holdout-0", "bench-gaussian-q-0", "bench-no-methods"],
+    )
+    def test_exit_1_with_one_error_line_and_no_output(self, tmp_path, capsys, argv):
+        outputs = ["--output", tmp_path / "out.csv"]
+        if argv[0] == "bench":
+            outputs += ["--reps", 1, "--details", tmp_path / "details.json"]
+        assert run([*argv, *outputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_sparse_coefficients_match_the_loop():
+    def loop(names, beta):
+        """The former per-coordinate loop, kept as the reference."""
+        return [
+            {"index": j + 1, "name": names[j], "coefficient": float(value)}
+            for j, value in enumerate(beta)
+            if value != 0.0
+        ]
+
+    rng = np.random.default_rng(3)
+    beta = rng.standard_normal(300)
+    beta[rng.choice(300, size=200, replace=False)] = 0.0
+    beta[[0, 7, 299]] = -0.0
+    names = tuple(f"X{j + 1}" for j in range(300))
+    for b in (beta, np.zeros(5), -np.zeros(5), np.array([1e-300, -2.0])):
+        got = _sparse_coefficients(names, b)
+        assert got == loop(names, b)
+        assert json.dumps(got) == json.dumps(loop(names, b))
+    assert [e["index"] for e in _sparse_coefficients(names, beta)] == [
+        j + 1 for j in range(300) if beta[j] != 0.0
+    ]
 
 
 class TestFit:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,17 +82,30 @@ class TestLoadCsv:
     def test_round_trip_is_fixed_point(self, tmp_path):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((6, 3))
-        d = Dataset(X, Continuous(rng.standard_normal(6)))
-        f1 = tmp_path / "a.csv"
-        save_csv(d, f1)
-        d1 = load_csv(str(f1), "gaussian")
-        f2 = tmp_path / "b.csv"
-        save_csv(d1, f2)
-        d2 = load_csv(str(f2), "gaussian")
-        assert f1.read_text() == f2.read_text()
-        np.testing.assert_array_equal(d1.X, d2.X)
-        np.testing.assert_array_equal(d1.response.y, d2.response.y)
-        assert d1.column_names == d2.column_names
+        responses = {
+            "gaussian": Continuous(rng.standard_normal(6)),
+            "binomial": Binary([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]),
+            "cox": Survival(rng.uniform(0.1, 2.0, 6), [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]),
+        }
+        for family, response in responses.items():
+            saved = tmp_path / f"{family}.csv"
+            save_csv(Dataset(X, response), saved)
+            text = saved.read_text()
+            assert text.split("\n", 1)[0].split(",")[3:] == list(response.columns)
+            for header in (True, False):
+                source = text if header else text.split("\n", 1)[1]
+                d1 = load_csv(write(tmp_path / "a.csv", source), family, header=header)
+                save_csv(d1, tmp_path / "b.csv")
+                assert (tmp_path / "b.csv").read_text() == text
+                d2 = load_csv(str(tmp_path / "b.csv"), family)
+                assert type(d1.response) is type(d2.response) is type(response)
+                assert d1.column_names == d2.column_names == ("X1", "X2", "X3")
+                np.testing.assert_array_equal(d1.X, X)
+                np.testing.assert_array_equal(d2.X, X)
+                for name in response.columns:
+                    expected = getattr(response, name)
+                    np.testing.assert_array_equal(getattr(d1.response, name), expected)
+                    np.testing.assert_array_equal(getattr(d2.response, name), expected)
 
     def test_survival_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -124,6 +138,14 @@ class TestValidation:
         d = Dataset(np.eye(3), Continuous([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             d.X[0, 0] = 5.0
+
+    def test_copies_the_callers_design(self):
+        X = np.eye(3)
+        d = Dataset(X, Continuous([1.0, 2.0, 3.0]))
+        assert not np.shares_memory(d.X, X)
+        X[0, 0] = 5.0
+        assert d.X[0, 0] == 1.0
+        assert X.flags.writeable
 
 
 class TestStandardize:
@@ -178,6 +200,22 @@ class TestStandardize:
         assert np.array_equal(sd.dataset.X, (X - X.mean(0)) / scales)
         assert np.array_equal(d.X, before)
 
+    def test_peak_memory_is_one_design_copy(self):
+        # the standardized dataset's own copy of X is the only n x p array;
+        # the rest is np.isfinite's n x p booleans and 512-column blocks
+        n, p = 200, 5000
+        rng = np.random.default_rng(5)
+        d = Dataset(rng.standard_normal((n, p)), Continuous(rng.standard_normal(n)))
+        tracemalloc.start()
+        try:
+            sd = standardize(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * n * p
+        assert not np.shares_memory(sd.dataset.X, d.X)
+        assert not sd.dataset.X.flags.writeable
+
     @pytest.mark.parametrize("p", [1, 511, 512, 1300])
     def test_blocked_norms_equal_the_squared_copy_sum(self, p):
         # wide design, column scales over twelve decades, ragged last block
@@ -189,6 +227,13 @@ class TestStandardize:
         assert np.array_equal(
             sd.column_scales, np.sqrt((Xc**2).sum(axis=0)) / math.sqrt(40)
         )
+
+    def test_overflow_in_centring_rejected(self):
+        # finite entries whose centred values overflow to inf
+        X = np.array([[1.7e308, 1.0], [-1.7e308, 2.0], [-1.7e308, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                standardize(Dataset(X, Continuous([1.0, 2.0, 3.0])))
 
     def test_constant_column_rejected(self):
         X = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])

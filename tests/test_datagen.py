@@ -158,6 +158,32 @@ class TestDefaults:
                 GenConfig(n=10, p=4, q=2, family=family, censor_rate=0.5)
 
 
+class TestDrawnMagnitudes:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # b < 0 planted wrong-signed coefficients under signs="positive"
+            dict(n=50, p=10, q=3, b=-2.0, B=1.0, signs="positive", seed=1),
+            # log p = 0 made the defaults b = B = 0 and planted beta = [-0.]
+            dict(n=20, p=1, q=1, seed=0),
+            dict(n=50, p=10, q=3, b=0.0, B=1.0),
+            dict(n=50, p=10, q=3, b=2.0, B=1.0),
+            dict(n=50, p=10, q=3, b=float("nan"), B=1.0),
+            # an infinite B made rng.uniform raise OverflowError
+            dict(n=50, p=10, q=3, b=1.0, B=float("inf")),
+        ],
+    )
+    def test_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError, match="b <= B"):
+            GenConfig(**kwargs)
+
+    def test_unchecked_when_nothing_is_drawn(self):
+        assert gen_dataset(GenConfig(n=20, p=1, q=0, seed=0))[2] == ()
+        cfg = GenConfig(n=20, p=3, q=1, b=-1.0, B=1.0, beta=(0.0, 2.0, 0.0))
+        _, beta, support = gen_dataset(cfg)
+        assert support == (1,) and beta.tolist() == [0.0, 2.0, 0.0]
+
+
 class TestCensoringHorizon:
     @pytest.mark.parametrize("target", [0.05, 0.2, 0.5, 0.9])
     @pytest.mark.parametrize("seed", [0, 1])

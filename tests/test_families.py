@@ -275,8 +275,15 @@ class TestFitActive:
     def test_gaussian_k_exceeding_n_rejected(self, rng):
         X = rng.standard_normal((4, 6))
         sd = standardize(Dataset(X, Continuous(rng.standard_normal(4))))
-        with pytest.raises(ValueError, match="exceeds n"):
+        with pytest.raises(
+            ValueError, match="active set size 5 exceeds n=4 for the gaussian family"
+        ):
             fit_active(GAUSSIAN, sd, (0, 1, 2, 3, 4))
+
+    def test_max_size_caps_only_gaussian_at_n(self):
+        for n, p in ((10, 30), (30, 10)):
+            assert GAUSSIAN.max_size(n, p) == min(n, p)
+            assert BINOMIAL.max_size(n, p) == COX.max_size(n, p) == p
 
     def test_duplicate_indices_rejected(self):
         sd = random_standardized("gaussian", 10, 3, seed=31)
@@ -301,11 +308,11 @@ class TestFitActive:
         assert model.solver_converged
         g, _ = grad_hess(fam, sd, model)
         for j in active:
-            assert abs(g[j]) < 10 * fam.solver_tol
+            assert abs(g[j]) < 10 * families.SOLVER_TOL
         if family == "binomial":
             prob = predict(fam, model, np.asarray(sd.dataset.X), _identity_meta(sd))
             score = float(np.sum(prob - sd.dataset.response.y))
-            assert abs(score) < 10 * fam.solver_tol
+            assert abs(score) < 10 * families.SOLVER_TOL
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
     def test_fit_improves_on_zero_model(self, family):
@@ -589,14 +596,14 @@ def test_sigmoid_bit_equal_to_the_masked_formula(values):
     )
 
 
-def recomputing_newton(family, objective, derivatives, coef):
+def recomputing_newton(objective, derivatives, coef):
     """The damped Newton loop with the predictor recomputed from ``coef``."""
     current, _ = objective(coef)
     converged = False
     iterations = 0
-    for iterations in range(1, family.max_iter + 1):
+    for iterations in range(1, families.MAX_ITER + 1):
         score, hessian = derivatives(objective(coef)[1])
-        if np.max(np.abs(score)) < family.solver_tol:
+        if np.max(np.abs(score)) < families.SOLVER_TOL:
             converged = True
             break
         step = _solve_spd(hessian, score, "Newton")
@@ -608,7 +615,7 @@ def recomputing_newton(family, objective, derivatives, coef):
                 break
             scale *= 0.5
         coef, current = trial, value
-        if np.max(np.abs(scale * step)) < family.solver_tol:
+        if np.max(np.abs(scale * step)) < families.SOLVER_TOL:
             converged = True
             break
     return coef, current, converged, iterations

@@ -212,7 +212,7 @@ class TestPdas:
     def test_k_exceeding_n_rejected_for_gaussian(self, rng):
         X = rng.standard_normal((4, 8))
         sd = standardize(Dataset(X, Continuous(rng.standard_normal(4))))
-        with pytest.raises(ValueError, match="exceeds n"):
+        with pytest.raises(ValueError, match="k=6 exceeds n=4 for the gaussian family"):
             pdas(GAUSSIAN, sd, 6)
 
     def test_iterations_bounded_by_m_max(self):
@@ -310,9 +310,8 @@ class TestPdasOutput:
             assert out.model.active_set in out.history
             assert out.k == len(out.model.active_set)
             model = fit_active(GAUSSIAN, sd, out.model.active_set)
-            gamma, delta = dual_sacrifice(GAUSSIAN, sd, model)
+            _, delta = dual_sacrifice(GAUSSIAN, sd, model)
             np.testing.assert_array_equal(out.model.beta, model.beta)
-            np.testing.assert_array_equal(out.gamma, gamma)
             np.testing.assert_array_equal(out.delta, delta)
             assert out.loss == model.loss
 
@@ -332,7 +331,6 @@ def assert_same_output(a, b):
     assert a.model.active_set == b.model.active_set
     assert a.loss == b.loss and a.model.intercept == b.model.intercept
     np.testing.assert_array_equal(a.model.beta, b.model.beta)
-    np.testing.assert_array_equal(a.gamma, b.gamma)
     np.testing.assert_array_equal(a.delta, b.delta)
     assert (a.iterations, a.converged, a.history) == (b.iterations, b.converged, b.history)
 
@@ -356,13 +354,11 @@ class TestSharedEvaluations:
                 assert shared[out.model.active_set][0] is out.model
             returned.append(out.model.active_set)  # a larger init found in shared
         assert () in shared
-        for active, (model, _, _) in shared.items():
+        for active, (model, _) in shared.items():
             assert model.active_set == active
 
-    def test_gamma_and_delta_are_read_only(self):
+    def test_delta_is_read_only(self):
         sd = orthonormal_instance(seed=2)
         for out in (pdas(GAUSSIAN, sd, 2), null_fit(GAUSSIAN, sd)):
             with pytest.raises(ValueError):
                 out.delta[0] = 1.0
-            with pytest.raises(ValueError):
-                out.gamma[0] = 1.0

@@ -340,15 +340,15 @@ class TestGpdas:
         assert hits >= 0.9 * total
         assert supported >= 0.9 * total
 
-    def test_rejects_m_max_below_one(self):
-        sd = standardize(gen_dataset(GenConfig(n=100, p=20, q=3, seed=1))[0])
-        with pytest.raises(ValueError, match="m_max must be >= 1"):
-            gpdas(GAUSSIAN, sd, k_max=10, m_max=0)
-
     def test_rejects_k_max_beyond_cap_by_name(self):
         sd = standardize(gen_dataset(GenConfig(n=100, p=20, q=3, seed=1))[0])
         with pytest.raises(ValueError, match=r"k_max must be in \[1, 20\], got 500"):
             gpdas(GAUSSIAN, sd, k_max=500)
+        # n < p: the gaussian cap is n
+        wide = standardize(gen_dataset(GenConfig(n=10, p=20, q=2, seed=1))[0])
+        for search in (gpdas, spdas):
+            with pytest.raises(ValueError, match=r"k_max must be in \[1, 10\], got 11"):
+                search(GAUSSIAN, wide, k_max=11)
 
     @pytest.mark.parametrize("cfg", LONG_SEARCHES, ids=lambda c: c.family)
     def test_each_set_fitted_once_per_call(self, monkeypatch, cfg):
