@@ -51,8 +51,10 @@ class GenConfig:
             raise ValueError("need n >= 2 and p >= 1")
         if not 0 <= self.q <= self.p:
             raise ValueError("q must be in [0, p]")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
         if not 0.0 <= self.censor_rate < 1.0:
             raise ValueError("censor_rate must be in [0, 1)")
         if self.censor_rate > 0.0 and self.family != "cox":
@@ -70,12 +72,11 @@ class GenConfig:
                 raise ValueError(f"magnitudes need 0 < b <= B < inf, got b={b}, B={B}")
 
     def magnitude_range(self) -> tuple[float, float]:
+        """``(b, B)`` with the defaults filled in; checked only when drawing."""
         b = self.b
         if b is None:
             b = default_signal_magnitude(self.family, self.p, self.n, self.sigma)
         B = self.B if self.B is not None else default_magnitude_cap(self.family, b)
-        if b > B:
-            raise ValueError(f"need b <= B, got b={b}, B={B}")
         return b, B
 
 
@@ -91,24 +92,9 @@ def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
 
 
 def gen_beta(
-    p: int,
-    q: int,
-    b: float,
-    B: float,
-    signs: str,
-    rng: np.random.Generator,
-    explicit=None,
+    p: int, q: int, b: float, B: float, signs: str, rng: np.random.Generator
 ) -> np.ndarray:
-    """Coefficient vector with q nonzeros of magnitude Uniform[b, B].
-
-    An ``explicit`` vector bypasses generation entirely and is returned
-    verbatim.
-    """
-    if explicit is not None:
-        beta = np.asarray(explicit, dtype=float)
-        if beta.shape != (p,):
-            raise ValueError("explicit beta must have length p")
-        return beta.copy()
+    """Coefficient vector with q nonzeros of magnitude Uniform[b, B]."""
     if not 0 <= q <= p:
         raise ValueError("q must be in [0, p]")
     beta = np.zeros(p)
@@ -187,10 +173,11 @@ def gen_dataset(config: GenConfig):
     """
     rng = np.random.default_rng(config.seed)
     X = gen_design(config.n, config.p, config.rho, rng)
-    b, B = config.magnitude_range()
-    beta_star = gen_beta(
-        config.p, config.q, b, B, config.signs, rng, explicit=config.beta
-    )
+    if config.beta is not None:
+        beta_star = np.array(config.beta, dtype=float)
+    else:
+        b, B = config.magnitude_range()
+        beta_star = gen_beta(config.p, config.q, b, B, config.signs, rng)
     response = gen_response(config.family, X, beta_star, config, rng)
     support = tuple(int(j) for j in np.flatnonzero(beta_star))
     return Dataset(X, response), beta_star, support

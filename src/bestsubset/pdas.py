@@ -11,7 +11,8 @@ visited set of lowest loss.
 A result is one :class:`PdasOutput`: the ``CoefficientModel`` fitted on
 the returned set, the sacrifices delta at that model (no duals: only delta
 drives the iteration), and the sweep count, convergence flag and visited
-sets.  The size cap is the family's, ``ModelFamily.max_size``.
+sets.  The size cap is the family's, ``ModelFamily.max_size``.  Both size
+searches start a size from an earlier output by :func:`warm_start_set`.
 """
 
 from dataclasses import dataclass
@@ -96,6 +97,20 @@ def grow_set(active, delta, k: int) -> tuple[int, ...]:
     delta = np.array(delta, dtype=float)
     delta[list(active)] = np.inf  # keep the members on top
     return select_top_k(delta, k)
+
+
+def warm_start_set(prev: PdasOutput | None, new_k: int) -> tuple[int, ...] | None:
+    """A size-``new_k`` start from ``prev``, an earlier output or None (cold).
+
+    The previous set whole when ``new_k`` is at most its size (``pdas`` trims
+    it by |beta|); otherwise that set grown by the top inactive sacrifices.
+    """
+    if prev is None:
+        return None
+    prev_active = prev.model.active_set
+    if new_k <= len(prev_active):
+        return prev_active
+    return grow_set(prev_active, prev.delta, new_k)
 
 
 def _sized_init(family, d, init, k, evaluations) -> tuple[int, ...]:

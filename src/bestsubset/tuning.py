@@ -4,15 +4,14 @@ The sequential search runs the active-set solver for k = 1..k_max, warm
 starting each size from the previous solution, and picks the k minimizing an
 information criterion (AIC, BIC, or EBIC).  The golden-section search
 instead brackets the `elbow' of the loss-versus-k curve, probing a few
-sizes per iteration: at most 5 solver calls per iteration and at most
+sizes per iteration: exactly 5 solver calls per iteration, so
+``GoldenSectionTrace.pdas_calls`` is 5 x iterations, for at most
 ``GSECTION_MAX_ITER`` iterations.  The iteration count is not
 O(log k_max): when the loss is flat left of the split, the left end resets
 to 1, so the search can run many iterations before the interval collapses.
-The actual number of solver calls is reported as
-``GoldenSectionTrace.pdas_calls``.  Those calls revisit sets (a reset of
-the left end walks the same paths again), so ``gpdas`` fits each distinct
-active set at most once per call and ``pdas_calls`` counts solver calls,
-not fits.
+Those calls revisit sets (a reset of the left end walks the same paths
+again), so ``gpdas`` fits each distinct active set at most once per call
+and ``pdas_calls`` counts solver calls, not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
@@ -27,7 +26,7 @@ import numpy as np
 
 from .data import StandardizedDataset
 from .families import ModelFamily, loglik_from_loss
-from .pdas import PdasOutput, grow_set, null_fit, pdas
+from .pdas import PdasOutput, null_fit, pdas, warm_start_set
 
 CRITERIA = ("aic", "bic", "ebic")
 LOSS_FLOOR = 1e-8
@@ -116,20 +115,6 @@ class FitPath:
             if entry.k == k:
                 return entry
         raise KeyError(f"no path entry for k={k}")
-
-
-def warm_start_set(prev: PdasOutput, new_k: int) -> tuple[int, ...]:
-    """Grow the previous active set with the top inactive sacrifices.
-
-    The previous set is kept whole and the (new_k - k_prev) inactive
-    coordinates of largest sacrifice are appended; ties go to lower indices.
-    """
-    prev_active = prev.model.active_set
-    if new_k < len(prev_active):
-        raise ValueError("new_k must be at least the previous active set size")
-    if new_k == len(prev_active):
-        return prev_active
-    return grow_set(prev_active, prev.delta, new_k)
 
 
 def fixed_k_report(family, d, out: PdasOutput, method: str, criterion: str):
@@ -231,11 +216,11 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
 
     ``run(k, prev)`` must fit size k, warm started from the previous output
     ``prev`` (or None), and return an object with a ``loss`` attribute.
-    Returns ``(output, rows, reason, calls)``.
+    Returns ``(output, rows, reason, calls)`` with ``calls`` = 5 x iterations.
 
     Each iteration solves at the interval ends and the golden split k_M,
-    then probes k_M +- 1: a drop into k_M that is large relative to the
-    loss there, followed by a flat step beyond it, certifies an elbow.
+    then probes k_M - 1 and k_M + 1: a drop into k_M that is large relative
+    to the loss there, followed by a flat step beyond it, certifies an elbow.
     Otherwise the interval shrinks toward wherever the loss still moves.
     """
     if k_max < 3:
@@ -244,35 +229,22 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         raise ValueError("eta must be in (0, 1)")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    calls = 0
-
-    def solve(k, prev):
-        nonlocal calls
-        calls += 1
-        return run(k, prev)
-
     k_left, k_right = 1, k_max
     prev_left = prev_right = prev_mid = None
-    out_mid = None
     rows = []
     reason = "max-iter"
     for m in range(1, m_max + 1):
-        out_left = solve(k_left, prev_left)
-        out_right = solve(k_right, prev_right)
+        out_left = run(k_left, prev_left)
+        out_right = run(k_right, prev_right)
+        # k_right - k_left >= 2 here, so k_left < k_mid < k_right
         k_mid = split_point(k_left, k_right)
-        out_mid = solve(k_mid, prev_mid)
+        out_mid = run(k_mid, prev_mid)
         rows.append((m, k_left, k_mid, k_right))
 
         loss_mid = out_mid.loss
         tol = eta * max(abs(loss_mid), LOSS_FLOOR)
-        drop_in = False
-        if k_mid - 1 >= 1:
-            below = solve(k_mid - 1, out_mid)
-            drop_in = abs(loss_mid - below.loss) > tol
-        flat_out = False
-        if k_mid + 1 <= k_max:
-            above = solve(k_mid + 1, out_mid)
-            flat_out = abs(loss_mid - above.loss) < tol / 2.0
+        drop_in = abs(loss_mid - run(k_mid - 1, out_mid).loss) > tol
+        flat_out = abs(loss_mid - run(k_mid + 1, out_mid).loss) < tol / 2.0
         if drop_in and flat_out:
             reason = "elbow"
             break
@@ -290,7 +262,7 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         if k_left == k_right - 1:
             reason = "interval-collapse"
             break
-    return out_mid, tuple(rows), reason, calls
+    return out_mid, tuple(rows), reason, 5 * len(rows)
 
 
 def gpdas(
@@ -302,9 +274,10 @@ def gpdas(
     """Golden-section elbow search over the subset size.
 
     Returns ``(report, trace)``.  Solver outputs at each interval endpoint
-    warm start the corresponding run of the next iteration.  Each iteration
-    makes at most 5 ``pdas`` calls, for at most ``GSECTION_MAX_ITER``
-    iterations; ``trace.pdas_calls`` counts them all.
+    warm start the corresponding run of the next iteration, through
+    :func:`~bestsubset.pdas.warm_start_set`.  Each iteration makes exactly
+    5 ``pdas`` calls, so ``trace.pdas_calls`` is 5 x iterations, for at
+    most ``GSECTION_MAX_ITER`` iterations.
     The calls share one ``evaluations`` dict, so each distinct active set
     is fitted at most once per ``gpdas`` call; ``pdas_calls`` counts solver
     calls, not fits.
@@ -313,13 +286,7 @@ def gpdas(
     evaluations = {}  # shared by this search's pdas runs, dropped on return
 
     def run(k, prev):
-        if prev is None:
-            init = None
-        elif k >= prev.k:
-            init = warm_start_set(prev, k)
-        else:
-            init = prev.model.active_set
-        return pdas(family, d, k, init=init, evaluations=evaluations)
+        return pdas(family, d, k, init=warm_start_set(prev, k), evaluations=evaluations)
 
     out, rows, reason, calls = golden_section_search(run, k_max, eta, GSECTION_MAX_ITER)
     trace = GoldenSectionTrace(rows, out.k, reason, calls)

@@ -88,11 +88,42 @@ class TestScenarioValidation:
             (dict(family="binomial", holdout=0), "holdout must be >= 2"),
             (dict(methods=()), "need at least one method"),
             (dict(q=0), "gaussian scenario needs q >= 1"),
+            (dict(sigma=float("nan")), "sigma must be positive and finite, got nan"),
+            (dict(rho=float("inf")), "rho must be finite, got inf"),
         ],
     )
     def test_rejected_at_construction(self, kw, message):
         with pytest.raises(ValueError, match=message):
             small_scenario(**kw)
+
+    def test_cox_holdout_without_comparable_pair_fails_before_fitting(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counting(search):
+            def wrapped(*args, **kwargs):
+                calls.append(search.__name__)
+                return search(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(bench, "spdas", counting(bench.spdas))
+        monkeypatch.setattr(bench, "gpdas", counting(bench.gpdas))
+        scn = BenchScenario(
+            family="cox", n=60, p=8, q=2, censor_rate=0.7, holdout=2, reps=12,
+            methods=("spdas", "gpdas"),
+        )
+        # replication 0's two held-out rows form no comparable pair
+        with pytest.raises(ValueError, match=r"^replication 0: .*raise --holdout$"):
+            run_replication(scn, 0)
+        assert calls == []
+        with pytest.raises(ValueError, match="^replication 0: "):
+            run_bench(scn)
+        assert calls == []
+        # replication 2's do, and it fits as before
+        run_replication(scn, 2)
+        assert calls == ["spdas", "gpdas"]
 
     def test_null_signal_runs_outside_gaussian(self):
         scn = small_scenario(family="binomial", q=0, reps=1, methods=("spdas",))

@@ -108,6 +108,17 @@ class TestGen:
             if f.name != "beta"
         }
 
+    @pytest.mark.parametrize(
+        "drawn", [["--q", 0], ["--q", 1, "--beta", "1,0,0"]], ids=["q-0", "beta"]
+    )
+    def test_magnitudes_ignored_when_nothing_is_drawn(self, tmp_path, drawn):
+        out = tmp_path / "d.csv"
+        assert run(["gen", "--family", "gaussian", "--n", 30, "--p", 3, "--b", 2,
+                    "--B", 1, *drawn, "--output", out]) == 0
+        truth = json.loads((tmp_path / "d.csv.truth.json").read_text())
+        assert truth["config"]["b"] == 2.0 and truth["config"]["B"] == 1.0
+        assert truth["beta"] == ([1.0, 0.0, 0.0] if "--beta" in drawn else [0.0] * 3)
+
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_censor_rate_outside_cox_fails(self, tmp_path, capsys, family):
         out = tmp_path / "d.csv"
@@ -135,9 +146,21 @@ class TestRejectedScenarios:
             ["bench", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 0],
             ["bench", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 2,
              "--methods", ","],
+            ["gen", "--family", "gaussian", "--n", 30, "--p", 5, "--q", 2,
+             "--sigma", "nan"],
+            ["gen", "--family", "gaussian", "--n", 30, "--p", 5, "--q", 2,
+             "--rho", "nan"],
+            ["gen", "--family", "binomial", "--n", 30, "--p", 5, "--q", 2,
+             "--rho", "inf"],
+            ["bench", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 2,
+             "--sigma", "nan"],
+            ["bench", "--family", "cox", "--n", 60, "--p", 8, "--q", 2,
+             "--censor-rate", 0.7, "--holdout", 2],
         ],
         ids=["gen-negative-b", "gen-zero-b", "gen-infinite-B", "bench-b-above-B",
-             "bench-holdout-0", "bench-gaussian-q-0", "bench-no-methods"],
+             "bench-holdout-0", "bench-gaussian-q-0", "bench-no-methods",
+             "gen-sigma-nan", "gen-rho-nan", "gen-rho-inf", "bench-sigma-nan",
+             "bench-cox-holdout-without-pairs"],
     )
     def test_exit_1_with_one_error_line_and_no_output(self, tmp_path, capsys, argv):
         outputs = ["--output", tmp_path / "out.csv"]

@@ -53,11 +53,6 @@ class TestGenBeta:
     def test_zero_support(self, rng):
         np.testing.assert_array_equal(gen_beta(10, 0, 1.0, 2.0, "random", rng), 0.0)
 
-    def test_explicit_override_returned_verbatim(self, rng):
-        target = np.array([3.0, 1.5, 0, 0, -2.0, 0, 0, 0, -1.0, 0])
-        out = gen_beta(10, 4, 1.0, 2.0, "random", rng, explicit=target)
-        np.testing.assert_array_equal(out, target)
-
     def test_magnitudes_within_range(self, rng):
         for _ in range(10):
             beta = gen_beta(30, 7, 0.5, 2.5, "random", rng)
@@ -111,6 +106,20 @@ class TestGenResponse:
         resp = gen_response("cox", X, beta, cfg, rng)
         censored = 1.0 - resp.status.mean()
         assert abs(censored - target) < 0.03
+
+
+class TestGenDataset:
+    def test_explicit_beta_returned_verbatim(self):
+        target = (3.0, 1.5, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0, -1.0, 0.0)
+        cfg = GenConfig(n=40, p=10, q=4, beta=target, seed=5)
+        dataset, beta, support = gen_dataset(cfg)
+        assert beta.tolist() == list(target) and support == (0, 1, 4, 8)
+        # nothing is drawn for beta: the response follows the design directly
+        rng = np.random.default_rng(5)
+        X = gen_design(40, 10, cfg.rho, rng)
+        y = gen_response("gaussian", X, np.array(target), cfg, rng).y
+        np.testing.assert_array_equal(dataset.X, X)
+        np.testing.assert_array_equal(dataset.response.y, y)
 
 
 class TestDeterminism:
@@ -177,11 +186,39 @@ class TestDrawnMagnitudes:
         with pytest.raises(ValueError, match="b <= B"):
             GenConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs", [dict(q=0), dict(q=1, beta=(1.0, 0.0, 0.0))], ids=["q-0", "beta"]
+    )
+    def test_b_above_B_accepted_when_nothing_is_drawn(self, kwargs):
+        cfg = GenConfig(n=20, p=3, b=2.0, B=1.0, seed=0, **kwargs)
+        assert cfg.magnitude_range() == (2.0, 1.0)
+        _, beta, _ = gen_dataset(cfg)
+        assert beta.tolist() == list(kwargs.get("beta", (0.0, 0.0, 0.0)))
+
     def test_unchecked_when_nothing_is_drawn(self):
         assert gen_dataset(GenConfig(n=20, p=1, q=0, seed=0))[2] == ()
         cfg = GenConfig(n=20, p=3, q=1, b=-1.0, B=1.0, beta=(0.0, 2.0, 0.0))
         _, beta, support = gen_dataset(cfg)
         assert support == (1,) and beta.tolist() == [0.0, 2.0, 0.0]
+
+
+class TestFiniteScales:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(sigma=float("nan")), "sigma must be positive and finite, got nan"),
+            (dict(sigma=float("inf")), "sigma must be positive and finite, got inf"),
+            (dict(sigma=0.0), "sigma must be positive and finite, got 0.0"),
+            (dict(sigma=-1.0), "sigma must be positive and finite, got -1.0"),
+            (dict(rho=float("nan")), "rho must be finite, got nan"),
+            (dict(rho=float("inf")), "rho must be finite, got inf"),
+            (dict(rho=float("-inf")), "rho must be finite, got -inf"),
+        ],
+    )
+    def test_rejected_at_construction(self, kwargs, message):
+        for family in ("gaussian", "binomial"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GenConfig(n=30, p=5, q=2, family=family, **kwargs)
 
 
 class TestCensoringHorizon:

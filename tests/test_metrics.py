@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestsubset.metrics import accuracy, concordance_index, relative_mse, tp_fp
+from bestsubset.metrics import (
+    accuracy,
+    comparable_pairs,
+    concordance_index,
+    relative_mse,
+    tp_fp,
+)
 
 
 class TestTpFp:
@@ -101,6 +107,14 @@ class TestConcordance:
         risk = rng.uniform(0.1, 2.0, 30)
         base = concordance_index(risk, time, status)
         assert concordance_index(np.exp(3 * risk), time, status) == base
+
+    def test_comparable_pairs_hand_case(self):
+        # 0 is an event before 1 and 2; 1 is censored; 2 ties 3 in time
+        time = np.array([1.0, 2.0, 3.0, 3.0])
+        status = np.array([1.0, 0.0, 1.0, 1.0])
+        expected = np.zeros((4, 4), dtype=bool)
+        expected[0, 1:] = True
+        np.testing.assert_array_equal(comparable_pairs(time, status), expected)
 
     def test_no_comparable_pairs(self):
         with pytest.raises(ValueError, match="no comparable pairs"):

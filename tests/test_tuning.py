@@ -125,11 +125,25 @@ class TestWarmStart:
         )
         assert warm_start_set(out, 3) == (0, 1, 2)
 
-    def test_shrinking_rejected(self):
+    def test_smaller_size_keeps_the_set_for_pdas_to_trim(self):
         sd = self._out(2)
         out = pdas(GAUSSIAN, sd, 3)
-        with pytest.raises(ValueError):
-            warm_start_set(out, 2)
+        active = out.model.active_set
+        assert warm_start_set(out, 2) == active
+        # pdas trims the set to its 2 largest |beta|, as gpdas's start was
+        by_size = sorted(active, key=lambda j: -abs(out.model.beta[j]))
+        trimmed = pdas(GAUSSIAN, sd, 2, init=warm_start_set(out, 2))
+        assert trimmed.history[0] == tuple(sorted(by_size[:2]))
+
+    def test_no_previous_output_is_a_cold_start(self):
+        assert warm_start_set(None, 3) is None
+        sd = self._out(4)
+        cold = pdas(GAUSSIAN, sd, 3, init=warm_start_set(None, 3))
+        assert cold.history == pdas(GAUSSIAN, sd, 3).history
+
+    def test_one_definition_in_pdas(self):
+        assert warm_start_set is PDAS_MODULE.warm_start_set
+        assert not hasattr(importlib.import_module("bestsubset.tuning"), "grow_set")
 
     def test_from_null_fit(self):
         sd = self._out(3)
@@ -266,7 +280,7 @@ class TestGoldenSectionSearch:
         ]
         assert reason == "elbow"
         assert out.loss == curve(6)
-        assert calls <= 5 * len(rows)
+        assert calls == 5 * len(rows)
 
     def test_interval_shrinks_each_iteration(self):
         curve = elbow_curve(6)
@@ -280,6 +294,32 @@ class TestGoldenSectionSearch:
         _, rows, reason, _ = golden_section_search(run, 3, eta=0.01, m_max=50)
         assert reason == "interval-collapse"
         assert len(rows) <= 2
+
+    @given(
+        st.integers(3, 400),
+        st.lists(st.floats(0.0, 10.0), min_size=400, max_size=400),
+        st.sampled_from([1e-3, 0.01, 0.2]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_probes_stay_in_range_and_make_five_calls_per_row(
+        self, k_max, steps, eta, decreasing
+    ):
+        # a random monotone loss curve: cumulative sums of nonnegative steps
+        levels = np.cumsum(steps)
+        curve = levels[::-1] if decreasing else levels
+        probed = []
+
+        def run(k, prev):
+            probed.append(k)
+            return SimpleNamespace(k=k, loss=float(curve[k - 1]))
+
+        out, rows, reason, calls = golden_section_search(run, k_max, eta, m_max=100)
+        assert all(1 <= k <= k_max for k in probed)
+        assert calls == len(probed) == 5 * len(rows)
+        assert all(kl < km < kr for _, kl, km, kr in rows)
+        assert out.k == rows[-1][2]
+        assert reason in ("elbow", "interval-collapse", "max-iter")
 
     def test_validation(self):
         run = lambda k, prev: SimpleNamespace(loss=1.0)
@@ -311,14 +351,14 @@ class TestGpdas:
         ds, _, _ = gen_dataset(cfg)
         sd = standardize(ds)
         _, trace = gpdas(GAUSSIAN, sd, k_max=15)
-        assert trace.pdas_calls <= 5 * len(trace.rows)
+        assert trace.pdas_calls == 5 * len(trace.rows)
 
     def test_pdas_call_bound_on_long_search(self):
         # this search runs 66 iterations and ends by interval-collapse at k=12
         cfg = GenConfig(n=500, p=100, q=10, family="gaussian", rho=0.2, seed=3)
         sd = standardize(gen_dataset(cfg)[0])
         _, trace = gpdas(GAUSSIAN, sd)
-        assert trace.pdas_calls <= 5 * len(trace.rows)
+        assert trace.pdas_calls == 5 * len(trace.rows)
         assert len(trace.rows) <= 100
 
     def test_finds_true_size_on_strong_signal(self):
@@ -376,3 +416,4 @@ class TestGpdas:
         assert report.pdas_iterations == out.iterations
         assert report.pdas_converged == out.converged
         assert (trace.rows, trace.reason, trace.pdas_calls) == (rows, reason, calls)
+        assert trace.pdas_calls == 5 * len(trace.rows)
