@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke run of the installed `bestsubset` console script, in the current
-# directory: gen, fit and oracle for each family, and gen's input checks.
+# directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
+# oracle for each family, and the input checks of gen and fit.
 # Usage: bash console-smoke.sh
 set -eo pipefail
 
@@ -14,11 +15,16 @@ must_fail() {
 bestsubset gen --family gaussian --n 60 --p 8 --q 2 --seed 1 --output d.csv
 bestsubset fit --input d.csv --family gaussian --method one -k 2 --format csv
 bestsubset fit --input d.csv --family gaussian --method gsection --k-max 5
+bestsubset fit --input d.csv --family gaussian --method sequential --k-max 5
+bestsubset fit --input d.csv --family gaussian --method sequential --k-max 5 --format csv
 bestsubset fit --input d.csv --family gaussian --method one -k 2 --eta 1.5
 bestsubset oracle --input d.csv --family gaussian -k 2 --format csv
 for fam in binomial cox; do
   bestsubset gen --family $fam --n 80 --p 8 --q 2 --seed 1 --output $fam.csv
   bestsubset fit --input $fam.csv --family $fam --method one -k 2 --format csv
+  bestsubset fit --input $fam.csv --family $fam --method sequential --k-max 5
+  bestsubset fit --input $fam.csv --family $fam --method sequential --k-max 5 --format csv
+  bestsubset fit --input $fam.csv --family $fam --method gsection --k-max 5
   tail -n +2 $fam.csv > $fam-nh.csv
   bestsubset fit --input $fam-nh.csv --family $fam --no-header --method one -k 2
   bestsubset oracle --input $fam.csv --family $fam -k 2
@@ -27,3 +33,4 @@ done
 bestsubset gen --family gaussian --n 60 --p 8 --q 0 --b 2 --B 1 --output q0.csv
 must_fail bestsubset gen --family gaussian --n 60 --p 8 --q 2 --b -1 --B 1 --output bad.csv
 must_fail bestsubset gen --family gaussian --n 60 --p 8 --q 2 --sigma nan --output bad.csv
+must_fail bestsubset fit --input d.csv --family gaussian --method sequential --epsilon nan

@@ -19,7 +19,7 @@ from .datagen import GenConfig, gen_beta, gen_design, gen_response
 from .families import ModelFamily, fit_active, predict
 from .metrics import accuracy, comparable_pairs, concordance_index, relative_mse, tp_fp
 from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
-from .tuning import gpdas, spdas
+from .tuning import check_epsilon, check_eta, gpdas, spdas
 
 METRIC_NAME = {"gaussian": "mse", "binomial": "accuracy", "cox": "cindex"}
 KNOWN_METHODS = ("spdas", "gpdas", "oracle")
@@ -60,6 +60,10 @@ class BenchScenario:
                 f"infeasible scenario: oracle requires p <= {DEFAULT_P_CAP}, "
                 f"got p={self.p}"
             )
+        if "spdas" in self.methods:
+            check_epsilon(self.epsilon)
+        if "gpdas" in self.methods:
+            check_eta(self.eta)
         if self.holdout < 2:
             raise ValueError(f"holdout must be >= 2, got {self.holdout}")
         if self.family == "gaussian" and self.q == 0:

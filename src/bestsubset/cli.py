@@ -26,10 +26,11 @@ from .datagen import GenConfig, gen_dataset
 from .families import ModelFamily, fit_active
 from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
 from .pdas import pdas
-from .tuning import CRITERIA, SelectionReport, fixed_k_report, gpdas, spdas
+from .tuning import CRITERIA, SelectionReport, check_eta, fixed_k_report, gpdas, spdas
 
 
 _CRITERIA = ("deviance", *CRITERIA)
+_PATH_KEYS = ("k", "active", "loss", *_CRITERIA, "coefficients", "pdas_converged")
 
 
 def _from_args(cls, args, **overrides):
@@ -91,21 +92,10 @@ def _report_payload(report: SelectionReport, meta, names, dense=False):
     return payload
 
 
-def _path_payload(path, names, meta):
-    payload = []
-    for entry in path.entries:
-        _, beta_orig = destandardize_coefficients(entry.beta, meta, entry.intercept)
-        payload.append(
-            {
-                "k": entry.k,
-                "active": [names[j] for j in entry.active_set],
-                "loss": entry.loss,
-                **_criteria(entry),
-                "coefficients": _sparse_coefficients(names, beta_orig),
-                "pdas_converged": entry.pdas_converged,
-            }
-        )
-    return payload
+def _path_payload(path, meta, names):
+    """Each path entry's report payload, cut to ``_PATH_KEYS``."""
+    payloads = (_report_payload(entry, meta, names) for entry in path.entries)
+    return [{key: payload[key] for key in _PATH_KEYS} for payload in payloads]
 
 
 def _write_text(text, output):
@@ -128,11 +118,12 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
-def _path_csv(path, names, meta):
+def _path_csv(path, meta, names):
     rows = [["k", "loss", *_CRITERIA, *names]]
     for entry in path.entries:
-        _, beta_orig = destandardize_coefficients(entry.beta, meta, entry.intercept)
-        values = [entry.loss, *_criteria(entry).values(), *beta_orig]
+        payload = _report_payload(entry, meta, names, dense=True)
+        values = [payload[key] for key in ("loss", *_CRITERIA)]
+        values += payload["coefficients_dense"]
         rows.append([entry.k] + [repr(float(v)) for v in values])
     return _csv_text(rows)
 
@@ -146,20 +137,19 @@ def _coefficients_csv(payload):
 
 
 def _load_input(args):
+    """``(meta, names, family)``: the standardized input, its columns, its family."""
     if args.input is None:
         raise ValueError("--input is required")
-    return load_csv(
+    dataset = load_csv(
         args.input, args.family, response=args.response, header=not args.no_header
     )
+    return standardize(dataset), dataset.names(), ModelFamily(args.family)
 
 
 def cmd_fit(args) -> int:
-    if args.method == "gsection" and not 0.0 < args.eta < 1.0:
-        raise ValueError("eta must be in (0, 1)")
-    dataset = _load_input(args)
-    meta = standardize(dataset)
-    names = dataset.names()
-    family = ModelFamily(args.family)
+    if args.method == "gsection":
+        check_eta(args.eta)
+    meta, names, family = _load_input(args)
 
     trace_lines = []
     path = None
@@ -183,16 +173,15 @@ def cmd_fit(args) -> int:
             print(line)
 
     payload = _report_payload(report, meta, names, dense=args.dense)
-    if path is not None:
-        payload["path"] = _path_payload(path, names, meta)
-        payload["best_by"] = dict(sorted(path.best_by.items()))
-    if trace_lines:
-        payload["gsection_trace"] = trace_lines
-
     if args.format == "json":
+        if path is not None:
+            payload["path"] = _path_payload(path, meta, names)
+            payload["best_by"] = dict(sorted(path.best_by.items()))
+        if trace_lines:
+            payload["gsection_trace"] = trace_lines
         _emit_json(payload, args.output)
     elif path is not None:
-        _write_text(_path_csv(path, names, meta), args.output)
+        _write_text(_path_csv(path, meta, names), args.output)
     else:
         _write_text(_coefficients_csv(payload), args.output)
     return 0
@@ -226,10 +215,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    dataset = _load_input(args)
-    meta = standardize(dataset)
-    names = dataset.names()
-    family = ModelFamily(args.family)
+    meta, names, family = _load_input(args)
     active, best_loss = exhaustive_best_subset(family, meta, args.k, p_cap=args.p_cap)
     model = fit_active(family, meta, active)
     payload, _ = _model_payload(family.tag, "oracle", model, best_loss, meta, names)

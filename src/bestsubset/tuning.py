@@ -3,15 +3,17 @@
 The sequential search runs the active-set solver for k = 1..k_max, warm
 starting each size from the previous solution, and picks the k minimizing an
 information criterion (AIC, BIC, or EBIC).  The golden-section search
-instead brackets the `elbow' of the loss-versus-k curve, probing a few
-sizes per iteration: exactly 5 solver calls per iteration, so
-``GoldenSectionTrace.pdas_calls`` is 5 x iterations, for at most
-``GSECTION_MAX_ITER`` iterations.  The iteration count is not
-O(log k_max): when the loss is flat left of the split, the left end resets
-to 1, so the search can run many iterations before the interval collapses.
-Those calls revisit sets (a reset of the left end walks the same paths
-again), so ``gpdas`` fits each distinct active set at most once per call
-and ``pdas_calls`` counts solver calls, not fits.
+instead brackets the `elbow' of the loss-versus-k curve with 2 + 3 solver
+calls per iteration; interval ends are held, not re-solved.  Sizes 1 and
+k_max are solved once up front and each iteration solves only the split k_M
+and its neighbours, so ``GoldenSectionTrace.pdas_calls`` is 2 + 3 x
+iterations, for at most ``GSECTION_MAX_ITER`` iterations.  The iteration
+count is not O(log k_max): when the loss is flat left of the split, the left
+end resets to 1, so the search can run many iterations before the interval
+collapses.
+Each split is warm started from the previous one, and those runs revisit
+sets, so ``gpdas`` fits each distinct active set at most once per call and
+``pdas_calls`` counts solver calls, not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
@@ -69,6 +71,18 @@ def resolve_criterion(criterion: str, n: int, p: int) -> str:
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     return criterion
+
+
+def check_eta(eta: float) -> None:
+    """The elbow tolerance of the golden-section search lies in (0, 1)."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must be in (0, 1)")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """The early-stop threshold of the sequential sweep is finite and >= 0."""
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
 
 
 def default_k_max(family: ModelFamily, n: int, p: int) -> int:
@@ -164,8 +178,7 @@ def spdas(
     """
     n, p = d.dataset.n, d.dataset.p
     k_max = _checked_k_max(family, n, p, k_max)
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    check_epsilon(epsilon)
     chosen = resolve_criterion(criterion, n, p)
 
     def entry(out):
@@ -216,29 +229,32 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
 
     ``run(k, prev)`` must fit size k, warm started from the previous output
     ``prev`` (or None), and return an object with a ``loss`` attribute.
-    Returns ``(output, rows, reason, calls)`` with ``calls`` = 5 x iterations.
+    Returns ``(output, rows, reason, calls)`` with ``calls`` = 2 + 3 x
+    iterations; interval ends are held, not re-solved.
 
-    Each iteration solves at the interval ends and the golden split k_M,
-    then probes k_M - 1 and k_M + 1: a drop into k_M that is large relative
-    to the loss there, followed by a flat step beyond it, certifies an elbow.
-    Otherwise the interval shrinks toward wherever the loss still moves.
+    Sizes 1 and k_max are solved once, up front.  Each iteration solves the
+    golden split k_M, warm started from the previous split, then probes
+    k_M - 1 and k_M + 1: a drop into k_M that is large relative to the loss
+    there, followed by a flat step beyond it, certifies an elbow.  Otherwise
+    the interval shrinks toward wherever the loss still moves, and k_M's
+    output becomes the moved end's; a reset left end takes back the size-1
+    output.  No ``run`` call gets an output at its own size as ``prev``.
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must be in (0, 1)")
+    check_eta(eta)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     k_left, k_right = 1, k_max
-    prev_left = prev_right = prev_mid = None
+    out_left = first = run(1, None)
+    out_right = run(k_max, None)
+    out_mid = None
     rows = []
     reason = "max-iter"
     for m in range(1, m_max + 1):
-        out_left = run(k_left, prev_left)
-        out_right = run(k_right, prev_right)
-        # k_right - k_left >= 2 here, so k_left < k_mid < k_right
+        # k_right - k_left >= 2 here, so k_left < k_mid < k_right: a new size
         k_mid = split_point(k_left, k_right)
-        out_mid = run(k_mid, prev_mid)
+        out_mid = run(k_mid, out_mid)
         rows.append((m, k_left, k_mid, k_right))
 
         loss_mid = out_mid.loss
@@ -252,17 +268,16 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         gap_left = abs(loss_mid - out_left.loss)
         gap_right = abs(out_right.loss - loss_mid)
         if gap_left > tol > gap_right:
-            k_right, prev_right = k_mid, out_mid
+            k_right, out_right = k_mid, out_mid
         elif min(gap_left, gap_right) > tol:
-            k_left, prev_left = k_mid, out_mid
+            k_left, out_left = k_mid, out_mid
         else:
-            k_right, prev_right = k_mid, out_mid
-            k_left, prev_left = 1, None
-        prev_mid = out_mid
+            k_right, out_right = k_mid, out_mid
+            k_left, out_left = 1, first
         if k_left == k_right - 1:
             reason = "interval-collapse"
             break
-    return out_mid, tuple(rows), reason, 5 * len(rows)
+    return out_mid, tuple(rows), reason, 2 + 3 * len(rows)
 
 
 def gpdas(
@@ -273,11 +288,12 @@ def gpdas(
 ):
     """Golden-section elbow search over the subset size.
 
-    Returns ``(report, trace)``.  Solver outputs at each interval endpoint
-    warm start the corresponding run of the next iteration, through
-    :func:`~bestsubset.pdas.warm_start_set`.  Each iteration makes exactly
-    5 ``pdas`` calls, so ``trace.pdas_calls`` is 5 x iterations, for at
-    most ``GSECTION_MAX_ITER`` iterations.
+    Returns ``(report, trace)``.  Each split is warm started from the
+    previous split, and its neighbours from the split, through
+    :func:`~bestsubset.pdas.warm_start_set`.  The search makes 2 + 3 solver
+    calls per iteration; interval ends are held, not re-solved, so
+    ``trace.pdas_calls`` is 2 + 3 x iterations, for at most
+    ``GSECTION_MAX_ITER`` iterations.
     The calls share one ``evaluations`` dict, so each distinct active set
     is fitted at most once per ``gpdas`` call; ``pdas_calls`` counts solver
     calls, not fits.

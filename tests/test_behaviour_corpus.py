@@ -6,7 +6,7 @@ gpdas trace and stop reason, and the loss (to 1e-9 relative) are pinned.
 The pins record what the code did when they were taken: they are
 behaviour, not correctness, and exist so that a refactor of the solver
 shows "same selections, same losses" mechanically.  Work on the
-golden-section search itself (ROADMAP item 3) is expected to change the
+golden-section search itself (ROADMAP item 1) is expected to change the
 gpdas entries; re-record them there and say why.
 """
 

@@ -24,6 +24,23 @@ def small_scenario(**kw):
     return BenchScenario(**base)
 
 
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Names of the ``spdas``/``gpdas`` calls ``bench`` makes, in order."""
+    calls = []
+
+    def counting(search):
+        def wrapped(*args, **kwargs):
+            calls.append(search.__name__)
+            return search(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(bench, "spdas", counting(bench.spdas))
+    monkeypatch.setattr(bench, "gpdas", counting(bench.gpdas))
+    return calls
+
+
 def strip_times(records):
     cleaned = []
     for record in records:
@@ -97,19 +114,9 @@ class TestScenarioValidation:
             small_scenario(**kw)
 
     def test_cox_holdout_without_comparable_pair_fails_before_fitting(
-        self, monkeypatch
+        self, search_calls
     ):
-        calls = []
-
-        def counting(search):
-            def wrapped(*args, **kwargs):
-                calls.append(search.__name__)
-                return search(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(bench, "spdas", counting(bench.spdas))
-        monkeypatch.setattr(bench, "gpdas", counting(bench.gpdas))
+        calls = search_calls
         scn = BenchScenario(
             family="cox", n=60, p=8, q=2, censor_rate=0.7, holdout=2, reps=12,
             methods=("spdas", "gpdas"),
@@ -124,6 +131,26 @@ class TestScenarioValidation:
         # replication 2's do, and it fits as before
         run_replication(scn, 2)
         assert calls == ["spdas", "gpdas"]
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(epsilon=float("nan")), "epsilon must be nonnegative and finite, got nan"),
+            (dict(epsilon=float("inf")), "epsilon must be nonnegative and finite, got inf"),
+            (dict(epsilon=-0.5), "epsilon must be nonnegative and finite, got -0.5"),
+            (dict(eta=1.5), r"eta must be in \(0, 1\)"),
+            (dict(eta=float("nan")), r"eta must be in \(0, 1\)"),
+        ],
+    )
+    def test_search_options_rejected_before_fitting(self, search_calls, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_bench(small_scenario(methods=("spdas", "gpdas"), **kw))
+        assert search_calls == []
+
+    def test_search_options_checked_only_for_the_method_using_them(self):
+        # as in ``fit``: epsilon belongs to spdas, eta to gpdas
+        small_scenario(methods=("gpdas",), epsilon=float("nan"))
+        small_scenario(methods=("spdas",), eta=1.5)
 
     def test_null_signal_runs_outside_gaussian(self):
         scn = small_scenario(family="binomial", q=0, reps=1, methods=("spdas",))

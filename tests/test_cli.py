@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from dataclasses import fields
@@ -156,11 +157,16 @@ class TestRejectedScenarios:
              "--sigma", "nan"],
             ["bench", "--family", "cox", "--n", 60, "--p", 8, "--q", 2,
              "--censor-rate", 0.7, "--holdout", 2],
+            ["bench", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 2,
+             "--epsilon", "nan"],
+            ["bench", "--family", "gaussian", "--n", 50, "--p", 10, "--q", 2,
+             "--methods", "spdas,gpdas", "--eta", 1.5],
         ],
         ids=["gen-negative-b", "gen-zero-b", "gen-infinite-B", "bench-b-above-B",
              "bench-holdout-0", "bench-gaussian-q-0", "bench-no-methods",
              "gen-sigma-nan", "gen-rho-nan", "gen-rho-inf", "bench-sigma-nan",
-             "bench-cox-holdout-without-pairs"],
+             "bench-cox-holdout-without-pairs", "bench-epsilon-nan",
+             "bench-eta-above-one"],
     )
     def test_exit_1_with_one_error_line_and_no_output(self, tmp_path, capsys, argv):
         outputs = ["--output", tmp_path / "out.csv"]
@@ -314,6 +320,48 @@ class TestFit:
         assert run(argv + ["--method", "gsection"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "eta" in err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-0.5"])
+    def test_non_finite_or_negative_epsilon_rejected(self, tmp_path, capsys, epsilon):
+        data = gen_planted(tmp_path)
+        report_path = tmp_path / "report.json"
+        argv = ["fit", "--input", data, "--family", "gaussian", "--k-max", 5,
+                f"--epsilon={epsilon}", "--output", report_path]
+        assert run(argv + ["--method", "sequential"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: epsilon must be nonnegative and finite, got {float(epsilon)}\n"
+        )
+        assert not report_path.exists()
+        # like --eta, --epsilon belongs to one method and the others ignore it
+        assert run(argv + ["--method", "one", "-k", 2]) == 0
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    def test_path_json_and_csv_agree(self, tmp_path, family):
+        data = tmp_path / "d.csv"
+        assert run(["gen", "--family", family, "--n", 120, "--p", 8, "--q", 3,
+                    "--censor-rate", 0.2 if family == "cox" else 0, "--seed", 5,
+                    "--output", data]) == 0
+        argv = ["fit", "--input", data, "--family", family, "--method",
+                "sequential", "--k-max", 6, "--criterion", "ebic", "--dense"]
+        assert run(argv + ["--output", tmp_path / "p.json"]) == 0
+        assert run(argv + ["--format", "csv", "--output", tmp_path / "p.csv"]) == 0
+        path = json.loads((tmp_path / "p.json").read_text())["path"]
+        with open(tmp_path / "p.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        criteria = ["loss", "deviance", "aic", "bic", "ebic"]
+        assert header[:6] == ["k", *criteria]
+        names = header[6:]
+        assert [int(row[0]) for row in rows] == [entry["k"] for entry in path]
+        for entry, row in zip(path, rows):
+            assert row[1:6] == [repr(entry[key]) for key in criteria]
+            nonzero = [
+                {"index": j + 1, "name": names[j], "coefficient": float(value)}
+                for j, value in enumerate(row[6:])
+                if float(value) != 0.0
+            ]
+            assert nonzero == entry["coefficients"]
 
     def test_seed_option_removed(self, tmp_path):
         data = gen_planted(tmp_path)

@@ -12,6 +12,7 @@ from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import ModelFamily, fit_active, loglik_from_loss
 from bestsubset.pdas import null_fit, pdas
 from bestsubset.tuning import (
+    LOSS_FLOOR,
     criteria,
     default_k_max,
     golden_section_search,
@@ -26,9 +27,20 @@ GAUSSIAN = ModelFamily("gaussian")
 # ``bestsubset.pdas`` is the function; the module is reached by import
 PDAS_MODULE = importlib.import_module("bestsubset.pdas")
 LONG_SEARCHES = [
-    GenConfig(n=500, p=100, q=10, rho=0.2, seed=3),  # 66 iterations, 330 calls
+    GenConfig(n=500, p=100, q=10, rho=0.2, seed=3),  # 66 iterations, 200 calls
     GenConfig(n=500, p=100, q=5, family="binomial", seed=3),
 ]
+# the behaviour-corpus scenarios and the acceptance gate-02 instance, with k_max
+GATE_02_BETA = (4.0, -3.5, 3.0, -2.5, 2.0, -1.5) + (0.0,) * 19
+HELD_END_SEARCHES = [
+    (GenConfig(n=100, p=20, q=3, seed=1), 10),
+    (GenConfig(n=500, p=20, q=3, family="binomial", seed=2), 8),
+    (GenConfig(n=150, p=15, q=3, family="cox", censor_rate=0.2, seed=3), 8),
+    (
+        GenConfig(n=2000, p=25, q=6, rho=0.2, sigma=0.5, beta=GATE_02_BETA, seed=0),
+        25,
+    ),
+] + [(cfg, None) for cfg in LONG_SEARCHES]
 
 
 def memo_free_gpdas(family, sd, k_max, eta=0.01, m_max=100):
@@ -44,6 +56,43 @@ def memo_free_gpdas(family, sd, k_max, eta=0.01, m_max=100):
         return pdas(family, sd, k, init=init)
 
     return golden_section_search(run, k_max, eta, m_max)
+
+
+def five_call_search(run, k_max, eta, m_max):
+    """The former search loop, which solved both interval ends every iteration."""
+    k_left, k_right = 1, k_max
+    prev_left = prev_right = prev_mid = None
+    rows = []
+    reason = "max-iter"
+    for m in range(1, m_max + 1):
+        out_left = run(k_left, prev_left)
+        out_right = run(k_right, prev_right)
+        k_mid = split_point(k_left, k_right)
+        out_mid = run(k_mid, prev_mid)
+        rows.append((m, k_left, k_mid, k_right))
+
+        loss_mid = out_mid.loss
+        tol = eta * max(abs(loss_mid), LOSS_FLOOR)
+        drop_in = abs(loss_mid - run(k_mid - 1, out_mid).loss) > tol
+        flat_out = abs(loss_mid - run(k_mid + 1, out_mid).loss) < tol / 2.0
+        if drop_in and flat_out:
+            reason = "elbow"
+            break
+
+        gap_left = abs(loss_mid - out_left.loss)
+        gap_right = abs(out_right.loss - loss_mid)
+        if gap_left > tol > gap_right:
+            k_right, prev_right = k_mid, out_mid
+        elif min(gap_left, gap_right) > tol:
+            k_left, prev_left = k_mid, out_mid
+        else:
+            k_right, prev_right = k_mid, out_mid
+            k_left, prev_left = 1, None
+        prev_mid = out_mid
+        if k_left == k_right - 1:
+            reason = "interval-collapse"
+            break
+    return out_mid, tuple(rows), reason, 5 * len(rows)
 
 
 class TestCriteria:
@@ -280,7 +329,7 @@ class TestGoldenSectionSearch:
         ]
         assert reason == "elbow"
         assert out.loss == curve(6)
-        assert calls == 5 * len(rows)
+        assert calls == 2 + 3 * len(rows)
 
     def test_interval_shrinks_each_iteration(self):
         curve = elbow_curve(6)
@@ -302,7 +351,7 @@ class TestGoldenSectionSearch:
         st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_probes_stay_in_range_and_make_five_calls_per_row(
+    def test_probes_stay_in_range_and_make_three_calls_per_row(
         self, k_max, steps, eta, decreasing
     ):
         # a random monotone loss curve: cumulative sums of nonnegative steps
@@ -310,13 +359,20 @@ class TestGoldenSectionSearch:
         curve = levels[::-1] if decreasing else levels
         probed = []
 
-        def run(k, prev):
-            probed.append(k)
+        def solve(k, prev):
             return SimpleNamespace(k=k, loss=float(curve[k - 1]))
+
+        def run(k, prev):
+            # never re-solved: no run gets an output at its own size
+            assert prev is None or prev.k != k
+            probed.append(k)
+            return solve(k, prev)
 
         out, rows, reason, calls = golden_section_search(run, k_max, eta, m_max=100)
         assert all(1 <= k <= k_max for k in probed)
-        assert calls == len(probed) == 5 * len(rows)
+        assert calls == len(probed) == 2 + 3 * len(rows)
+        old_out, old_rows, old_reason, _ = five_call_search(solve, k_max, eta, 100)
+        assert (out.k, rows, reason) == (old_out.k, old_rows, old_reason)
         assert all(kl < km < kr for _, kl, km, kr in rows)
         assert out.k == rows[-1][2]
         assert reason in ("elbow", "interval-collapse", "max-iter")
@@ -351,14 +407,14 @@ class TestGpdas:
         ds, _, _ = gen_dataset(cfg)
         sd = standardize(ds)
         _, trace = gpdas(GAUSSIAN, sd, k_max=15)
-        assert trace.pdas_calls == 5 * len(trace.rows)
+        assert trace.pdas_calls == 2 + 3 * len(trace.rows)
 
     def test_pdas_call_bound_on_long_search(self):
         # this search runs 66 iterations and ends by interval-collapse at k=12
         cfg = GenConfig(n=500, p=100, q=10, family="gaussian", rho=0.2, seed=3)
         sd = standardize(gen_dataset(cfg)[0])
         _, trace = gpdas(GAUSSIAN, sd)
-        assert trace.pdas_calls == 5 * len(trace.rows)
+        assert trace.pdas_calls == 2 + 3 * len(trace.rows)
         assert len(trace.rows) <= 100
 
     def test_finds_true_size_on_strong_signal(self):
@@ -416,4 +472,31 @@ class TestGpdas:
         assert report.pdas_iterations == out.iterations
         assert report.pdas_converged == out.converged
         assert (trace.rows, trace.reason, trace.pdas_calls) == (rows, reason, calls)
-        assert trace.pdas_calls == 5 * len(trace.rows)
+        assert trace.pdas_calls == 2 + 3 * len(trace.rows)
+
+    @pytest.mark.parametrize(
+        "cfg, k_max", HELD_END_SEARCHES,
+        ids=["gaussian", "binomial", "cox", "gate-02", "long-gaussian", "long-binomial"],
+    )
+    def test_same_result_as_five_call_search(self, cfg, k_max):
+        # holding the interval-end outputs changes no result of the search
+        # that re-solved both ends every iteration
+        family = ModelFamily(cfg.family)
+        sd = standardize(gen_dataset(cfg)[0])
+        report, trace = gpdas(family, sd, k_max=k_max)
+        evaluations = {}
+
+        def run(k, prev):
+            init = warm_start_set(prev, k)
+            return pdas(family, sd, k, init=init, evaluations=evaluations)
+
+        k_max = k_max or default_k_max(family, cfg.n, cfg.p)
+        out, rows, reason, calls = five_call_search(run, k_max, 0.01, 100)
+        assert (report.k, report.active_set) == (out.k, out.model.active_set)
+        assert report.loss == out.loss
+        np.testing.assert_array_equal(report.beta, out.model.beta)
+        assert report.intercept == out.model.intercept
+        assert report.pdas_iterations == out.iterations
+        assert report.pdas_converged == out.converged
+        assert (trace.rows, trace.reason) == (rows, reason)
+        assert (calls, trace.pdas_calls) == (5 * len(rows), 2 + 3 * len(rows))
