@@ -16,10 +16,10 @@ import numpy as np
 
 from .data import Dataset, destandardize_coefficients, standardize
 from .datagen import GenConfig, gen_beta, gen_design, gen_response
-from .families import ModelFamily, fit_active, predict
+from .families import ModelFamily, predict
 from .metrics import accuracy, comparable_pairs, concordance_index, relative_mse, tp_fp
 from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
-from .tuning import check_epsilon, check_eta, gpdas, spdas
+from .tuning import check_epsilon, check_eta, gpdas, gsection_k_max, spdas
 
 METRIC_NAME = {"gaussian": "mse", "binomial": "accuracy", "cox": "cindex"}
 KNOWN_METHODS = ("spdas", "gpdas", "oracle")
@@ -62,13 +62,14 @@ class BenchScenario:
             )
         if "spdas" in self.methods:
             check_epsilon(self.epsilon)
-        if "gpdas" in self.methods:
-            check_eta(self.eta)
         if self.holdout < 2:
             raise ValueError(f"holdout must be >= 2, got {self.holdout}")
         if self.family == "gaussian" and self.q == 0:
             raise ValueError("gaussian scenario needs q >= 1 for its relative MSE")
         self.gen_config()  # GenConfig validates the generator fields
+        if "gpdas" in self.methods:
+            check_eta(self.eta)
+            gsection_k_max(ModelFamily(self.family), self.n, self.p, self.k_max)
 
     def gen_config(self) -> GenConfig:
         """The scenario's generator fields; the others keep GenConfig's defaults."""
@@ -105,13 +106,12 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
     family = ModelFamily(scn.family)
     d = standardize(Dataset(X, response))
 
-    def method_row(model, loss_value, elapsed):
-        # model: anything with active_set, beta and intercept
+    def method_row(model, elapsed):
         score = tp_fp(model.active_set, truth)
         return {
             "k": len(model.active_set),
             "active": list(model.active_set),
-            "loss": loss_value,
+            "loss": model.loss,
             "time": elapsed,
             "tp": score.tp,
             "fp": score.fp,
@@ -134,19 +134,18 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
         else:
             report, _ = gpdas(family, d, k_max=scn.k_max, eta=scn.eta)
         elapsed = time.perf_counter() - start
-        record["methods"][name] = method_row(report, report.loss, elapsed)
+        record["methods"][name] = method_row(report, elapsed)
         selected_ks.add(report.k)
 
     if "oracle" in scn.methods:
         start = time.perf_counter()
-        best_set, best_loss = exhaustive_best_subset(family, d, scn.q)
+        model = exhaustive_best_subset(family, d, scn.q)
         elapsed = time.perf_counter() - start
-        model = fit_active(family, d, best_set)
-        record["methods"]["oracle"] = method_row(model, best_loss, elapsed)
+        record["methods"]["oracle"] = method_row(model, elapsed)
         # losses at every size any other method selected, for dominance checks
-        losses = {scn.q: best_loss}
+        losses = {scn.q: model.loss}
         for k in sorted(selected_ks - {scn.q}):
-            _, losses[k] = exhaustive_best_subset(family, d, k)
+            losses[k] = exhaustive_best_subset(family, d, k).loss
         record["oracle_losses"] = {str(k): v for k, v in losses.items()}
     return record
 
@@ -198,6 +197,6 @@ def run_bench(scn: BenchScenario, jobs: int = 1) -> BenchResult:
     else:
         # imported here so serial runs and CLI starts skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, scn.reps)) as pool:
             records = list(pool.map(run_replication, [scn] * scn.reps, range(scn.reps)))
     return BenchResult(scn, tuple(records), summarize(scn, records))

@@ -23,7 +23,7 @@ from .data import (
     standardize,
 )
 from .datagen import GenConfig, gen_dataset
-from .families import ModelFamily, fit_active
+from .families import ModelFamily
 from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
 from .pdas import pdas
 from .tuning import CRITERIA, SelectionReport, check_eta, fixed_k_report, gpdas, spdas
@@ -53,11 +53,11 @@ def _criteria(report):
     return {name: getattr(report.criteria, name) for name in _CRITERIA}
 
 
-def _model_payload(family, method, model, loss, meta, names):
+def _model_payload(family, method, model, meta, names):
     """Keys every model report has, plus the original-scale coefficients.
 
-    ``model`` is anything with ``active_set``, ``beta`` and ``intercept`` on
-    the standardized scale.
+    ``model`` is a :class:`SelectionReport` or a fitted ``CoefficientModel``
+    on the standardized scale; both carry the ``loss`` reported here.
     """
     intercept, beta_orig = destandardize_coefficients(model.beta, meta, model.intercept)
     payload = {
@@ -68,15 +68,13 @@ def _model_payload(family, method, model, loss, meta, names):
         "active_indices": [j + 1 for j in model.active_set],
         "intercept": intercept,
         "coefficients": _sparse_coefficients(names, beta_orig),
-        "loss": loss,
+        "loss": model.loss,
     }
     return payload, beta_orig
 
 
 def _report_payload(report: SelectionReport, meta, names, dense=False):
-    payload, beta_orig = _model_payload(
-        report.family, report.method, report, report.loss, meta, names
-    )
+    payload, beta_orig = _model_payload(report.family, report.method, report, meta, names)
     payload.update(
         criterion=report.criterion,
         n=meta.dataset.n,
@@ -216,9 +214,8 @@ def cmd_gen(args) -> int:
 
 def cmd_oracle(args) -> int:
     meta, names, family = _load_input(args)
-    active, best_loss = exhaustive_best_subset(family, meta, args.k, p_cap=args.p_cap)
-    model = fit_active(family, meta, active)
-    payload, _ = _model_payload(family.tag, "oracle", model, best_loss, meta, names)
+    model = exhaustive_best_subset(family, meta, args.k, p_cap=args.p_cap)
+    payload, _ = _model_payload(family.tag, "oracle", model, meta, names)
     if args.format == "json":
         _emit_json(payload, args.output)
     else:

@@ -1,15 +1,16 @@
 """Exhaustive best-subset search, the ground truth for small p.
 
-Enumerates every size-k subset in lexicographic order and keeps the first
-one attaining the minimal active-set loss, so ties resolve deterministically.
-Only intended for desk-scale problems; the subset count explodes beyond
-``p_cap``.
+Fits every size-k subset in lexicographic order and returns the fitted
+model of the first one attaining the minimal loss, so ties resolve
+deterministically and the loss it was ranked by is the one every other
+method reports for that set.  Only intended for desk-scale problems; the
+subset count explodes beyond ``p_cap``.
 """
 
 from itertools import combinations
 
 from .data import StandardizedDataset
-from .families import ModelFamily, fit_active, loss
+from .families import CoefficientModel, ModelFamily, fit_active
 
 DEFAULT_P_CAP = 25
 
@@ -19,8 +20,8 @@ def exhaustive_best_subset(
     d: StandardizedDataset,
     k: int,
     p_cap: int = DEFAULT_P_CAP,
-):
-    """Globally best size-k subset by enumeration; returns (active_set, loss)."""
+) -> CoefficientModel:
+    """Globally best size-k subset by enumeration, as its fitted model."""
     p = d.dataset.p
     if p > p_cap:
         raise ValueError(
@@ -28,10 +29,9 @@ def exhaustive_best_subset(
         )
     if not 0 <= k <= p:
         raise ValueError(f"k must be in [0, {p}], got {k}")
-    best_set = None
-    best_loss = None
+    best = None
     for subset in combinations(range(p), k):
-        value = loss(family, d, fit_active(family, d, subset))
-        if best_loss is None or value < best_loss:
-            best_set, best_loss = subset, value
-    return best_set, float(best_loss)
+        model = fit_active(family, d, subset)
+        if best is None or model.loss < best.loss:
+            best = model
+    return best

@@ -162,6 +162,15 @@ def _checked_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> in
     return k_max
 
 
+def gsection_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> int:
+    """``k_max`` of a golden-section search: defaulted, capped, and at least 3."""
+    resolved = _checked_k_max(family, n, p, k_max)
+    if resolved < 3:
+        given = "got" if k_max is not None else f"the default for n={n}, p={p} is"
+        raise ValueError(f"golden-section search needs k_max >= 3; {given} {resolved}")
+    return resolved
+
+
 def spdas(
     family: ModelFamily,
     d: StandardizedDataset,
@@ -298,7 +307,7 @@ def gpdas(
     is fitted at most once per ``gpdas`` call; ``pdas_calls`` counts solver
     calls, not fits.
     """
-    k_max = _checked_k_max(family, d.dataset.n, d.dataset.p, k_max)
+    k_max = gsection_k_max(family, d.dataset.n, d.dataset.p, k_max)
     evaluations = {}  # shared by this search's pdas runs, dropped on return
 
     def run(k, prev):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bestsubset import bench
 from bestsubset.data import Binary, Continuous, Dataset, Survival, standardize
 
 
@@ -45,3 +46,20 @@ def random_standardized(family, n, p, seed, beta=None, censor_rate=0.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Names of the ``spdas``/``gpdas`` calls ``bench`` makes, in order."""
+    calls = []
+
+    def counting(search):
+        def wrapped(*args, **kwargs):
+            calls.append(search.__name__)
+            return search(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(bench, "spdas", counting(bench.spdas))
+    monkeypatch.setattr(bench, "gpdas", counting(bench.gpdas))
+    return calls

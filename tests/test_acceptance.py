@@ -99,10 +99,10 @@ def test_03_oracle_equivalence():
         ds, _, _ = gen_dataset(cfg)
         sd = standardize(ds)
         out = pdas(GAUSSIAN, sd, q)
-        oracle_set, oracle_loss = exhaustive_best_subset(GAUSSIAN, sd, q)
-        if out.model.active_set == oracle_set:
+        oracle = exhaustive_best_subset(GAUSSIAN, sd, q)
+        if out.model.active_set == oracle.active_set:
             matches += 1
-        elif out.loss > 1.1 * oracle_loss:
+        elif out.loss > 1.1 * oracle.loss:
             fallback_ok = False
     elapsed = time.perf_counter() - start
     ok = matches >= 0.9 * total and fallback_ok and elapsed < 60.0

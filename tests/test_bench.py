@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from bestsubset import bench
@@ -24,23 +26,6 @@ def small_scenario(**kw):
     return BenchScenario(**base)
 
 
-@pytest.fixture
-def search_calls(monkeypatch):
-    """Names of the ``spdas``/``gpdas`` calls ``bench`` makes, in order."""
-    calls = []
-
-    def counting(search):
-        def wrapped(*args, **kwargs):
-            calls.append(search.__name__)
-            return search(*args, **kwargs)
-
-        return wrapped
-
-    monkeypatch.setattr(bench, "spdas", counting(bench.spdas))
-    monkeypatch.setattr(bench, "gpdas", counting(bench.gpdas))
-    return calls
-
-
 def strip_times(records):
     cleaned = []
     for record in records:
@@ -60,14 +45,17 @@ class TestReplication:
             assert {"k", "active", "loss", "time", "tp", "fp", "metric"} <= set(stats)
             assert stats["tp"] + stats["fp"] == len(stats["active"])
 
-    def test_oracle_dominates_methods_at_same_k(self):
-        scn = small_scenario(reps=5)
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    def test_oracle_dominates_methods_at_same_k(self, family):
+        scn = small_scenario(
+            family=family, reps=5, censor_rate=0.2 if family == "cox" else 0.0
+        )
         for rep in range(scn.reps):
             record = run_replication(scn, rep)
             oracle_losses = {int(k): v for k, v in record["oracle_losses"].items()}
             for name in ("spdas", "gpdas"):
                 stats = record["methods"][name]
-                assert oracle_losses[stats["k"]] <= stats["loss"] + 1e-9
+                assert oracle_losses[stats["k"]] <= stats["loss"]
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
     def test_metric_equals_refit_metric(self, family, monkeypatch):
@@ -147,6 +135,21 @@ class TestScenarioValidation:
             run_bench(small_scenario(methods=("spdas", "gpdas"), **kw))
         assert search_calls == []
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(k_max=2), "golden-section search needs k_max >= 3; got 2"),
+            (dict(p=2, q=1, k_max=None),
+             "golden-section search needs k_max >= 3; the default for n=80, p=2 is 2"),
+        ],
+    )
+    def test_gpdas_k_max_below_three_rejected_before_fitting(
+        self, search_calls, kw, message
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_bench(small_scenario(methods=("spdas", "gpdas"), **kw))
+        assert search_calls == []
+
     def test_search_options_checked_only_for_the_method_using_them(self):
         # as in ``fit``: epsilon belongs to spdas, eta to gpdas
         small_scenario(methods=("gpdas",), epsilon=float("nan"))
@@ -185,6 +188,32 @@ class TestRunBench:
         assert strip_times(list(serial.records)) == strip_times(
             list(parallel.records)
         )
+
+    @pytest.mark.parametrize("jobs", [2, 64])
+    def test_pool_never_exceeds_reps(self, monkeypatch, jobs):
+        asked = []
+
+        class SerialPool:
+            """Records its size and maps in this process: no worker starts."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        scn = small_scenario(reps=3, methods=("spdas",))
+        pooled = run_bench(scn, jobs=jobs)
+        assert asked == [min(jobs, scn.reps)]
+        serial = run_bench(scn, jobs=1)
+        assert strip_times(list(pooled.records)) == strip_times(list(serial.records))
 
     def test_oracle_requires_small_p(self):
         with pytest.raises(ValueError, match="infeasible"):

@@ -178,6 +178,33 @@ class TestRejectedScenarios:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["bench", "--family", "gaussian", "--n", 60, "--p", 8, "--q", 2,
+              "--reps", 2, "--methods", "spdas,gpdas", "--k-max", 2, "--no-timing"],
+             "golden-section search needs k_max >= 3; got 2"),
+            (["fit", "--family", "gaussian", "--method", "gsection"],
+             "golden-section search needs k_max >= 3; the default for n=60, p=2 is 2"),
+        ],
+        ids=["bench-k-max-2", "fit-gsection-p-2"],
+    )
+    def test_gsection_k_max_below_three_fails_before_fitting(
+        self, tmp_path, capsys, search_calls, command, message
+    ):
+        data = tmp_path / "p2.csv"  # fit's input: its default k_max is 2
+        assert run(["gen", "--family", "gaussian", "--n", 60, "--p", 2, "--q", 1,
+                    "--seed", 1, "--output", data]) == 0
+        before = sorted(tmp_path.iterdir())
+        extra = ["--input", data] if command[0] == "fit" else [
+            "--details", tmp_path / "details.json"]
+        assert run([*command, *extra, "--output", tmp_path / "report"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert search_calls == []
+        assert sorted(tmp_path.iterdir()) == before
+
 
 def test_sparse_coefficients_match_the_loop():
     def loop(names, beta):
@@ -467,6 +494,21 @@ class TestOracleCommand:
         assert [float(r[2]) for r in rows] == [
             c["coefficient"] for c in report["coefficients"]
         ]
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_loss_equals_fixed_k_fit(self, tmp_path, seed):
+        data = tmp_path / "data.csv"
+        assert run(["gen", "--family", "gaussian", "--n", 200, "--p", 20, "--q", 4,
+                    "--rho", "0.2", "--seed", seed, "--output", data]) == 0
+        reports = []
+        for command in (["oracle"], ["fit", "--method", "one"]):
+            out = tmp_path / "report.json"
+            assert run([*command, "--input", data, "--family", "gaussian", "-k", 4,
+                        "--output", out]) == 0
+            reports.append(json.loads(out.read_text()))
+        oracle, fixed = reports
+        assert oracle["active"] == fixed["active"]
+        assert oracle["loss"] == fixed["loss"]
 
     def test_seed_option_removed(self, tmp_path):
         data = gen_planted(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 
 from bestsubset.data import Continuous, Dataset, standardize
 from bestsubset.datagen import GenConfig, gen_dataset
-from bestsubset.families import ModelFamily, fit_active, loss
+from bestsubset.families import CoefficientModel, ModelFamily, fit_active, loss
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import pdas, random_subset
 
@@ -19,17 +19,17 @@ def instance(seed, n=80, p=8, q=2, **kw):
 class TestExhaustive:
     def test_k_equals_p_is_full_model(self):
         sd, _ = instance(1)
-        active, value = exhaustive_best_subset(GAUSSIAN, sd, 8)
-        assert active == tuple(range(8))
+        best = exhaustive_best_subset(GAUSSIAN, sd, 8)
+        assert best.active_set == tuple(range(8))
         full = loss(GAUSSIAN, sd, fit_active(GAUSSIAN, sd, tuple(range(8))))
-        assert value == pytest.approx(full)
+        assert best.loss == pytest.approx(full)
 
     def test_k_zero_is_null_model(self):
         sd, _ = instance(2)
-        active, value = exhaustive_best_subset(GAUSSIAN, sd, 0)
-        assert active == ()
+        best = exhaustive_best_subset(GAUSSIAN, sd, 0)
+        assert best.active_set == ()
         y = sd.dataset.response.y
-        assert value == pytest.approx(y @ y / (2 * len(y)))
+        assert best.loss == pytest.approx(y @ y / (2 * len(y)))
 
     def test_p_cap_refused(self, rng):
         X = rng.standard_normal((30, 26))
@@ -37,8 +37,8 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="p_cap"):
             exhaustive_best_subset(GAUSSIAN, sd, 2)
         # explicit larger cap allows it
-        active, _ = exhaustive_best_subset(GAUSSIAN, sd, 1, p_cap=30)
-        assert len(active) == 1
+        best = exhaustive_best_subset(GAUSSIAN, sd, 1, p_cap=30)
+        assert len(best.active_set) == 1
 
     def test_dominates_pdas_loss(self):
         for seed in range(8):
@@ -46,8 +46,8 @@ class TestExhaustive:
             k = 3
             init = random_subset(9, k, np.random.default_rng(seed))
             heuristic = pdas(GAUSSIAN, sd, k, init=init)
-            _, best = exhaustive_best_subset(GAUSSIAN, sd, k)
-            assert best <= heuristic.loss + 1e-12
+            best = exhaustive_best_subset(GAUSSIAN, sd, k)
+            assert best.loss <= heuristic.loss + 1e-12
 
     def test_column_permutation_equivariance(self):
         sd, _ = instance(7, n=50, p=7, q=2)
@@ -55,11 +55,13 @@ class TestExhaustive:
         y = np.asarray(sd.dataset.response.y)
         perm = np.array([3, 0, 6, 1, 5, 2, 4])
         sd_perm = standardize(Dataset(X[:, perm], Continuous(y)))
-        base, base_loss = exhaustive_best_subset(GAUSSIAN, sd, 2)
-        moved, moved_loss = exhaustive_best_subset(GAUSSIAN, sd_perm, 2)
-        relabeled = tuple(sorted(int(np.where(perm == j)[0][0]) for j in base))
-        assert moved == relabeled
-        assert moved_loss == pytest.approx(base_loss, rel=1e-12)
+        base = exhaustive_best_subset(GAUSSIAN, sd, 2)
+        moved = exhaustive_best_subset(GAUSSIAN, sd_perm, 2)
+        relabeled = tuple(
+            sorted(int(np.where(perm == j)[0][0]) for j in base.active_set)
+        )
+        assert moved.active_set == relabeled
+        assert moved.loss == pytest.approx(base.loss, rel=1e-12)
 
     def test_recovers_strong_support(self):
         hits = 0
@@ -71,7 +73,19 @@ class TestExhaustive:
             )
             ds, _, support = gen_dataset(cfg)
             sd = standardize(ds)
-            active, _ = exhaustive_best_subset(GAUSSIAN, sd, 3)
-            if set(support) <= set(active):
+            best = exhaustive_best_subset(GAUSSIAN, sd, 3)
+            if set(support) <= set(best.active_set):
                 hits += 1
         assert hits >= 0.95 * total
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_returns_the_fit_it_ranked(self, seed):
+        # the oracle's loss is the fixed-k fit's, bit for bit, not a second formula's
+        ds, _, _ = gen_dataset(GenConfig(n=200, p=20, q=4, rho=0.2, seed=seed))
+        sd = standardize(ds)
+        best = exhaustive_best_subset(GAUSSIAN, sd, 4)
+        out = pdas(GAUSSIAN, sd, 4)
+        assert isinstance(best, CoefficientModel)
+        assert best.active_set == out.model.active_set
+        assert best.loss == out.loss
+        np.testing.assert_array_equal(best.beta, out.model.beta)

@@ -118,10 +118,10 @@ class TestPdas:
         ds, _, support = gen_dataset(cfg)
         sd = standardize(ds)
         out = pdas(GAUSSIAN, sd, 4)
-        oracle_set, oracle_loss = exhaustive_best_subset(GAUSSIAN, sd, 4)
-        assert out.model.active_set == oracle_set
-        assert out.loss == pytest.approx(oracle_loss, rel=1e-10)
-        assert set(support) == set(oracle_set)
+        oracle = exhaustive_best_subset(GAUSSIAN, sd, 4)
+        assert out.model.active_set == oracle.active_set
+        assert out.loss == pytest.approx(oracle.loss, rel=1e-10)
+        assert set(support) == set(oracle.active_set)
 
     def test_k_equals_p_is_unrestricted_fit(self):
         sd = orthonormal_instance(seed=3, p=5)
@@ -257,11 +257,11 @@ class TestPdas:
             sd = standardize(ds)
             init = random_subset(p, q, np.random.default_rng(seed))
             out = pdas(GAUSSIAN, sd, q, init=init)
-            oracle_set, oracle_loss = exhaustive_best_subset(GAUSSIAN, sd, q)
-            if out.model.active_set == oracle_set:
+            oracle = exhaustive_best_subset(GAUSSIAN, sd, q)
+            if out.model.active_set == oracle.active_set:
                 matches += 1
             else:
-                assert out.loss <= 1.1 * oracle_loss
+                assert out.loss <= 1.1 * oracle.loss
         assert matches >= 0.9 * total
 
 
