@@ -53,12 +53,13 @@ def _criteria(report):
     return {name: getattr(report.criteria, name) for name in _CRITERIA}
 
 
-def _model_payload(family, method, model, meta, names):
+def _model_payload(family, method, model, meta):
     """Keys every model report has, plus the original-scale coefficients.
 
     ``model`` is a :class:`SelectionReport` or a fitted ``CoefficientModel``
     on the standardized scale; both carry the ``loss`` reported here.
     """
+    names = meta.dataset.names()
     intercept, beta_orig = destandardize_coefficients(model.beta, meta, model.intercept)
     payload = {
         "family": family,
@@ -73,8 +74,8 @@ def _model_payload(family, method, model, meta, names):
     return payload, beta_orig
 
 
-def _report_payload(report: SelectionReport, meta, names, dense=False):
-    payload, beta_orig = _model_payload(report.family, report.method, report, meta, names)
+def _report_payload(report: SelectionReport, meta, dense=False):
+    payload, beta_orig = _model_payload(report.family, report.method, report, meta)
     payload.update(
         criterion=report.criterion,
         n=meta.dataset.n,
@@ -90,9 +91,9 @@ def _report_payload(report: SelectionReport, meta, names, dense=False):
     return payload
 
 
-def _path_payload(path, meta, names):
+def _path_payload(path, meta):
     """Each path entry's report payload, cut to ``_PATH_KEYS``."""
-    payloads = (_report_payload(entry, meta, names) for entry in path.entries)
+    payloads = (_report_payload(entry, meta) for entry in path.entries)
     return [{key: payload[key] for key in _PATH_KEYS} for payload in payloads]
 
 
@@ -116,10 +117,10 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
-def _path_csv(path, meta, names):
-    rows = [["k", "loss", *_CRITERIA, *names]]
+def _path_csv(path, meta):
+    rows = [["k", "loss", *_CRITERIA, *meta.dataset.names()]]
     for entry in path.entries:
-        payload = _report_payload(entry, meta, names, dense=True)
+        payload = _report_payload(entry, meta, dense=True)
         values = [payload[key] for key in ("loss", *_CRITERIA)]
         values += payload["coefficients_dense"]
         rows.append([entry.k] + [repr(float(v)) for v in values])
@@ -135,25 +136,23 @@ def _coefficients_csv(payload):
 
 
 def _load_input(args):
-    """``(meta, names, family)``: the standardized input, its columns, its family."""
+    """``(meta, family)``: the standardized input and its family."""
     if args.input is None:
         raise ValueError("--input is required")
-    dataset = load_csv(
-        args.input, args.family, response=args.response, header=not args.no_header
-    )
-    return standardize(dataset), dataset.names(), ModelFamily(args.family)
+    dataset = load_csv(args.input, args.family, args.response, not args.no_header)
+    return standardize(dataset), ModelFamily(args.family)
 
 
 def cmd_fit(args) -> int:
     if args.method == "gsection":
         check_eta(args.eta)
-    meta, names, family = _load_input(args)
+    if args.method == "one" and args.k is None:
+        raise ValueError("method 'one' requires -k")
+    meta, family = _load_input(args)
 
     trace_lines = []
     path = None
     if args.method == "one":
-        if args.k is None:
-            raise ValueError("method 'one' requires -k")
         out = pdas(family, meta, args.k)
         report = fixed_k_report(family, meta, out, "one", "fixed-k")
     elif args.method == "sequential":
@@ -167,21 +166,21 @@ def cmd_fit(args) -> int:
     else:
         report, trace = gpdas(family, meta, k_max=args.k_max, eta=args.eta)
         trace_lines = trace.lines()
-        for line in trace_lines:
-            print(line)
 
-    payload = _report_payload(report, meta, names, dense=args.dense)
+    payload = _report_payload(report, meta, dense=args.dense)
     if args.format == "json":
         if path is not None:
-            payload["path"] = _path_payload(path, meta, names)
+            payload["path"] = _path_payload(path, meta)
             payload["best_by"] = dict(sorted(path.best_by.items()))
         if trace_lines:
             payload["gsection_trace"] = trace_lines
         _emit_json(payload, args.output)
     elif path is not None:
-        _write_text(_path_csv(path, meta, names), args.output)
+        _write_text(_path_csv(path, meta), args.output)
     else:
         _write_text(_coefficients_csv(payload), args.output)
+    # after the report, so a failed write leaves one error line on stderr
+    sys.stderr.writelines(f"{line}\n" for line in trace_lines)
     return 0
 
 
@@ -213,9 +212,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    meta, names, family = _load_input(args)
+    meta, family = _load_input(args)
     model = exhaustive_best_subset(family, meta, args.k, p_cap=args.p_cap)
-    payload, _ = _model_payload(family.tag, "oracle", model, meta, names)
+    payload, _ = _model_payload(family.tag, "oracle", model, meta)
     if args.format == "json":
         _emit_json(payload, args.output)
     else:

@@ -238,16 +238,18 @@ def destandardize_coefficients(
     return intercept, beta_orig
 
 
-def _parse_cell(cell: str, row: int, column: str) -> float:
-    text = cell.strip()
-    if text == "":
-        raise ValueError(f"missing value at row {row}, column {column!r}")
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"non-numeric value {text!r} at row {row}, column {column!r}"
-        ) from None
+def _raise_first_bad_cell(body, names) -> None:
+    """Raise the first ragged row or unreadable cell of ``body``, in reading order."""
+    for i, row in enumerate(body, start=1):
+        if len(row) != len(names):
+            raise ValueError(f"row {i} has {len(row)} fields, expected {len(names)}")
+        for cell, column in zip(row, names):
+            try:
+                float(cell)
+            except ValueError:
+                text = cell.strip()
+                what = f"non-numeric value {text!r}" if text else "missing value"
+                raise ValueError(f"{what} at row {i}, column {column!r}") from None
 
 
 def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
@@ -299,29 +301,27 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
     resp_idx = [names.index(c) for c in response]
 
     width = len(names)
-    parsed = np.empty((len(body), width), dtype=float)
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise ValueError(f"row {i + 1} has {len(row)} fields, expected {width}")
-        for j, cell in enumerate(row):
-            parsed[i, j] = _parse_cell(cell, i + 1, names[j])
+    try:  # one float() per cell, each row straight into the array
+        if any(len(row) != width for row in body):
+            raise ValueError("ragged rows")
+        floats = (list(map(float, row)) for row in body)
+        parsed = np.fromiter(floats, (float, (width,)), len(body))
+    except ValueError:
+        _raise_first_bad_cell(body, names)
+        raise
 
     x_idx = [j for j in range(width) if j not in resp_idx]
     if not x_idx:
         raise ValueError("no predictor columns left after removing the response")
-    X = parsed[:, x_idx]
-    x_names = tuple(names[j] for j in x_idx)
-    resp = kind(*(parsed[:, j] for j in resp_idx))
-    return Dataset(X, resp, x_names)
+    resp = kind(*parsed[:, resp_idx].T)
+    return Dataset(parsed[:, x_idx], resp, [names[j] for j in x_idx])
 
 
 def save_csv(d: Dataset, path) -> None:
     """Write a dataset back to CSV; values use repr so reloads are bit-exact."""
-    resp_cols = [getattr(d.response, name) for name in d.response.columns]
+    responses = np.column_stack([getattr(d.response, c) for c in d.response.columns])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(d.names()) + list(d.response.columns))
-        for i in range(d.n):
-            row = [repr(float(v)) for v in d.X[i]]
-            row += [repr(float(col[i])) for col in resp_cols]
-            writer.writerow(row)
+        csv.writer(fh).writerow(list(d.names()) + list(d.response.columns))
+        # the bytes csv.writer would write: a float's repr never needs quoting
+        for x, response in zip(d.X, responses.tolist()):
+            fh.write(",".join(map(repr, x.tolist() + response)) + "\r\n")

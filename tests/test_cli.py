@@ -301,11 +301,41 @@ class TestFit:
              "gsection", "--k-max", 15, "--output", report_path]
         )
         assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        lines = capsys.readouterr().err.strip().splitlines()
         pattern = re.compile(r"^\d+-th iteration s\.left:\d+ s\.split:\d+ s\.right:\d+$")
         assert lines and all(pattern.match(line) for line in lines)
         report = json.loads(report_path.read_text())
         assert report["gsection_trace"] == lines
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    def test_gsection_stdout_is_the_report(self, tmp_path, capsys, family):
+        data = tmp_path / "d.csv"
+        assert run(["gen", "--family", family, "--n", 80, "--p", 8, "--q", 2,
+                    "--seed", 1, "--output", data]) == 0
+        argv = ["fit", "--input", data, "--family", family, "--method", "gsection",
+                "--k-max", 5]
+        capsys.readouterr()
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["gsection_trace"] == captured.err.splitlines()
+        assert report["gsection_trace"]
+        assert run(argv + ["--format", "csv", "--output", tmp_path / "c.csv"]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (tmp_path / "c.csv").read_bytes().decode()
+        assert captured.out.startswith("index,name,coefficient\r\n0,(intercept),")
+        assert captured.err.splitlines() == report["gsection_trace"]
+
+    def test_gsection_failed_write_leaves_one_error_line(self, tmp_path, capsys):
+        data = gen_planted(tmp_path)
+        assert run(["fit", "--input", data, "--family", "gaussian", "--method",
+                    "gsection", "--k-max", 5,
+                    "--output", tmp_path / "missing" / "r.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_dense_flag_emits_all_coefficients(self, tmp_path):
         data = gen_planted(tmp_path)
@@ -401,6 +431,13 @@ class TestFit:
         assert run(["fit", "--input", data, "--family", "gaussian",
                     "--method", "one"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_method_one_without_k_fails_before_reading_input(self, tmp_path, capsys):
+        assert run(["fit", "--input", tmp_path / "nonexistent.csv", "--family",
+                    "gaussian", "--method", "one"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: method 'one' requires -k\n"
 
     def test_missing_input_fails(self, capsys):
         assert run(["fit", "--family", "gaussian", "--method", "one", "-k", 2]) == 1

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from bestsubset.data import (
     save_csv,
     standardize,
 )
+from bestsubset.datagen import GenConfig, gen_dataset
 
 
 def write(path, text):
@@ -118,6 +120,111 @@ class TestLoadCsv:
         d1 = load_csv(str(f), "cox")
         np.testing.assert_array_equal(d1.response.time, d.response.time)
         np.testing.assert_array_equal(d1.response.status, d.response.status)
+
+    @pytest.mark.parametrize(
+        "text, family, header, message",
+        [
+            ("x1,x2,y\n1,2,3\n4,5\n", "gaussian", True,
+             "row 2 has 2 fields, expected 3"),
+            ("x1,x2,y\n1,2,3,4\n", "gaussian", True,
+             "row 1 has 4 fields, expected 3"),
+            ("x1,x2,y\n1,2,3\n4\n", "gaussian", True,
+             "row 2 has 1 fields, expected 3"),
+            ("x1,x2,y\n1,,3\n", "gaussian", True,
+             "missing value at row 1, column 'x2'"),
+            ("x1,x2,y\n1,2,3\n4,  ,6\n", "gaussian", True,
+             "missing value at row 2, column 'x2'"),
+            ("x1,x2,y\n1,2,3\n4,5, abc \n", "gaussian", True,
+             "non-numeric value 'abc' at row 2, column 'y'"),
+            (" x1 ,x2,y\n1e,2,3\n", "gaussian", True,
+             "non-numeric value '1e' at row 1, column 'x1'"),
+            # a bad cell before a ragged row, and a ragged row before a bad cell
+            ("x1,x2,y\n1,x,3\n4,5\n", "gaussian", True,
+             "non-numeric value 'x' at row 1, column 'x2'"),
+            ("x1,x2,y\n1,2\n4,x,6\n", "gaussian", True,
+             "row 1 has 2 fields, expected 3"),
+            # within a row, the field count comes first, then cells left to right
+            ("x1,x2,y\nfoo,2\n", "gaussian", True, "row 1 has 2 fields, expected 3"),
+            ("x1,x2,y\n,foo,3\n", "gaussian", True,
+             "missing value at row 1, column 'x1'"),
+            # blank lines are skipped and not counted
+            ("x1,y\n\n1,2\n\n3,x\n", "gaussian", True,
+             "non-numeric value 'x' at row 2, column 'y'"),
+            ("1,2,3\n4,5\n", "gaussian", False, "row 2 has 2 fields, expected 3"),
+            ("1,2,3\n4,5,6,7\n", "gaussian", False, "row 2 has 4 fields, expected 3"),
+            ("1,2,3\n4,5,\n", "gaussian", False, "missing value at row 2, column 'y'"),
+            ("1,2,1\n3, ,0\n", "cox", False, "missing value at row 2, column 'time'"),
+            ("1,2,3\n4,x,6\n", "gaussian", False,
+             "non-numeric value 'x' at row 2, column 'X2'"),
+            ("1,x,3\n4,5\n", "gaussian", False,
+             "non-numeric value 'x' at row 1, column 'X2'"),
+            ("1,2\n4,x,6\n", "gaussian", False, "row 2 has 3 fields, expected 2"),
+            ("x1,y\n", "gaussian", True, "need at least 2 observations"),
+        ],
+    )
+    def test_error_corpus(self, tmp_path, text, family, header, message):
+        p = write(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError) as excinfo:
+            load_csv(p, family, header=header)
+        assert str(excinfo.value) == message
+
+    def test_cells_read_with_float(self, tmp_path):
+        cells = [[" 1 ", "5e0", "8_0"], ["3", " 4.5 ", "-0.0"],
+                 ["0.1", "1e-320", "1.7976931348623157e308"]]
+        text = "x1,x2,y\n" + "\n".join(
+            ",".join(f'"{c}"' if i == 1 else c for c in row)
+            for i, row in enumerate(cells)
+        )
+        d = load_csv(write(tmp_path / "d.csv", text + "\n"), "gaussian")
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert d.X.tobytes() == expected[:, :2].tobytes()
+        assert d.response.y.tobytes() == expected[:, 2].tobytes()
+
+    def test_cell_that_float_rejects_is_refused(self, tmp_path):
+        # str.strip removes the separators U+001C..U+001F but float() does not
+        p = write(tmp_path / "d.csv", "x1,y\n1\x1c,2\n3,4\n")
+        with pytest.raises(ValueError, match=r"^non-numeric value .* at row 1, column 'x1'$"):
+            load_csv(p, "gaussian")
+
+
+def save_csv_per_cell(d, path):
+    """The per-cell writer ``save_csv`` replaced, kept as its byte reference."""
+    resp_cols = [getattr(d.response, name) for name in d.response.columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(d.names()) + list(d.response.columns))
+        for i in range(d.n):
+            row = [repr(float(v)) for v in d.X[i]]
+            row += [repr(float(col[i])) for col in resp_cols]
+            writer.writerow(row)
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize(
+        "family, n, p",
+        [("gaussian", 40, 6), ("binomial", 40, 6), ("cox", 40, 6), ("gaussian", 50, 3000)],
+    )
+    def test_bytes_equal_per_cell_writer_and_reload_exactly(self, tmp_path, family, n, p):
+        config = GenConfig(n=n, p=p, q=3, family=family, seed=11,
+                           censor_rate=0.3 if family == "cox" else 0.0)
+        d, _, _ = gen_dataset(config)
+        self.check(tmp_path, d, family)
+
+    def test_extreme_values(self, tmp_path):
+        X = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                      [0.1, -2.2250738585072014e-308, 1e22]])
+        self.check(tmp_path, Dataset(X, Continuous([-0.0, 1e-300])), "gaussian")
+
+    @staticmethod
+    def check(tmp_path, d, family):
+        save_csv(d, tmp_path / "new.csv")
+        save_csv_per_cell(d, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        d1 = load_csv(str(tmp_path / "new.csv"), family)
+        assert d1.column_names == d.names()
+        assert d1.X.tobytes() == d.X.tobytes()
+        for name in d.response.columns:
+            assert getattr(d1.response, name).tobytes() == getattr(d.response, name).tobytes()
 
 
 class TestValidation:
