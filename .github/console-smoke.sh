@@ -43,3 +43,12 @@ printf 'x1,x2,y\n1,2,3\n4,5\n' > ragged.csv
 must_fail bestsubset fit --input ragged.csv --family gaussian --method one -k 1
 printf 'x1,x2,y\n1,2,3\n4,abc,6\n' > text.csv
 must_fail bestsubset fit --input text.csv --family gaussian --method one -k 1
+# a bad last row is named from a second read of the file
+cp d.csv tail.csv
+printf '1,2,3,4,5,6,7,8,oops\r\n' >> tail.csv
+must_fail bestsubset fit --input tail.csv --family gaussian --method one -k 1 2> tail.err
+grep -q "non-numeric value 'oops' at row 61, column 'y'" tail.err
+# --epsilon is checked before the input is read
+must_fail bestsubset fit --input missing.csv --family gaussian --method sequential \
+  --epsilon nan 2> eps.err
+grep -q "^error: epsilon must be nonnegative and finite, got nan$" eps.err

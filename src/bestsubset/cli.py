@@ -26,7 +26,15 @@ from .datagen import GenConfig, gen_dataset
 from .families import ModelFamily
 from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
 from .pdas import pdas
-from .tuning import CRITERIA, SelectionReport, check_eta, fixed_k_report, gpdas, spdas
+from .tuning import (
+    CRITERIA,
+    SelectionReport,
+    check_epsilon,
+    check_eta,
+    fixed_k_report,
+    gpdas,
+    spdas,
+)
 
 
 _CRITERIA = ("deviance", *CRITERIA)
@@ -146,6 +154,8 @@ def _load_input(args):
 def cmd_fit(args) -> int:
     if args.method == "gsection":
         check_eta(args.eta)
+    if args.method == "sequential":
+        check_epsilon(args.epsilon)
     if args.method == "one" and args.k is None:
         raise ValueError("method 'one' requires -k")
     meta, family = _load_input(args)

@@ -8,6 +8,7 @@ models have none.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -238,11 +239,13 @@ def destandardize_coefficients(
     return intercept, beta_orig
 
 
-def _raise_first_bad_cell(body, names) -> None:
-    """Raise the first ragged row or unreadable cell of ``body``, in reading order."""
-    for i, row in enumerate(body, start=1):
-        if len(row) != len(names):
-            raise ValueError(f"row {i} has {len(row)} fields, expected {len(names)}")
+def _float_row(i, row, names) -> list[float]:
+    """Data row ``i`` as floats, or the error for its field count or first bad cell."""
+    if len(row) != len(names):  # checked first: a 1-field row would broadcast
+        raise ValueError(f"row {i} has {len(row)} fields, expected {len(names)}")
+    try:
+        return list(map(float, row))
+    except ValueError:
         for cell, column in zip(row, names):
             try:
                 float(cell)
@@ -250,6 +253,7 @@ def _raise_first_bad_cell(body, names) -> None:
                 text = cell.strip()
                 what = f"non-numeric value {text!r}" if text else "missing value"
                 raise ValueError(f"{what} at row {i}, column {column!r}") from None
+        raise
 
 
 def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
@@ -279,38 +283,31 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
         )
 
     try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        fh = open(path, newline="")
     except FileNotFoundError:
         raise ValueError(f"file not found: {path}") from None
-    if not rows:
-        raise ValueError(f"empty file: {path}")
+    with fh:
+        rows = (row for row in csv.reader(fh) if row)
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"empty file: {path}")
+        if header:
+            names = [c.strip() for c in first]
+            for col in response:
+                if col not in names:
+                    raise ValueError(f"response column {col!r} not found in header")
+        else:
+            if len(first) < n_resp + 1:
+                raise ValueError("too few columns for predictors plus response")
+            names = [f"X{j + 1}" for j in range(len(first) - n_resp)] + list(response)
+            rows = itertools.chain([first], rows)
+        # each row goes straight into the array as it is read, so no n x p
+        # list of cell strings is held; the first bad row stops the read
+        floats = (_float_row(i, row, names) for i, row in enumerate(rows, start=1))
+        parsed = np.fromiter(floats, (float, (len(names),)))
 
-    if header:
-        names = [c.strip() for c in rows[0]]
-        body = rows[1:]
-        for col in response:
-            if col not in names:
-                raise ValueError(f"response column {col!r} not found in header")
-    else:
-        width = len(rows[0])
-        if width < n_resp + 1:
-            raise ValueError("too few columns for predictors plus response")
-        body = rows
-        names = [f"X{j + 1}" for j in range(width - n_resp)] + list(response)
     resp_idx = [names.index(c) for c in response]
-
-    width = len(names)
-    try:  # one float() per cell, each row straight into the array
-        if any(len(row) != width for row in body):
-            raise ValueError("ragged rows")
-        floats = (list(map(float, row)) for row in body)
-        parsed = np.fromiter(floats, (float, (width,)), len(body))
-    except ValueError:
-        _raise_first_bad_cell(body, names)
-        raise
-
-    x_idx = [j for j in range(width) if j not in resp_idx]
+    x_idx = [j for j in range(len(names)) if j not in resp_idx]
     if not x_idx:
         raise ValueError("no predictor columns left after removing the response")
     resp = kind(*parsed[:, resp_idx].T)

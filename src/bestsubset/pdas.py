@@ -11,8 +11,9 @@ visited set of lowest loss.
 A result is one :class:`PdasOutput`: the ``CoefficientModel`` fitted on
 the returned set, the sacrifices delta at that model (no duals: only delta
 drives the iteration), and the sweep count, convergence flag and visited
-sets.  The size cap is the family's, ``ModelFamily.max_size``.  Both size
-searches start a size from an earlier output by :func:`warm_start_set`.
+sets.  The size cap is the family's, ``ModelFamily.max_size``.  A start
+is exactly k indices; :func:`warm_start_set` sizes one from an earlier
+output, and a cold start is the one it sizes from :func:`null_fit`.
 """
 
 from dataclasses import dataclass
@@ -92,44 +93,20 @@ def null_fit(family: ModelFamily, d: StandardizedDataset, evaluations=None) -> P
     return PdasOutput(*_evaluate(family, d, (), evaluations), 0, True, ((),))
 
 
-def grow_set(active, delta, k: int) -> tuple[int, ...]:
-    """``active`` plus the top ``delta`` outside it, k in all; ties to lower j."""
-    delta = np.array(delta, dtype=float)
+def warm_start_set(prev: PdasOutput, k: int) -> tuple[int, ...]:
+    """A size-k start from ``prev``, an earlier output (``null_fit`` for a cold one).
+
+    When k is at most ``prev``'s size, its k members of largest |beta|;
+    otherwise its set grown by the top sacrifices outside it.  Ties go to
+    the lower index either way.
+    """
+    active = prev.model.active_set
+    if k <= len(active):
+        order = np.argsort(-np.abs(prev.model.beta[list(active)]), kind="stable")
+        return tuple(sorted(active[j] for j in order[:k]))
+    delta = np.array(prev.delta, dtype=float)
     delta[list(active)] = np.inf  # keep the members on top
     return select_top_k(delta, k)
-
-
-def warm_start_set(prev: PdasOutput | None, new_k: int) -> tuple[int, ...] | None:
-    """A size-``new_k`` start from ``prev``, an earlier output or None (cold).
-
-    The previous set whole when ``new_k`` is at most its size (``pdas`` trims
-    it by |beta|); otherwise that set grown by the top inactive sacrifices.
-    """
-    if prev is None:
-        return None
-    prev_active = prev.model.active_set
-    if new_k <= len(prev_active):
-        return prev_active
-    return grow_set(prev_active, prev.delta, new_k)
-
-
-def _sized_init(family, d, init, k, evaluations) -> tuple[int, ...]:
-    """Coerce an initial set to size k.
-
-    Too-small inits are grown with the coordinates of largest sacrifice at
-    the empty model; too-large inits are fitted (via ``evaluations``) and
-    trimmed to the k largest |beta|.
-    """
-    init = tuple(sorted(set(int(j) for j in init)))
-    if init and (init[0] < 0 or init[-1] >= d.dataset.p):
-        raise ValueError("init index out of range")
-    if len(init) == k:
-        return init
-    if len(init) < k:
-        return grow_set(init, null_fit(family, d, evaluations).delta, k)
-    model, _ = _evaluate(family, d, init, evaluations)
-    order = np.argsort(-np.abs(model.beta[list(init)]), kind="stable")
-    return tuple(sorted(init[j] for j in order[:k]))
 
 
 def pdas(
@@ -143,8 +120,9 @@ def pdas(
 ) -> PdasOutput:
     """Run the active-set fixed-point iteration at cardinality k.
 
-    ``init`` is an optional starting index set (resized as needed); when
-    omitted the k largest empty-model sacrifices are used.  ``converged``
+    ``init`` is the starting set, exactly k distinct indices in [0, p); when
+    omitted the k largest empty-model sacrifices are used, which is
+    ``warm_start_set(null_fit(...), k)``.  ``converged``
     is True only when an active set reproduced itself; hitting a cycle or
     ``m_max`` returns the best visited set with the flag down.
 
@@ -164,7 +142,13 @@ def pdas(
         raise ValueError("m_max must be >= 1")
     evaluations = {} if evaluations is None else evaluations
 
-    active = _sized_init(family, d, () if init is None else init, k, evaluations)
+    if init is None:
+        active = warm_start_set(null_fit(family, d, evaluations), k)
+    else:
+        init = [int(j) for j in init]
+        active = tuple(sorted(set(init)))
+        if len(init) != k or len(active) != k or active[0] < 0 or active[-1] >= p:
+            raise ValueError(f"init must be {k} distinct indices in [0, {p})")
 
     visited: dict[tuple[int, ...], tuple] = {}  # set -> (model, delta)
     for _ in range(m_max):

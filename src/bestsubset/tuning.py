@@ -11,9 +11,10 @@ iterations, for at most ``GSECTION_MAX_ITER`` iterations.  The iteration
 count is not O(log k_max): when the loss is flat left of the split, the left
 end resets to 1, so the search can run many iterations before the interval
 collapses.
-Each split is warm started from the previous one, and those runs revisit
-sets, so ``gpdas`` fits each distinct active set at most once per call and
-``pdas_calls`` counts solver calls, not fits.
+Each search sizes every start with ``pdas.warm_start_set`` from an output it
+holds, and a start with no earlier output from its one ``null_fit``.  The
+gpdas runs revisit sets, so ``gpdas`` fits each distinct active set at most
+once per call and ``pdas_calls`` counts solver calls, not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
@@ -297,21 +298,20 @@ def gpdas(
 ):
     """Golden-section elbow search over the subset size.
 
-    Returns ``(report, trace)``.  Each split is warm started from the
-    previous split, and its neighbours from the split, through
-    :func:`~bestsubset.pdas.warm_start_set`.  The search makes 2 + 3 solver
-    calls per iteration; interval ends are held, not re-solved, so
-    ``trace.pdas_calls`` is 2 + 3 x iterations, for at most
-    ``GSECTION_MAX_ITER`` iterations.
-    The calls share one ``evaluations`` dict, so each distinct active set
-    is fitted at most once per ``gpdas`` call; ``pdas_calls`` counts solver
-    calls, not fits.
+    Returns ``(report, trace)``: :func:`golden_section_search` over ``pdas``
+    runs started by :func:`~bestsubset.pdas.warm_start_set`, from one
+    ``null_fit`` when a run has no earlier output.  The runs share one
+    ``evaluations`` dict, so each distinct active set is fitted at most once
+    per call; ``trace.pdas_calls`` counts solver calls (2 + 3 x iterations,
+    for at most ``GSECTION_MAX_ITER`` iterations), not fits.
     """
     k_max = gsection_k_max(family, d.dataset.n, d.dataset.p, k_max)
     evaluations = {}  # shared by this search's pdas runs, dropped on return
+    null = null_fit(family, d, evaluations)
 
     def run(k, prev):
-        return pdas(family, d, k, init=warm_start_set(prev, k), evaluations=evaluations)
+        start = warm_start_set(null if prev is None else prev, k)
+        return pdas(family, d, k, init=start, evaluations=evaluations)
 
     out, rows, reason, calls = golden_section_search(run, k_max, eta, GSECTION_MAX_ITER)
     trace = GoldenSectionTrace(rows, out.k, reason, calls)

@@ -439,6 +439,13 @@ class TestFit:
         assert captured.out == ""
         assert captured.err == "error: method 'one' requires -k\n"
 
+    def test_bad_epsilon_fails_before_reading_input(self, tmp_path, capsys):
+        assert run(["fit", "--input", tmp_path / "nonexistent.csv", "--family",
+                    "gaussian", "--method", "sequential", "--epsilon", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: epsilon must be nonnegative and finite, got nan\n"
+
     def test_missing_input_fails(self, capsys):
         assert run(["fit", "--family", "gaussian", "--method", "one", "-k", 2]) == 1
         err = capsys.readouterr().err

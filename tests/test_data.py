@@ -180,6 +180,25 @@ class TestLoadCsv:
         assert d.X.tobytes() == expected[:, :2].tobytes()
         assert d.response.y.tobytes() == expected[:, 2].tobytes()
 
+    def test_peak_memory_is_a_few_arrays(self, tmp_path):
+        # rows are converted as they are read, so no n x p list of cell
+        # strings is ever held
+        d, _, _ = gen_dataset(GenConfig(n=200, p=2000, q=5, seed=0))
+        save_csv(d, tmp_path / "wide.csv")
+        tracemalloc.start()
+        try:
+            loaded = load_csv(str(tmp_path / "wide.csv"), "gaussian")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.X.tobytes() == d.X.tobytes()
+        assert peak <= 5 * loaded.X.nbytes
+
+    def test_non_utf8_file_raises_the_decode_error(self, tmp_path):
+        (tmp_path / "d.csv").write_bytes(b"x1,y\n1,2\n3,\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(str(tmp_path / "d.csv"), "gaussian")
+
     def test_cell_that_float_rejects_is_refused(self, tmp_path):
         # str.strip removes the separators U+001C..U+001F but float() does not
         p = write(tmp_path / "d.csv", "x1,y\n1\x1c,2\n3,4\n")

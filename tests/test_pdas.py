@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from bestsubset.data import Continuous, Dataset, standardize
 from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import ModelFamily, dual_sacrifice, fit_active, loss
 from bestsubset.oracle import exhaustive_best_subset
-from bestsubset.pdas import null_fit, pdas, random_subset, select_top_k
+from bestsubset.pdas import (
+    null_fit,
+    pdas,
+    random_subset,
+    select_top_k,
+    warm_start_set,
+)
 from conftest import random_standardized
 
 GAUSSIAN = ModelFamily("gaussian")
@@ -183,11 +190,15 @@ class TestPdas:
         assert out.delta[on].min() >= out.delta[~on].max()
 
     def test_init_padding_and_truncation(self):
+        # warm_start_set pads and truncates; pdas runs from the sized set
         sd = orthonormal_instance(seed=5, p=6)
-        small = pdas(GAUSSIAN, sd, 3, init=(1,))
-        assert len(small.model.active_set) == 3
-        big = pdas(GAUSSIAN, sd, 2, init=(0, 1, 2, 3))
+        one = pdas(GAUSSIAN, sd, 1, init=(1,), m_max=1)
+        small = pdas(GAUSSIAN, sd, 3, init=warm_start_set(one, 3))
+        assert len(small.model.active_set) == 3 and 1 in small.history[0]
+        four = pdas(GAUSSIAN, sd, 4, init=(0, 1, 2, 3), m_max=1)
+        big = pdas(GAUSSIAN, sd, 2, init=warm_start_set(four, 2))
         assert len(big.model.active_set) == 2
+        assert set(big.history[0]) <= {0, 1, 2, 3}
 
     def test_init_padding_keeps_init_then_top_null_sacrifices(self):
         cfg = GenConfig(n=80, p=10, q=3, family="gaussian", seed=41)
@@ -199,8 +210,23 @@ class TestPdas:
                 if len(chosen) == 5:
                     break
                 chosen.add(int(j))
-            out = pdas(GAUSSIAN, sd, 5, init=init, m_max=1)
-            assert out.history[0] == tuple(sorted(chosen))
+            prev = SimpleNamespace(model=SimpleNamespace(active_set=init), delta=delta0)
+            start = warm_start_set(prev, 5)
+            assert start == tuple(sorted(chosen))
+            out = pdas(GAUSSIAN, sd, 5, init=start, m_max=1)
+            assert out.history[0] == start
+
+    @pytest.mark.parametrize("init", [(1,), (0, 1, 2, 3), (1, 1, 2), (2, 1, 2)])
+    def test_wrong_size_init_raises(self, init):
+        sd = orthonormal_instance(seed=5, p=6)
+        with pytest.raises(ValueError, match=r"init must be 3 distinct indices in \[0, 6\)"):
+            pdas(GAUSSIAN, sd, 3, init=init)
+
+    @pytest.mark.parametrize("init", [(-1, 2, 3), (0, 1, 6), (0, 1, 60)])
+    def test_out_of_range_init_raises(self, init):
+        sd = orthonormal_instance(seed=5, p=6)
+        with pytest.raises(ValueError, match=r"init must be 3 distinct indices in \[0, 6\)"):
+            pdas(GAUSSIAN, sd, 3, init=init)
 
     def test_k_validation(self):
         sd = orthonormal_instance(seed=7, p=4)
@@ -344,15 +370,15 @@ class TestSharedEvaluations:
         sd = random_standardized(family, 90, p, seed=8, beta=beta, censor_rate=0.2)
         fam = ModelFamily(family)
         rng = np.random.default_rng(1)
-        inits = [None, (), (4,), random_subset(p, 3, rng), random_subset(p, 7, rng),
-                 tuple(range(p))]
         shared, returned = {}, []
         for k in (5, 3, 1):
-            for init in inits + returned:
+            inits = [None, warm_start_set(null_fit(fam, sd), k), random_subset(p, k, rng),
+                     tuple(range(k))] + [warm_start_set(prev, k) for prev in returned]
+            for init in inits:
                 out = pdas(fam, sd, k, init=init, evaluations=shared)
                 assert_same_output(out, pdas(fam, sd, k, init=init))
                 assert shared[out.model.active_set][0] is out.model
-            returned.append(out.model.active_set)  # a larger init found in shared
+            returned.append(out)  # a larger output, trimmed by the next k
         assert () in shared
         for active, (model, _) in shared.items():
             assert model.active_set == active

@@ -47,12 +47,7 @@ def memo_free_gpdas(family, sd, k_max, eta=0.01, m_max=100):
     """gpdas's search over plain pdas runs, each fitting on its own."""
 
     def run(k, prev):
-        if prev is None:
-            init = None
-        elif k >= prev.k:
-            init = warm_start_set(prev, k)
-        else:
-            init = prev.model.active_set
+        init = None if prev is None else warm_start_set(prev, k)
         return pdas(family, sd, k, init=init)
 
     return golden_section_search(run, k_max, eta, m_max)
@@ -174,21 +169,33 @@ class TestWarmStart:
         )
         assert warm_start_set(out, 3) == (0, 1, 2)
 
-    def test_smaller_size_keeps_the_set_for_pdas_to_trim(self):
+    def test_smaller_size_trims_to_the_largest_abs_beta(self):
         sd = self._out(2)
         out = pdas(GAUSSIAN, sd, 3)
         active = out.model.active_set
-        assert warm_start_set(out, 2) == active
-        # pdas trims the set to its 2 largest |beta|, as gpdas's start was
         by_size = sorted(active, key=lambda j: -abs(out.model.beta[j]))
+        assert warm_start_set(out, 2) == tuple(sorted(by_size[:2]))
+        # pdas starts from the trimmed set as given
         trimmed = pdas(GAUSSIAN, sd, 2, init=warm_start_set(out, 2))
-        assert trimmed.history[0] == tuple(sorted(by_size[:2]))
+        assert trimmed.history[0] == warm_start_set(out, 2)
+
+    def test_trim_ties_go_to_the_lower_index(self):
+        beta = np.array([0.0, -2.0, 0.0, 1.0, 2.0, 1.0, -1.0])
+        model = SimpleNamespace(active_set=(1, 3, 4, 5, 6), beta=beta)
+        out = SimpleNamespace(model=model)
+        assert warm_start_set(out, 1) == (1,)
+        assert warm_start_set(out, 2) == (1, 4)
+        assert warm_start_set(out, 3) == (1, 3, 4)
+        assert warm_start_set(out, 4) == (1, 3, 4, 5)
+        assert warm_start_set(out, 5) == (1, 3, 4, 5, 6)
 
     def test_no_previous_output_is_a_cold_start(self):
-        assert warm_start_set(None, 3) is None
+        # pdas without init starts where the warm start from null_fit does
         sd = self._out(4)
-        cold = pdas(GAUSSIAN, sd, 3, init=warm_start_set(None, 3))
-        assert cold.history == pdas(GAUSSIAN, sd, 3).history
+        start = warm_start_set(null_fit(GAUSSIAN, sd), 3)
+        cold = pdas(GAUSSIAN, sd, 3)
+        assert cold.history[0] == start
+        assert cold.history == pdas(GAUSSIAN, sd, 3, init=start).history
 
     def test_one_definition_in_pdas(self):
         assert warm_start_set is PDAS_MODULE.warm_start_set
@@ -459,6 +466,19 @@ class TestGpdas:
         gpdas(ModelFamily(cfg.family), sd)
         assert fitted and len(fitted) == len(set(fitted))
 
+    def test_one_null_fit_per_call(self, monkeypatch):
+        sd = standardize(gen_dataset(GenConfig(n=150, p=20, q=4, seed=6))[0])
+        calls = []
+
+        def counting_null_fit(*args, **kwargs):
+            calls.append(args)
+            return null_fit(*args, **kwargs)
+
+        for module in (importlib.import_module("bestsubset.tuning"), PDAS_MODULE):
+            monkeypatch.setattr(module, "null_fit", counting_null_fit)
+        _, trace = gpdas(GAUSSIAN, sd, k_max=15)
+        assert trace.pdas_calls >= 5 and len(calls) == 1
+
     @pytest.mark.parametrize("cfg", LONG_SEARCHES, ids=lambda c: c.family)
     def test_same_result_as_memo_free_search(self, cfg):
         family = ModelFamily(cfg.family)
@@ -487,7 +507,7 @@ class TestGpdas:
         evaluations = {}
 
         def run(k, prev):
-            init = warm_start_set(prev, k)
+            init = None if prev is None else warm_start_set(prev, k)
             return pdas(family, sd, k, init=init, evaluations=evaluations)
 
         k_max = k_max or default_k_max(family, cfg.n, cfg.p)
