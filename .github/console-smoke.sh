@@ -43,7 +43,6 @@ printf 'x1,x2,y\n1,2,3\n4,5\n' > ragged.csv
 must_fail bestsubset fit --input ragged.csv --family gaussian --method one -k 1
 printf 'x1,x2,y\n1,2,3\n4,abc,6\n' > text.csv
 must_fail bestsubset fit --input text.csv --family gaussian --method one -k 1
-# a bad last row is named from a second read of the file
 cp d.csv tail.csv
 printf '1,2,3,4,5,6,7,8,oops\r\n' >> tail.csv
 must_fail bestsubset fit --input tail.csv --family gaussian --method one -k 1 2> tail.err
@@ -52,3 +51,12 @@ grep -q "non-numeric value 'oops' at row 61, column 'y'" tail.err
 must_fail bestsubset fit --input missing.csv --family gaussian --method sequential \
   --epsilon nan 2> eps.err
 grep -q "^error: epsilon must be nonnegative and finite, got nan$" eps.err
+# with no --k-max (the default k_max is p = 8 here) the sweep says why it
+# ended, and its path has at most k_max + 1 rows
+bestsubset fit --input binomial.csv --family binomial --method sequential \
+  | python3 -c '
+import json, sys
+report = json.load(sys.stdin)
+assert report["stop"] in ("k_max", "epsilon", "certified"), report["stop"]
+assert len(report["path"]) <= 8 + 1, len(report["path"])
+'

@@ -31,7 +31,7 @@ from .families import (
 )
 from .metrics import SelectionScore, accuracy, concordance_index, relative_mse, tp_fp
 from .oracle import exhaustive_best_subset
-from .pdas import PdasOutput, null_fit, pdas, random_subset, select_top_k
+from .pdas import PdasOutput, null_fit, pdas, select_top_k
 from .tuning import (
     CriterionValues,
     FitPath,
@@ -81,7 +81,6 @@ __all__ = [
     "null_fit",
     "pdas",
     "predict",
-    "random_subset",
     "relative_mse",
     "run_bench",
     "save_csv",

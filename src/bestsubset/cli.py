@@ -182,6 +182,7 @@ def cmd_fit(args) -> int:
         if path is not None:
             payload["path"] = _path_payload(path, meta)
             payload["best_by"] = dict(sorted(path.best_by.items()))
+            payload["stop"] = path.stop
         if trace_lines:
             payload["gsection_trace"] = trace_lines
         _emit_json(payload, args.output)

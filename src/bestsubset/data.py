@@ -256,6 +256,51 @@ def _float_row(i, row, names) -> list[float]:
         raise
 
 
+def _read_rows(fh, path, response, n_resp, header):
+    """``(names, parsed)``: the column names and the rows as one float array."""
+    rows = (row for row in csv.reader(fh) if row)
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"empty file: {path}")
+    if header:
+        names = [c.strip() for c in first]
+        for col in response:
+            if col not in names:
+                raise ValueError(f"response column {col!r} not found in header")
+    else:
+        if len(first) < n_resp + 1:
+            raise ValueError("too few columns for predictors plus response")
+        names = [f"X{j + 1}" for j in range(len(first) - n_resp)] + list(response)
+        rows = itertools.chain([first], rows)
+    # each row goes straight into the array as it is read, so no n x p
+    # list of cell strings is held; the first bad row stops the read
+    floats = (_float_row(i, row, names) for i, row in enumerate(rows, start=1))
+    parsed = np.fromiter(floats, (float, (len(names),)))
+    return names, parsed
+
+
+def _located_decode_error(path, exc: UnicodeDecodeError) -> Exception:
+    """``exc`` restated with the file's line and byte offset of the first bad byte.
+
+    The reader decodes in chunks, so ``exc.start`` is relative to one; this
+    decodes the whole file again, which only the error path pays for.  A
+    file that cannot be read twice (a consumed stdin) keeps ``exc``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        raw.decode(exc.encoding)
+    except UnicodeDecodeError as full:
+        line = raw.count(b"\n", 0, full.start) + 1
+        return ValueError(
+            f"{full.encoding!r} codec can't decode byte 0x{raw[full.start]:02x} "
+            f"at line {line}, byte offset {full.start} of {path}: {full.reason}"
+        )
+    except OSError:
+        pass
+    return exc
+
+
 def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
     """Read a comma-separated file into a validated :class:`Dataset`.
 
@@ -263,7 +308,8 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
     cox family); it defaults to the response type's ``columns``.  With
     ``header=False`` all columns are unnamed and the response is taken from
     the last column (last two for cox); predictors are then named X1..Xp,
-    and naming a ``response`` is an error.
+    and naming a ``response`` is an error.  A file that does not decode is
+    refused naming the file's line and byte offset of the first bad byte.
     """
     if family not in RESPONSES:
         raise ValueError(f"unknown family {family!r}")
@@ -287,24 +333,10 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
     except FileNotFoundError:
         raise ValueError(f"file not found: {path}") from None
     with fh:
-        rows = (row for row in csv.reader(fh) if row)
-        first = next(rows, None)
-        if first is None:
-            raise ValueError(f"empty file: {path}")
-        if header:
-            names = [c.strip() for c in first]
-            for col in response:
-                if col not in names:
-                    raise ValueError(f"response column {col!r} not found in header")
-        else:
-            if len(first) < n_resp + 1:
-                raise ValueError("too few columns for predictors plus response")
-            names = [f"X{j + 1}" for j in range(len(first) - n_resp)] + list(response)
-            rows = itertools.chain([first], rows)
-        # each row goes straight into the array as it is read, so no n x p
-        # list of cell strings is held; the first bad row stops the read
-        floats = (_float_row(i, row, names) for i, row in enumerate(rows, start=1))
-        parsed = np.fromiter(floats, (float, (len(names),)))
+        try:
+            names, parsed = _read_rows(fh, path, response, n_resp, header)
+        except UnicodeDecodeError as exc:
+            raise _located_decode_error(path, exc) from None
 
     resp_idx = [names.index(c) for c in response]
     x_idx = [j for j in range(len(names)) if j not in resp_idx]

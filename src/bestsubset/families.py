@@ -26,6 +26,7 @@ grow if that coordinate were forced (back) to zero:
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -332,6 +333,23 @@ def _fit_cox(d, active):
     return _model(d, active, coef, 0.0, converged, iterations, value)
 
 
+def as_indices(values) -> list[int]:
+    """``values`` as int indices; a float or bool among them is a ValueError.
+
+    Python and numpy integers pass through ``operator.index``, so nothing
+    is truncated; bools are refused too, as a mask is not a set of indices.
+    """
+    indices = []
+    for j in values:
+        try:
+            if isinstance(j, bool):
+                raise TypeError
+            indices.append(operator.index(j))
+        except TypeError:
+            raise ValueError(f"indices must be integers, got {j!r}") from None
+    return indices
+
+
 def fit_active(
     family: ModelFamily, d: StandardizedDataset, active_set
 ) -> CoefficientModel:
@@ -342,7 +360,7 @@ def fit_active(
     callers inside the active-set iteration can proceed.
     """
     _check_family(family, d)
-    requested = tuple(int(j) for j in active_set)
+    requested = as_indices(active_set)
     active = tuple(sorted(set(requested)))
     if len(active) != len(requested):
         raise ValueError("active_set contains duplicate indices")

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import StandardizedDataset
-from .families import CoefficientModel, ModelFamily, dual_sacrifice, fit_active
+from .families import (
+    CoefficientModel,
+    ModelFamily,
+    as_indices,
+    dual_sacrifice,
+    fit_active,
+)
 
 DEFAULT_MAX_SWEEPS = 20
 
@@ -70,11 +76,6 @@ def select_top_k(delta: np.ndarray, k: int) -> tuple[int, ...]:
         chosen, tied = key < kth, key == kth
     chosen[np.flatnonzero(tied)[: k - np.count_nonzero(chosen)]] = True
     return tuple(np.flatnonzero(chosen).tolist())
-
-
-def random_subset(p: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """A uniformly random size-k subset of {0..p-1}, usable as a pdas init."""
-    return tuple(sorted(int(j) for j in rng.choice(p, size=k, replace=False)))
 
 
 def _evaluate(family, d, active, evaluations):
@@ -145,7 +146,7 @@ def pdas(
     if init is None:
         active = warm_start_set(null_fit(family, d, evaluations), k)
     else:
-        init = [int(j) for j in init]
+        init = as_indices(init)
         active = tuple(sorted(set(init)))
         if len(init) != k or len(active) != k or active[0] < 0 or active[-1] >= p:
             raise ValueError(f"init must be {k} distinct indices in [0, {p})")

@@ -1,8 +1,15 @@
 """Choosing the subset size: sequential sweep and golden-section elbow search.
 
-The sequential search runs the active-set solver for k = 1..k_max, warm
+The sequential search runs the active-set solver for k = 1, 2, ..., warm
 starting each size from the previous solution, and picks the k minimizing an
-information criterion (AIC, BIC, or EBIC).  The golden-section search
+information criterion (AIC, BIC, or EBIC).  Every criterion is deviance +
+pen(k) with pen increasing in k, so once a lower bound on any fit's deviance
+plus pen(k + 1) exceeds the best value so far, no larger size can be chosen
+and the sweep stops: the path is then a prefix of the full one and the
+choice is the same.  The bound is the deviance of the converged fit on all p
+columns when ``k_max`` is p (every fit is a restricted one), else 0 for
+binomial and cox (the loss is nonnegative); gaussian gets none otherwise.
+``FitPath.stop`` says why the sweep ended.  The golden-section search
 instead brackets the `elbow' of the loss-versus-k curve with 2 + 3 solver
 calls per iteration; interval ends are held, not re-solved.  Sizes 1 and
 k_max are solved once up front and each iteration solves only the split k_M
@@ -23,12 +30,13 @@ Every size is reported by one builder, :func:`fixed_k_report`, as a
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import StandardizedDataset
-from .families import ModelFamily, loglik_from_loss
+from .families import ModelFamily, fit_active, loglik_from_loss
 from .pdas import PdasOutput, null_fit, pdas, warm_start_set
 
 CRITERIA = ("aic", "bic", "ebic")
@@ -120,10 +128,18 @@ class SelectionReport:
 
 @dataclass(frozen=True, eq=False)
 class FitPath:
-    """Solution path over k, plus the best size under each criterion."""
+    """Solution path over k, the best size under each criterion, and the stop.
+
+    ``best_by`` is the argmin of each criterion over the computed path; only
+    the chosen criterion's is certified over all sizes up to ``k_max``.
+    ``stop`` says why the sweep ended: ``"k_max"`` (it got there),
+    ``"epsilon"`` (the loss stopped improving) or ``"certified"`` (no larger
+    size can win the chosen criterion).
+    """
 
     entries: tuple[SelectionReport, ...]
     best_by: dict[str, int]
+    stop: str
 
     def entry_for(self, k: int) -> SelectionReport:
         for entry in self.entries:
@@ -172,6 +188,27 @@ def gsection_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> in
     return resolved
 
 
+def loglik_ceiling(family: ModelFamily, d: StandardizedDataset, k_max: int):
+    """An upper bound on the log-likelihood of every fit of up to ``k_max``, or None.
+
+    With ``k_max`` = p the converged fit on all p columns bounds every
+    restricted fit; one that warned (the ridge fallback), did not converge,
+    or failed gives no bound from it.  Otherwise binomial and cox losses
+    are nonnegative, so the bound is 0, and gaussian has none.
+    """
+    n, p = d.dataset.n, d.dataset.p
+    if k_max == p and family.max_size(n, p) >= p:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            try:
+                full = fit_active(family, d, range(p))
+            except ValueError:  # the sweep meets this fit itself if it gets to k = p
+                full = None
+        if full is not None and full.solver_converged and not caught:
+            return loglik_from_loss(family, n, full.loss)
+    return None if family.tag == "gaussian" else 0.0
+
+
 def spdas(
     family: ModelFamily,
     d: StandardizedDataset,
@@ -184,24 +221,41 @@ def spdas(
     Returns ``(path, report)``.  The path always contains the k = 0 null
     model so the criteria may select the empty set.  With ``epsilon > 0``
     the sweep stops early once the relative loss improvement of a step
-    falls below it.
+    falls below it.  After each size k it also stops once the bound of
+    :func:`loglik_ceiling` plus the penalty of k + 1 exceeds the best value
+    of the chosen criterion so far, so the report is the one the sweep to
+    ``k_max`` would choose.  ``path.stop`` names the rule that ended it.
     """
     n, p = d.dataset.n, d.dataset.p
     k_max = _checked_k_max(family, n, p, k_max)
     check_epsilon(epsilon)
     chosen = resolve_criterion(criterion, n, p)
+    ceiling = loglik_ceiling(family, d, k_max)
 
     def entry(out):
         return fixed_k_report(family, d, out, "sequential", chosen)
 
     prev = null_fit(family, d)
     entries = [entry(prev)]
+    best = entries[0].criteria.value(chosen)
+    stop = "k_max"
     for k in range(1, k_max + 1):
         out = pdas(family, d, k, init=warm_start_set(prev, k))
         entries.append(entry(out))
+        best = min(best, entries[-1].criteria.value(chosen))
+        if k == k_max:
+            break
         if epsilon > 0.0:
             gain = (prev.loss - out.loss) / max(abs(prev.loss), 1e-10)
             if gain < epsilon:
+                stop = "epsilon"
+                break
+        if ceiling is not None:
+            # strict, with a margin for the full fit's tolerance: ties go to
+            # the smaller k, which is already on the path
+            bound = criteria(ceiling, k + 1, n, p).value(chosen)
+            if bound > best + 1e-9 * max(abs(best), 1.0):
+                stop = "certified"
                 break
         prev = out
 
@@ -209,7 +263,7 @@ def spdas(
         name: min(entries, key=lambda e: (e.criteria.value(name), e.k)).k
         for name in CRITERIA
     }
-    path = FitPath(tuple(entries), best_by)
+    path = FitPath(tuple(entries), best_by, stop)
     return path, path.entry_for(best_by[chosen])
 
 

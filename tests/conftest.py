@@ -43,6 +43,11 @@ def random_standardized(family, n, p, seed, beta=None, censor_rate=0.0):
     return standardize(Dataset(X, resp))
 
 
+def random_subset(p, k, rng):
+    """A uniformly random size-k subset of {0..p-1}, usable as a pdas init."""
+    return tuple(sorted(int(j) for j in rng.choice(p, size=k, replace=False)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -268,8 +268,23 @@ class TestFit:
         ks = [row["k"] for row in report["path"]]
         assert ks == list(range(0, 7))
         assert set(report["best_by"]) == {"aic", "bic", "ebic"}
+        assert report["stop"] == "k_max"
         for row in report["path"]:
             assert {"loss", "deviance", "aic", "bic", "ebic"} <= set(row)
+
+    def test_sequential_stop_is_reported(self, tmp_path):
+        # default k_max is p = 20, so the fit on all 20 columns bounds the sweep
+        data = gen_planted(tmp_path)
+        report_path = tmp_path / "report.json"
+        argv = ["fit", "--input", data, "--family", "gaussian", "--method", "sequential",
+                "--criterion", "bic", "--output", report_path]
+        assert run(argv) == 0
+        report = json.loads(report_path.read_text())
+        assert report["stop"] == "certified"
+        assert report["path"][-1]["k"] < 20
+        assert report["k"] == report["best_by"]["bic"]
+        assert run(argv + ["--epsilon", "0.5"]) == 0
+        assert json.loads(report_path.read_text())["stop"] == "epsilon"
 
     def test_sequential_k_max_one(self, tmp_path):
         data = gen_planted(tmp_path)
@@ -349,7 +364,7 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "method, extra",
-        [("one", {"coefficients_dense"}), ("sequential", {"path", "best_by"}),
+        [("one", {"coefficients_dense"}), ("sequential", {"path", "best_by", "stop"}),
          ("gsection", {"gsection_trace"})],
     )
     def test_report_keys(self, tmp_path, method, extra):

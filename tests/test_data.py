@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -196,8 +197,24 @@ class TestLoadCsv:
 
     def test_non_utf8_file_raises_the_decode_error(self, tmp_path):
         (tmp_path / "d.csv").write_bytes(b"x1,y\n1,2\n3,\xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        path = str(tmp_path / "d.csv")
+        message = (
+            f"'utf-8' codec can't decode byte 0xff at line 3, byte offset 11 of {path}: "
+            "invalid start byte"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(path, "gaussian")
+
+    def test_decode_error_names_the_file_line_and_byte_past_the_first_chunk(self, tmp_path):
+        # the reader decodes in 8 KiB chunks; the offset named is the file's
+        body = bytearray(b"x1,y\r\n" + b"1.5,2.5\r\n" * 5000)
+        bad = 40000
+        body[bad] = 0xFF
+        line = body.count(b"\n", 0, bad) + 1
+        (tmp_path / "d.csv").write_bytes(bytes(body))
+        with pytest.raises(ValueError) as caught:
             load_csv(str(tmp_path / "d.csv"), "gaussian")
+        assert f"byte 0xff at line {line}, byte offset {bad} of " in str(caught.value)
 
     def test_cell_that_float_rejects_is_refused(self, tmp_path):
         # str.strip removes the separators U+001C..U+001F but float() does not

@@ -290,6 +290,19 @@ class TestFitActive:
         with pytest.raises(ValueError, match="duplicate"):
             fit_active(GAUSSIAN, sd, (1, 1))
 
+    @pytest.mark.parametrize("active", [(0, 1.7), (np.float64(1.0),), (True, 2)])
+    def test_non_integer_indices_rejected(self, active):
+        # int() would truncate 1.7 to 1 and read True as 1
+        sd = random_standardized("gaussian", 10, 3, seed=31)
+        with pytest.raises(ValueError, match="indices must be integers"):
+            fit_active(GAUSSIAN, sd, active)
+
+    def test_numpy_integer_indices_accepted(self):
+        sd = random_standardized("gaussian", 10, 3, seed=31)
+        model = fit_active(GAUSSIAN, sd, np.array([2, 0], dtype=np.int64))
+        assert model.active_set == (0, 2)
+        assert model.loss == fit_active(GAUSSIAN, sd, (0, 2)).loss
+
     def test_singular_gram_warns_not_raises(self, rng):
         X = rng.standard_normal((10, 2))
         y = rng.standard_normal(10)

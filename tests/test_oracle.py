@@ -5,7 +5,8 @@ from bestsubset.data import Continuous, Dataset, standardize
 from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import CoefficientModel, ModelFamily, fit_active, loss
 from bestsubset.oracle import exhaustive_best_subset
-from bestsubset.pdas import pdas, random_subset
+from bestsubset.pdas import pdas
+from conftest import random_subset
 
 GAUSSIAN = ModelFamily("gaussian")
 

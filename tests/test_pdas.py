@@ -10,14 +10,8 @@ from bestsubset.data import Continuous, Dataset, standardize
 from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import ModelFamily, dual_sacrifice, fit_active, loss
 from bestsubset.oracle import exhaustive_best_subset
-from bestsubset.pdas import (
-    null_fit,
-    pdas,
-    random_subset,
-    select_top_k,
-    warm_start_set,
-)
-from conftest import random_standardized
+from bestsubset.pdas import null_fit, pdas, select_top_k, warm_start_set
+from conftest import random_standardized, random_subset
 
 GAUSSIAN = ModelFamily("gaussian")
 
@@ -227,6 +221,21 @@ class TestPdas:
         sd = orthonormal_instance(seed=5, p=6)
         with pytest.raises(ValueError, match=r"init must be 3 distinct indices in \[0, 6\)"):
             pdas(GAUSSIAN, sd, 3, init=init)
+
+    @pytest.mark.parametrize(
+        "init", [(1.7, 3.2), (1.0, 3), (np.float64(1), 3), (True, 3), (np.True_, 3)]
+    )
+    def test_non_integer_init_raises(self, init):
+        # int() would run (1.7, 3.2) from (1, 3) and read True as 1
+        sd = orthonormal_instance(seed=5, p=6)
+        with pytest.raises(ValueError, match="indices must be integers"):
+            pdas(GAUSSIAN, sd, 2, init=init, m_max=1)
+
+    def test_numpy_integer_init_accepted(self):
+        sd = orthonormal_instance(seed=5, p=6)
+        for init in ((np.int64(1), np.int32(3)), np.array([3, 1])):
+            out = pdas(GAUSSIAN, sd, 2, init=init, m_max=1)
+            assert out.history[0] == (1, 3)
 
     def test_k_validation(self):
         sd = orthonormal_instance(seed=7, p=4)

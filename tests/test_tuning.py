@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 from types import SimpleNamespace
@@ -7,16 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestsubset.data import standardize
+from bestsubset import bench
+from bestsubset.bench import BenchScenario, run_replication
+from bestsubset.data import Continuous, Dataset, standardize
 from bestsubset.datagen import GenConfig, gen_dataset
-from bestsubset.families import ModelFamily, fit_active, loglik_from_loss
+from bestsubset.families import (
+    CoefficientModel,
+    ModelFamily,
+    fit_active,
+    loglik_from_loss,
+)
 from bestsubset.pdas import null_fit, pdas
 from bestsubset.tuning import (
+    CRITERIA,
     LOSS_FLOOR,
     criteria,
     default_k_max,
     golden_section_search,
     gpdas,
+    loglik_ceiling,
     resolve_criterion,
     spdas,
     split_point,
@@ -51,6 +61,24 @@ def memo_free_gpdas(family, sd, k_max, eta=0.01, m_max=100):
         return pdas(family, sd, k, init=init)
 
     return golden_section_search(run, k_max, eta, m_max)
+
+
+def full_sweep(family, sd, k_max):
+    """spdas's path with no stop: pdas from ``warm_start_set`` at every k to k_max."""
+    prev = null_fit(family, sd)
+    outs = [prev]
+    for k in range(1, k_max + 1):
+        prev = pdas(family, sd, k, init=warm_start_set(prev, k))
+        outs.append(prev)
+    return outs
+
+
+def epsilon_stop_k(outs, epsilon):
+    """The size after which the epsilon rule ends the full sweep, or None."""
+    for prev, out in zip(outs[:-2], outs[1:-1]):
+        if (prev.loss - out.loss) / max(abs(prev.loss), 1e-10) < epsilon:
+            return out.k
+    return None
 
 
 def five_call_search(run, k_max, eta, m_max):
@@ -260,6 +288,7 @@ class TestSpdas:
         sd = self.planted(11)
         path, _ = spdas(GAUSSIAN, sd, k_max=20, epsilon=0.05)
         assert path.entries[-1].k < 20
+        assert path.stop == "epsilon"
 
     def test_null_model_selected_on_pure_noise(self):
         # EBIC under the null: selected size is 0 or 1 nearly always
@@ -304,6 +333,141 @@ class TestSpdas:
         path, _ = spdas(GAUSSIAN, sd, k_max=10)
         losses = [e.loss for e in path.entries]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+# (config, k_max): k_max = p bounds by the fit on all p columns; below p,
+# binomial and cox bound by 0 and gaussian has no bound
+STOP_CORPUS = [
+    (GenConfig(n=100, p=12, q=3, rho=0.2, seed=41), None),
+    (GenConfig(n=100, p=30, q=3, rho=0.2, seed=42), 20),
+    (GenConfig(n=150, p=12, q=3, family="binomial", seed=43), None),
+    (GenConfig(n=150, p=40, q=3, family="binomial", seed=44), 20),
+    (GenConfig(n=150, p=12, q=3, family="cox", censor_rate=0.2, seed=45), None),
+    (GenConfig(n=150, p=40, q=3, family="cox", seed=46), 20),
+]
+
+
+def stop_instance(cfg, k_max, seed_offset):
+    cfg = dataclasses.replace(cfg, seed=cfg.seed + 1000 * seed_offset)
+    family = ModelFamily(cfg.family)
+    sd = standardize(gen_dataset(cfg)[0])
+    k_max = default_k_max(family, cfg.n, cfg.p) if k_max is None else k_max
+    return family, sd, k_max
+
+
+def duplicated_column_instance():
+    """Gaussian n100/p10 whose last column copies column 3: a singular full Gram."""
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((100, 10))
+    X[:, 9] = X[:, 3]
+    y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + rng.standard_normal(100)
+    return standardize(Dataset(X, Continuous(y)))
+
+
+class TestCertifiedStop:
+    @pytest.mark.parametrize("seed_offset", [0, 1])
+    @pytest.mark.parametrize("cfg, k_max", STOP_CORPUS)
+    def test_stopped_path_is_a_prefix_with_the_same_choice(self, cfg, k_max, seed_offset):
+        family, sd, k_max = stop_instance(cfg, k_max, seed_offset)
+        n, p = sd.dataset.n, sd.dataset.p
+        outs = full_sweep(family, sd, k_max)
+        for criterion in CRITERIA:
+            path, report = spdas(family, sd, k_max=k_max, criterion=criterion)
+            assert len(path.entries) <= len(outs)
+            for entry, out in zip(path.entries, outs):
+                assert entry.k == out.k
+                assert entry.active_set == out.model.active_set
+                assert entry.loss == out.loss
+                np.testing.assert_array_equal(entry.beta, out.model.beta)
+
+            def value(out, criterion=criterion):
+                loglik = loglik_from_loss(family, n, out.loss)
+                return criteria(loglik, out.k, n, p).value(criterion)
+
+            best = min(outs, key=lambda out: (value(out), out.k))
+            assert (report.k, report.active_set, report.loss) == (
+                best.k, best.model.active_set, best.loss
+            )
+            last = path.entries[-1].k
+            assert path.stop == ("k_max" if last == k_max else "certified")
+
+    def test_corpus_stops_early_in_every_family(self):
+        stopped = set()
+        for cfg, k_max in STOP_CORPUS:
+            family, sd, k_max = stop_instance(cfg, k_max, 0)
+            path, _ = spdas(family, sd, k_max=k_max, criterion="ebic")
+            if path.stop == "certified":
+                assert path.entries[-1].k < k_max
+                stopped.add((family.tag, k_max == sd.dataset.p))
+        # each family by the full fit, and binomial by the zero bound; a cox
+        # partial likelihood is too far above 0 for that bound to end a sweep
+        assert stopped == {
+            ("gaussian", True), ("binomial", True), ("binomial", False), ("cox", True)
+        }
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.05, 0.005, 1e-4])
+    @pytest.mark.parametrize("cfg, k_max", STOP_CORPUS)
+    def test_epsilon_wins_where_it_ends_first(self, cfg, k_max, epsilon):
+        family, sd, k_max = stop_instance(cfg, k_max, 0)
+        outs = full_sweep(family, sd, k_max)
+        certified, _ = spdas(family, sd, k_max=k_max, criterion="bic")
+        k_cert = certified.entries[-1].k
+        k_eps = epsilon_stop_k(outs, epsilon)
+        path, _ = spdas(family, sd, k_max=k_max, criterion="bic", epsilon=epsilon)
+        if k_eps is not None and k_eps <= k_cert:
+            expected = (k_eps, "epsilon")
+        else:
+            expected = (k_cert, certified.stop)
+        assert (path.entries[-1].k, path.stop) == expected
+
+    def test_ridge_full_fit_gives_no_bound(self):
+        sd = duplicated_column_instance()
+        assert loglik_ceiling(GAUSSIAN, sd, 10) is None
+        with pytest.warns(RuntimeWarning, match="singular"):
+            path, report = spdas(GAUSSIAN, sd, criterion="ebic")
+        # the sweep ends at k_max = p as it always did, and picks columns 0 and 1
+        assert (path.stop, len(path.entries)) == ("k_max", 11)
+        assert report.active_set == (0, 1)
+
+    def test_ceiling_by_family_and_k_max(self):
+        for tag in ("binomial", "cox"):
+            family = ModelFamily(tag)
+            sd = standardize(gen_dataset(GenConfig(n=80, p=6, q=2, family=tag, seed=5))[0])
+            assert loglik_ceiling(family, sd, 5) == 0.0
+            full = fit_active(family, sd, range(6))
+            assert full.solver_converged
+            assert loglik_ceiling(family, sd, 6) == -full.loss
+        sd = standardize(gen_dataset(GenConfig(n=80, p=6, q=2, seed=5))[0])
+        assert loglik_ceiling(GAUSSIAN, sd, 5) is None
+        full = fit_active(GAUSSIAN, sd, range(6))
+        assert loglik_ceiling(GAUSSIAN, sd, 6) == loglik_from_loss(GAUSSIAN, 80, full.loss)
+
+    def test_non_converged_full_fit_gives_the_zero_bound(self, monkeypatch):
+        family = ModelFamily("binomial")
+        sd = standardize(gen_dataset(GenConfig(n=80, p=6, q=2, family="binomial", seed=5))[0])
+        full = fit_active(family, sd, range(6))
+        stalled = CoefficientModel(full.beta, full.intercept, full.active_set, False, 100, full.loss)
+        tuning_module = importlib.import_module("bestsubset.tuning")
+        monkeypatch.setattr(tuning_module, "fit_active", lambda *args: stalled)
+        assert loglik_ceiling(family, sd, 6) == 0.0
+
+    def test_logit_reps_scenario_is_certified_by_k_14(self, monkeypatch):
+        scn = BenchScenario(
+            family="binomial", n=500, p=100, q=5, reps=1, methods=("spdas",),
+            criterion="ebic", holdout=1000, seed=200,
+        )
+        paths = []
+
+        def recording(*args, **kwargs):
+            paths.append(spdas(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(bench, "spdas", recording)
+        record = run_replication(scn, 0)
+        (path, report), = paths
+        assert path.stop == "certified"
+        assert path.entries[-1].k <= 14 < default_k_max(ModelFamily("binomial"), 500, 100)
+        assert record["methods"]["spdas"]["k"] == report.k
 
 
 def elbow_curve(elbow, flat_slope=1e-4, drop=2.0, base=1.0):
