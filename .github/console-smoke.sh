@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke run of the installed `bestsubset` console script, in the current
 # directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
-# oracle for each family, and the input checks of gen and fit.  gsection
-# reports are piped into a JSON parser, since its trace lines go to stderr.
+# oracle for each family, the oracle past the default p cap, and the input
+# checks of gen and fit.  gsection reports are piped into a JSON parser,
+# since its trace lines go to stderr.
 # Usage: bash console-smoke.sh
 set -eo pipefail
 
@@ -59,4 +60,15 @@ import json, sys
 report = json.load(sys.stdin)
 assert report["stop"] in ("k_max", "epsilon", "certified"), report["stop"]
 assert len(report["path"]) <= 8 + 1, len(report["path"])
+'
+# the branch-and-bound oracle at p = 40, where enumeration would fit 658 008
+# sets, finds the planted support that the fixed-k fit misses on this seed
+bestsubset gen --family gaussian --n 200 --p 40 --q 5 --seed 1 --output p40.csv
+bestsubset oracle --input p40.csv --family gaussian --p-cap 40 -k 5 --output p40-oracle.json
+bestsubset fit --input p40.csv --family gaussian --method one -k 5 --output p40-one.json
+python3 -c '
+import json
+oracle = json.load(open("p40-oracle.json"))["loss"]
+one = json.load(open("p40-one.json"))["loss"]
+assert oracle <= one, (oracle, one)
 '

@@ -333,21 +333,37 @@ def _fit_cox(d, active):
     return _model(d, active, coef, 0.0, converged, iterations, value)
 
 
-def as_indices(values) -> list[int]:
-    """``values`` as int indices; a float or bool among them is a ValueError.
+def _integer(value) -> int | None:
+    """``operator.index(value)``, or None for a float, a bool or a non-number.
 
-    Python and numpy integers pass through ``operator.index``, so nothing
-    is truncated; bools are refused too, as a mask is not a set of indices.
+    Python and numpy integers pass, so nothing is truncated; bools are
+    refused, as a mask is not a set of indices and a flag is not a size.
     """
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def as_indices(values) -> list[int]:
+    """``values`` as int indices; a float or bool among them is a ValueError."""
     indices = []
     for j in values:
-        try:
-            if isinstance(j, bool):
-                raise TypeError
-            indices.append(operator.index(j))
-        except TypeError:
-            raise ValueError(f"indices must be integers, got {j!r}") from None
+        index = _integer(j)
+        if index is None:
+            raise ValueError(f"indices must be integers, got {j!r}")
+        indices.append(index)
     return indices
+
+
+def as_size(value, name: str) -> int:
+    """``value`` as an int size or count; a float or bool is a ValueError naming ``name``."""
+    size = _integer(value)
+    if size is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return size
 
 
 def fit_active(

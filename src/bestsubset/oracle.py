@@ -1,18 +1,73 @@
-"""Exhaustive best-subset search, the ground truth for small p.
+"""Best size-k subset by branch and bound, the ground truth for small p.
 
-Fits every size-k subset in lexicographic order and returns the fitted
-model of the first one attaining the minimal loss, so ties resolve
-deterministically and the loss it was ranked by is the one every other
-method reports for that set.  Only intended for desk-scale problems; the
-subset count explodes beyond ``p_cap``.
+Returns the fitted model of the lexicographically first size-k subset
+attaining the minimal loss: the model that fitting every size-k subset in
+lexicographic order and keeping the first strict minimum would return, so
+ties resolve deterministically and the loss it was ranked by is the one
+every other method reports for that set.
+
+The search (the "leaps and bounds" of Furnival & Wilson, 1974) rests on
+one fact shared by all three families: the minimal loss over a set is
+never above the minimal loss over any of its subsets.  It runs depth first
+over the columns in order of their null sacrifice, from the ``pdas`` fit
+at k as the incumbent.  A node is a picked set F and a pool C of columns
+still open; it is dropped when the fit on F | C certifies a lower bound
+above the incumbent's loss.  Only desk-scale problems are accepted: the
+search is refused beyond ``p_cap`` columns, as the count of subsets it may
+still have to fit grows as C(p, k).
 """
 
-from itertools import combinations
+import math
+import warnings
+
+import numpy as np
 
 from .data import StandardizedDataset
-from .families import CoefficientModel, ModelFamily, fit_active
+from .families import (
+    LINEAR_PREDICTOR_CLIP,
+    CoefficientModel,
+    ModelFamily,
+    as_size,
+    fit_active,
+)
+from .pdas import null_fit, pdas
 
 DEFAULT_P_CAP = 25
+
+# A bound prunes only above the incumbent by this share of its loss, which
+# covers the rounding and solver tolerance of the fit the bound comes from:
+# a superset whose extra columns add nothing may compute a few ulps above a
+# subset tied with the incumbent.
+BOUND_MARGIN = 1e-9
+
+
+def _lower_bound(family: ModelFamily, d: StandardizedDataset, superset) -> float:
+    """A lower bound on the loss of every subset of ``superset``, or -inf.
+
+    The loss of the fit on ``superset`` is one only when that fit is a
+    minimum: it fits within the family's size cap, raises nothing, warns
+    of nothing (the ridge fallback warns), converged, and is not separated
+    (a separated fit stops short of its infimum with ``converged`` set, so
+    any |eta| at ``LINEAR_PREDICTOR_CLIP`` disqualifies it).  Its warnings
+    are caught here, as no reported model comes from this fit.
+    """
+    n, p = d.dataset.n, d.dataset.p
+    if len(superset) > family.max_size(n, p):
+        return -math.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            model = fit_active(family, d, superset)
+        except ValueError:  # a non-finite Newton system
+            return -math.inf
+    if caught or not model.solver_converged:
+        return -math.inf
+    if family.tag != "gaussian":
+        active = list(model.active_set)
+        eta = model.intercept + d.dataset.X[:, active] @ model.beta[active]
+        if np.max(np.abs(eta)) >= LINEAR_PREDICTOR_CLIP:
+            return -math.inf
+    return model.loss
 
 
 def exhaustive_best_subset(
@@ -21,17 +76,46 @@ def exhaustive_best_subset(
     k: int,
     p_cap: int = DEFAULT_P_CAP,
 ) -> CoefficientModel:
-    """Globally best size-k subset by enumeration, as its fitted model."""
-    p = d.dataset.p
+    """Globally best size-k subset, as its fitted model.
+
+    The result is the one enumeration of all C(p, k) subsets gives; the
+    branch and bound fits each set at most once and usually far fewer.
+    """
+    n, p = d.dataset.n, d.dataset.p
     if p > p_cap:
         raise ValueError(
             f"refusing exhaustive search: p={p} exceeds p_cap={p_cap}"
         )
+    k = as_size(k, "k")
     if not 0 <= k <= p:
         raise ValueError(f"k must be in [0, {p}], got {k}")
-    best = None
-    for subset in combinations(range(p), k):
-        model = fit_active(family, d, subset)
-        if best is None or model.loss < best.loss:
-            best = model
+    if k > family.max_size(n, p):
+        raise ValueError(f"k={k} exceeds n={n} for the gaussian family")
+    if k in (0, p):  # a single subset
+        return fit_active(family, d, range(k))
+
+    evaluations = {}  # the sets pdas fitted, reused at the leaves
+    null = null_fit(family, d, evaluations)
+    best = pdas(family, d, k, evaluations=evaluations).model
+    order = tuple(np.argsort(-null.delta, kind="stable").tolist())
+
+    # Nodes (picked, i, bound): the pool is order[i:], and bound is the
+    # lower bound of picked | pool, or None until it is fitted.  Taking
+    # order[i] keeps the node's superset, so that child inherits its bound.
+    stack = [((), 0, None)]
+    while stack:
+        picked, i, bound = stack.pop()
+        need = k - len(picked)
+        if need in (0, p - i):  # a leaf: picked, or picked | pool
+            leaf = tuple(sorted(picked + order[i:] if need else picked))
+            model = evaluations[leaf][0] if leaf in evaluations else fit_active(family, d, leaf)
+            if (model.loss, model.active_set) < (best.loss, best.active_set):
+                best = model
+            continue
+        if bound is None:
+            bound = _lower_bound(family, d, picked + order[i:])
+        if bound > best.loss + BOUND_MARGIN * abs(best.loss):
+            continue
+        stack.append((picked, i + 1, None))
+        stack.append((picked + (order[i],), i + 1, bound))
     return best

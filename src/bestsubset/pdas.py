@@ -25,6 +25,7 @@ from .families import (
     CoefficientModel,
     ModelFamily,
     as_indices,
+    as_size,
     dual_sacrifice,
     fit_active,
 )
@@ -135,6 +136,7 @@ def pdas(
     """
     p = d.dataset.p
     n = d.dataset.n
+    k, m_max = as_size(k, "k"), as_size(m_max, "m_max")
     if not 1 <= k <= p:
         raise ValueError(f"k must be in [1, {p}], got {k}")
     if k > family.max_size(n, p):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import StandardizedDataset
-from .families import ModelFamily, fit_active, loglik_from_loss
+from .families import ModelFamily, as_size, fit_active, loglik_from_loss
 from .pdas import PdasOutput, null_fit, pdas, warm_start_set
 
 CRITERIA = ("aic", "bic", "ebic")
@@ -173,6 +173,7 @@ def _checked_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> in
     """``k_max``, defaulted per family and checked against the size cap."""
     if k_max is None:
         return default_k_max(family, n, p)
+    k_max = as_size(k_max, "k_max")
     cap = family.max_size(n, p)
     if not 1 <= k_max <= cap:
         raise ValueError(f"k_max must be in [1, {cap}], got {k_max}")

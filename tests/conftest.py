@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from bestsubset import bench
 from bestsubset.data import Binary, Continuous, Dataset, Survival, standardize
+from bestsubset.families import fit_active
 
 
 def random_standardized(family, n, p, seed, beta=None, censor_rate=0.0):
@@ -46,6 +49,17 @@ def random_standardized(family, n, p, seed, beta=None, censor_rate=0.0):
 def random_subset(p, k, rng):
     """A uniformly random size-k subset of {0..p-1}, usable as a pdas init."""
     return tuple(sorted(int(j) for j in rng.choice(p, size=k, replace=False)))
+
+
+def enumerate_best_subset(family, d, k):
+    """The oracle's reference: fit every size-k subset in lexicographic order
+    and keep the first model of strictly lowest loss."""
+    best = None
+    for subset in combinations(range(d.dataset.p), k):
+        model = fit_active(family, d, subset)
+        if best is None or model.loss < best.loss:
+            best = model
+    return best
 
 
 @pytest.fixture

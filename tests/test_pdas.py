@@ -244,6 +244,26 @@ class TestPdas:
         with pytest.raises(ValueError):
             pdas(GAUSSIAN, sd, 5)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(k=2.0), "k"),
+            (dict(k=True), "k"),
+            (dict(k=2, m_max=3.0), "m_max"),
+            (dict(k=2, m_max=np.True_), "m_max"),
+        ],
+    )
+    def test_non_integer_size_raises(self, kwargs, name):
+        # k=True and m_max=True used to run as 1; the floats failed inside numpy
+        sd = orthonormal_instance(seed=5, p=6)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            pdas(GAUSSIAN, sd, **kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sd = orthonormal_instance(seed=5, p=6)
+        out = pdas(GAUSSIAN, sd, np.int64(2), m_max=np.int32(3))
+        assert out.model.active_set == pdas(GAUSSIAN, sd, 2, m_max=3).model.active_set
+
     def test_k_exceeding_n_rejected_for_gaussian(self, rng):
         X = rng.standard_normal((4, 8))
         sd = standardize(Dataset(X, Continuous(rng.standard_normal(4))))

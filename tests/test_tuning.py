@@ -617,6 +617,13 @@ class TestGpdas:
             with pytest.raises(ValueError, match=r"k_max must be in \[1, 10\], got 11"):
                 search(GAUSSIAN, wide, k_max=11)
 
+    @pytest.mark.parametrize("search", [spdas, gpdas])
+    @pytest.mark.parametrize("k_max", [5.0, np.float64(5), True])
+    def test_non_integer_k_max_raises(self, search, k_max):
+        sd = standardize(gen_dataset(GenConfig(n=100, p=20, q=3, seed=1))[0])
+        with pytest.raises(ValueError, match="^k_max must be an integer, got "):
+            search(GAUSSIAN, sd, k_max=k_max)
+
     @pytest.mark.parametrize("cfg", LONG_SEARCHES, ids=lambda c: c.family)
     def test_each_set_fitted_once_per_call(self, monkeypatch, cfg):
         sd = standardize(gen_dataset(cfg)[0])
