@@ -2,7 +2,7 @@
 # Smoke run of the installed `bestsubset` console script, in the current
 # directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
 # oracle for each family, the oracle past the default p cap, and the input
-# checks of gen and fit.  gsection reports are piped into a JSON parser,
+# checks of gen and fit, with the exact refusal of an out-of-range size.  gsection reports are piped into a JSON parser,
 # since its trace lines go to stderr.
 # Usage: bash console-smoke.sh
 set -eo pipefail
@@ -10,6 +10,18 @@ set -eo pipefail
 must_fail() {
   if "$@"; then
     echo "expected a nonzero exit: $*" >&2
+    exit 1
+  fi
+}
+
+# refused "<reason>" command...: a nonzero exit with the line "error: <reason>"
+refused() {
+  local reason=$1
+  shift
+  must_fail "$@" 2> refused.err
+  if ! grep -qxF "error: $reason" refused.err; then
+    echo "expected 'error: $reason' from: $*" >&2
+    cat refused.err >&2
     exit 1
   fi
 }
@@ -52,6 +64,19 @@ grep -q "non-numeric value 'oops' at row 61, column 'y'" tail.err
 must_fail bestsubset fit --input missing.csv --family gaussian --method sequential \
   --epsilon nan 2> eps.err
 grep -q "^error: epsilon must be nonnegative and finite, got nan$" eps.err
+# a size outside [low, cap] is refused in one wording; the gaussian cap is
+# min(n, p), so 8 on the 60-row d.csv and 6 on six.csv
+refused "k must be in [1, 8], got 0" \
+  bestsubset fit --input d.csv --family gaussian --method one -k 0
+refused "k_max must be in [1, 8], got 9" \
+  bestsubset fit --input d.csv --family gaussian --method sequential --k-max 9
+refused "k must be in [0, 8], got 9" bestsubset oracle --input d.csv --family gaussian -k 9
+bestsubset gen --family gaussian --n 6 --p 8 --q 2 --seed 1 --output six.csv
+refused "k must be in [1, 6], got 7" \
+  bestsubset fit --input six.csv --family gaussian --method one -k 7
+refused "k_max must be in [1, 6], got 7" \
+  bestsubset fit --input six.csv --family gaussian --method sequential --k-max 7
+refused "k must be in [0, 6], got 7" bestsubset oracle --input six.csv --family gaussian -k 7
 # with no --k-max (the default k_max is p = 8 here) the sweep says why it
 # ended, and its path has at most k_max + 1 rows
 bestsubset fit --input binomial.csv --family binomial --method sequential \

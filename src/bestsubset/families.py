@@ -64,7 +64,8 @@ class ModelFamily:
 class CoefficientModel:
     """A fitted coefficient vector restricted to an active set.
 
-    ``beta`` is always a full p-vector with zeros off the active set;
+    ``beta`` is always a full p-vector with zeros off the active set, which
+    :func:`as_set` keeps as sorted distinct indices in [0, p);
     ``intercept`` is nonzero only for the binomial family.  ``loss`` is the
     family loss at these coefficients as computed by :func:`fit_active`,
     None for a model built by hand.
@@ -80,12 +81,8 @@ class CoefficientModel:
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float)
         beta.setflags(write=False)
-        active = tuple(int(j) for j in self.active_set)
-        if active and (min(active) < 0 or max(active) >= beta.shape[0]):
-            raise ValueError("active_set index out of range")
-        off = np.ones(beta.shape[0], dtype=bool)
-        off[list(active)] = False
-        if np.any(beta[off] != 0.0):
+        active = as_set(self.active_set, beta.shape[0])
+        if np.any(np.delete(beta, active) != 0.0):
             raise ValueError("beta must vanish off the active set")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "active_set", active)
@@ -333,37 +330,35 @@ def _fit_cox(d, active):
     return _model(d, active, coef, 0.0, converged, iterations, value)
 
 
-def _integer(value) -> int | None:
-    """``operator.index(value)``, or None for a float, a bool or a non-number.
+def as_size(value, name: str, low: int, high: float) -> int:
+    """``value`` as an int in [low, high], else a ValueError naming ``name``.
 
-    Python and numpy integers pass, so nothing is truncated; bools are
-    refused, as a mask is not a set of indices and a flag is not a size.
+    Python and numpy integers pass, so nothing is truncated; a float or a
+    bool is refused, as a flag is not a size.
     """
-    if isinstance(value, bool):
-        return None
     try:
-        return operator.index(value)
+        size = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        return None
-
-
-def as_indices(values) -> list[int]:
-    """``values`` as int indices; a float or bool among them is a ValueError."""
-    indices = []
-    for j in values:
-        index = _integer(j)
-        if index is None:
-            raise ValueError(f"indices must be integers, got {j!r}")
-        indices.append(index)
-    return indices
-
-
-def as_size(value, name: str) -> int:
-    """``value`` as an int size or count; a float or bool is a ValueError naming ``name``."""
-    size = _integer(value)
-    if size is None:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        size = None
+    if size is None or not low <= size <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
     return size
+
+
+def as_set(values, p: int) -> tuple[int, ...]:
+    """``values`` as sorted distinct int indices in [0, p), else a ValueError.
+
+    Integers pass as in :func:`as_size`; a bool is dropped, so it fails the
+    count like a duplicate.  The range is checked on the sorted ends.
+    """
+    values = tuple(values)
+    try:
+        active = sorted({operator.index(j) for j in values if not isinstance(j, bool)})
+    except TypeError:  # a float or a non-number
+        active = []
+    if len(active) != len(values) or (active and (active[0] < 0 or active[-1] >= p)):
+        raise ValueError(f"indices must be distinct integers in [0, {p}), got {values}")
+    return tuple(active)
 
 
 def fit_active(
@@ -376,17 +371,8 @@ def fit_active(
     callers inside the active-set iteration can proceed.
     """
     _check_family(family, d)
-    requested = as_indices(active_set)
-    active = tuple(sorted(set(requested)))
-    if len(active) != len(requested):
-        raise ValueError("active_set contains duplicate indices")
-    if active and (active[0] < 0 or active[-1] >= d.dataset.p):
-        raise ValueError("active_set index out of range")
-    if len(active) > family.max_size(d.dataset.n, d.dataset.p):
-        raise ValueError(
-            f"active set size {len(active)} exceeds n={d.dataset.n} "
-            "for the gaussian family"
-        )
+    active = as_set(active_set, d.dataset.p)
+    as_size(len(active), "active set size", 0, family.max_size(d.dataset.n, d.dataset.p))
     if family.tag == "gaussian":
         return _fit_gaussian(d, active)
     if family.tag == "binomial":

@@ -51,8 +51,7 @@ def _lower_bound(family: ModelFamily, d: StandardizedDataset, superset) -> float
     any |eta| at ``LINEAR_PREDICTOR_CLIP`` disqualifies it).  Its warnings
     are caught here, as no reported model comes from this fit.
     """
-    n, p = d.dataset.n, d.dataset.p
-    if len(superset) > family.max_size(n, p):
+    if len(superset) > family.max_size(d.dataset.n, d.dataset.p):
         return -math.inf
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
@@ -86,11 +85,7 @@ def exhaustive_best_subset(
         raise ValueError(
             f"refusing exhaustive search: p={p} exceeds p_cap={p_cap}"
         )
-    k = as_size(k, "k")
-    if not 0 <= k <= p:
-        raise ValueError(f"k must be in [0, {p}], got {k}")
-    if k > family.max_size(n, p):
-        raise ValueError(f"k={k} exceeds n={n} for the gaussian family")
+    k = as_size(k, "k", 0, family.max_size(n, p))
     if k in (0, p):  # a single subset
         return fit_active(family, d, range(k))
 

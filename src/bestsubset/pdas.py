@@ -16,6 +16,7 @@ is exactly k indices; :func:`warm_start_set` sizes one from an earlier
 output, and a cold start is the one it sizes from :func:`null_fit`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .data import StandardizedDataset
 from .families import (
     CoefficientModel,
     ModelFamily,
-    as_indices,
+    as_set,
     as_size,
     dual_sacrifice,
     fit_active,
@@ -65,8 +66,7 @@ def select_top_k(delta: np.ndarray, k: int) -> tuple[int, ...]:
     cost is O(p) rather than a full sort.
     """
     key = -np.asarray(delta)
-    if not 0 <= k <= key.shape[0]:
-        raise ValueError("k must be between 0 and the number of coordinates")
+    k = as_size(k, "k", 0, key.shape[0])
     if k == 0:
         return ()
     # partition sorts NaN last, like the ascending order of key
@@ -103,6 +103,7 @@ def warm_start_set(prev: PdasOutput, k: int) -> tuple[int, ...]:
     the lower index either way.
     """
     active = prev.model.active_set
+    k = as_size(k, "k", 0, prev.model.beta.shape[0])
     if k <= len(active):
         order = np.argsort(-np.abs(prev.model.beta[list(active)]), kind="stable")
         return tuple(sorted(active[j] for j in order[:k]))
@@ -135,23 +136,15 @@ def pdas(
     depend on it.
     """
     p = d.dataset.p
-    n = d.dataset.n
-    k, m_max = as_size(k, "k"), as_size(m_max, "m_max")
-    if not 1 <= k <= p:
-        raise ValueError(f"k must be in [1, {p}], got {k}")
-    if k > family.max_size(n, p):
-        raise ValueError(f"k={k} exceeds n={n} for the gaussian family")
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    k = as_size(k, "k", 1, family.max_size(d.dataset.n, p))
+    m_max = as_size(m_max, "m_max", 1, math.inf)
     evaluations = {} if evaluations is None else evaluations
 
     if init is None:
         active = warm_start_set(null_fit(family, d, evaluations), k)
     else:
-        init = as_indices(init)
-        active = tuple(sorted(set(init)))
-        if len(init) != k or len(active) != k or active[0] < 0 or active[-1] >= p:
-            raise ValueError(f"init must be {k} distinct indices in [0, {p})")
+        active = as_set(init, p)
+        as_size(len(active), "init size", k, k)
 
     visited: dict[tuple[int, ...], tuple] = {}  # set -> (model, delta)
     for _ in range(m_max):

@@ -209,8 +209,19 @@ class TestCoefficientModel:
     def test_rejects_active_index_out_of_range(self):
         beta = np.zeros(4)
         for active in ((-1,), (0, 4), (7,)):
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=r"^indices must be distinct integers in \[0, 4\), got "):
                 CoefficientModel(beta, 0.0, active)
+
+    @pytest.mark.parametrize("active", [(1.7,), (True,), (1, 1)])
+    def test_rejects_non_integer_or_repeated_indices(self, active):
+        # each used to be kept as the set (1,) or (1, 1)
+        with pytest.raises(ValueError, match=r"^indices must be distinct integers in \[0, 4\), got "):
+            CoefficientModel(np.zeros(4), 0.0, active)
+
+    def test_numpy_integer_indices_kept_sorted(self):
+        beta = np.array([0.0, 1.5, 0.0, 0.25])
+        for active in (np.array([3, 1]), (np.int64(1), np.int32(3))):
+            assert CoefficientModel(beta, 0.0, active).active_set == (1, 3)
 
 
 class TestFitActive:
@@ -275,9 +286,7 @@ class TestFitActive:
     def test_gaussian_k_exceeding_n_rejected(self, rng):
         X = rng.standard_normal((4, 6))
         sd = standardize(Dataset(X, Continuous(rng.standard_normal(4))))
-        with pytest.raises(
-            ValueError, match="active set size 5 exceeds n=4 for the gaussian family"
-        ):
+        with pytest.raises(ValueError, match=r"^active set size must be in \[0, 4\], got 5$"):
             fit_active(GAUSSIAN, sd, (0, 1, 2, 3, 4))
 
     def test_max_size_caps_only_gaussian_at_n(self):
@@ -287,14 +296,16 @@ class TestFitActive:
 
     def test_duplicate_indices_rejected(self):
         sd = random_standardized("gaussian", 10, 3, seed=31)
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(
+            ValueError, match=r"^indices must be distinct integers in \[0, 3\), got \(1, 1\)$"
+        ):
             fit_active(GAUSSIAN, sd, (1, 1))
 
     @pytest.mark.parametrize("active", [(0, 1.7), (np.float64(1.0),), (True, 2)])
     def test_non_integer_indices_rejected(self, active):
         # int() would truncate 1.7 to 1 and read True as 1
         sd = random_standardized("gaussian", 10, 3, seed=31)
-        with pytest.raises(ValueError, match="indices must be integers"):
+        with pytest.raises(ValueError, match=r"^indices must be distinct integers in \[0, 3\), got "):
             fit_active(GAUSSIAN, sd, active)
 
     def test_numpy_integer_indices_accepted(self):

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +51,16 @@ class TestSelectTopK:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             select_top_k(np.array([1.0, 2.0]), -1)
+
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_non_integer_k_rejected(self, k):
+        # True used to pick one index and 2.0 to fail inside numpy
+        want = f"k must be in [0, 3], got {k!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            select_top_k(np.array([3.0, 1.0, 2.0]), k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert select_top_k(np.array([3.0, 1.0, 2.0]), np.int32(2)) == (0, 2)
 
     def test_inf_first_nan_last(self):
         delta = np.array([1.0, np.nan, 3.0, np.inf, 3.0, -np.inf, np.nan])
@@ -204,7 +215,8 @@ class TestPdas:
                 if len(chosen) == 5:
                     break
                 chosen.add(int(j))
-            prev = SimpleNamespace(model=SimpleNamespace(active_set=init), delta=delta0)
+            model = SimpleNamespace(active_set=init, beta=np.zeros(10))
+            prev = SimpleNamespace(model=model, delta=delta0)
             start = warm_start_set(prev, 5)
             assert start == tuple(sorted(chosen))
             out = pdas(GAUSSIAN, sd, 5, init=start, m_max=1)
@@ -213,13 +225,17 @@ class TestPdas:
     @pytest.mark.parametrize("init", [(1,), (0, 1, 2, 3), (1, 1, 2), (2, 1, 2)])
     def test_wrong_size_init_raises(self, init):
         sd = orthonormal_instance(seed=5, p=6)
-        with pytest.raises(ValueError, match=r"init must be 3 distinct indices in \[0, 6\)"):
+        if len(set(init)) < len(init):  # the set rule is read before the size
+            want = r"^indices must be distinct integers in \[0, 6\), got "
+        else:
+            want = rf"^init size must be in \[3, 3\], got {len(init)}$"
+        with pytest.raises(ValueError, match=want):
             pdas(GAUSSIAN, sd, 3, init=init)
 
     @pytest.mark.parametrize("init", [(-1, 2, 3), (0, 1, 6), (0, 1, 60)])
     def test_out_of_range_init_raises(self, init):
         sd = orthonormal_instance(seed=5, p=6)
-        with pytest.raises(ValueError, match=r"init must be 3 distinct indices in \[0, 6\)"):
+        with pytest.raises(ValueError, match=r"^indices must be distinct integers in \[0, 6\), got "):
             pdas(GAUSSIAN, sd, 3, init=init)
 
     @pytest.mark.parametrize(
@@ -228,7 +244,7 @@ class TestPdas:
     def test_non_integer_init_raises(self, init):
         # int() would run (1.7, 3.2) from (1, 3) and read True as 1
         sd = orthonormal_instance(seed=5, p=6)
-        with pytest.raises(ValueError, match="indices must be integers"):
+        with pytest.raises(ValueError, match=r"^indices must be distinct integers in \[0, 6\), got "):
             pdas(GAUSSIAN, sd, 2, init=init, m_max=1)
 
     def test_numpy_integer_init_accepted(self):
@@ -256,7 +272,9 @@ class TestPdas:
     def test_non_integer_size_raises(self, kwargs, name):
         # k=True and m_max=True used to run as 1; the floats failed inside numpy
         sd = orthonormal_instance(seed=5, p=6)
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        high = {"k": 6, "m_max": math.inf}[name]
+        want = f"{name} must be in [1, {high}], got {kwargs[name]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             pdas(GAUSSIAN, sd, **kwargs)
 
     def test_numpy_integer_sizes_accepted(self):
@@ -267,7 +285,7 @@ class TestPdas:
     def test_k_exceeding_n_rejected_for_gaussian(self, rng):
         X = rng.standard_normal((4, 8))
         sd = standardize(Dataset(X, Continuous(rng.standard_normal(4))))
-        with pytest.raises(ValueError, match="k=6 exceeds n=4 for the gaussian family"):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 4\], got 6$"):
             pdas(GAUSSIAN, sd, 6)
 
     def test_iterations_bounded_by_m_max(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -193,7 +194,8 @@ class TestWarmStart:
 
     def test_tie_rule_prefers_low_index(self):
         out = SimpleNamespace(
-            model=SimpleNamespace(active_set=(1,)), delta=np.array([0.5, 9.0, 0.5, 0.5])
+            model=SimpleNamespace(active_set=(1,), beta=np.array([0.0, 1.0, 0.0, 0.0])),
+            delta=np.array([0.5, 9.0, 0.5, 0.5]),
         )
         assert warm_start_set(out, 3) == (0, 1, 2)
 
@@ -233,6 +235,20 @@ class TestWarmStart:
         sd = self._out(3)
         base = null_fit(GAUSSIAN, sd)
         assert len(warm_start_set(base, 1)) == 1
+
+    @pytest.mark.parametrize("k", [-1, True, 2.0, 9])
+    def test_size_outside_zero_to_p_raises(self, k):
+        # -1 used to drop the smallest |beta| member, True to run as 1, 2.0
+        # to fail inside numpy; p + 1 read "between 0 and the number of coordinates"
+        out = pdas(GAUSSIAN, self._out(), 2)
+        want = f"k must be in [0, 8], got {k!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            warm_start_set(out, k)
+
+    def test_numpy_integer_size_accepted(self):
+        out = pdas(GAUSSIAN, self._out(), 2)
+        for k in (1, 2, 3):
+            assert warm_start_set(out, np.int64(k)) == warm_start_set(out, k)
 
 
 class TestSpdas:
@@ -336,7 +352,9 @@ class TestSpdas:
 
 
 # (config, k_max): k_max = p bounds by the fit on all p columns; below p,
-# binomial and cox bound by 0 and gaussian has no bound
+# binomial and cox bound by 0 and gaussian has no bound.  The last two
+# full fits are separated: "converged" at loss ~5e-8, above the loss some
+# path sizes reach, so their bound is not exact.
 STOP_CORPUS = [
     (GenConfig(n=100, p=12, q=3, rho=0.2, seed=41), None),
     (GenConfig(n=100, p=30, q=3, rho=0.2, seed=42), 20),
@@ -344,6 +362,8 @@ STOP_CORPUS = [
     (GenConfig(n=150, p=40, q=3, family="binomial", seed=44), 20),
     (GenConfig(n=150, p=12, q=3, family="cox", censor_rate=0.2, seed=45), None),
     (GenConfig(n=150, p=40, q=3, family="cox", seed=46), 20),
+    (GenConfig(n=30, p=8, q=2, family="binomial", rho=0.5, seed=15), 8),
+    (GenConfig(n=25, p=8, q=2, family="cox", rho=0.5, censor_rate=0.7, seed=24), 8),
 ]
 
 
@@ -621,7 +641,8 @@ class TestGpdas:
     @pytest.mark.parametrize("k_max", [5.0, np.float64(5), True])
     def test_non_integer_k_max_raises(self, search, k_max):
         sd = standardize(gen_dataset(GenConfig(n=100, p=20, q=3, seed=1))[0])
-        with pytest.raises(ValueError, match="^k_max must be an integer, got "):
+        want = f"k_max must be in [1, 20], got {k_max!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             search(GAUSSIAN, sd, k_max=k_max)
 
     @pytest.mark.parametrize("cfg", LONG_SEARCHES, ids=lambda c: c.family)
