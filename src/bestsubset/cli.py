@@ -2,7 +2,8 @@
 
 All randomness flows from --seed, so two invocations with identical flags
 produce byte-identical files.  Errors exit with status 1 and a single
-machine-parsable ``error: <reason>`` line on stderr.
+machine-parsable ``error: <reason>`` line on stderr; a warning is one
+``warning: <message>`` line there, with no source path or line number.
 """
 
 import argparse
@@ -10,6 +11,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -372,14 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

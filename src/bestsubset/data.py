@@ -5,11 +5,16 @@ centered and rescaled to Euclidean norm sqrt(n).  For the linear family the
 response is mean-centered as well, which removes the intercept from the
 optimization; logistic models keep an explicit unpenalized intercept and Cox
 models have none.
+
+The two argument rules live here, below every other module: :func:`as_size`
+checks a size and :func:`as_set` an index set, for the generator and the
+solvers alike (``families`` re-exports both).
 """
 
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -20,6 +25,37 @@ def _frozen_array(values, dtype=float):
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def as_size(value, name: str, low: int, high: float) -> int:
+    """``value`` as an int in [low, high], else a ValueError naming ``name``.
+
+    Python and numpy integers pass, so nothing is truncated; a float or a
+    bool is refused, as a flag is not a size.
+    """
+    try:
+        size = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        size = None
+    if size is None or not low <= size <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
+    return size
+
+
+def as_set(values, p: int) -> tuple[int, ...]:
+    """``values`` as sorted distinct int indices in [0, p), else a ValueError.
+
+    Integers pass as in :func:`as_size`; a bool is dropped, so it fails the
+    count like a duplicate.  The range is checked on the sorted ends.
+    """
+    values = tuple(values)
+    try:
+        active = sorted({operator.index(j) for j in values if not isinstance(j, bool)})
+    except TypeError:  # a float or a non-number
+        active = []
+    if len(active) != len(values) or (active and (active[0] < 0 or active[-1] >= p)):
+        raise ValueError(f"indices must be distinct integers in [0, {p}), got {values}")
+    return tuple(active)
 
 
 @dataclass(frozen=True, eq=False)

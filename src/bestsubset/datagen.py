@@ -6,12 +6,16 @@ norm, so adjacent predictors are positively correlated.  Coefficients have q
 nonzero entries with magnitudes drawn uniformly from [b, B], 0 < b <= B < inf.
 """
 
+# the ``np.random.Generator`` annotations stay strings, so importing the
+# package does not load ``numpy.random``
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FAMILIES, Binary, Continuous, Dataset, Survival
+from .data import FAMILIES, Binary, Continuous, Dataset, Survival, as_size
 
 
 def default_signal_magnitude(family: str, p: int, n: int, sigma: float = 1.0) -> float:
@@ -49,8 +53,7 @@ class GenConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2 or self.p < 1:
             raise ValueError("need n >= 2 and p >= 1")
-        if not 0 <= self.q <= self.p:
-            raise ValueError("q must be in [0, p]")
+        as_size(self.q, "q", 0, self.p)
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.rho):
@@ -95,8 +98,6 @@ def gen_beta(
     p: int, q: int, b: float, B: float, signs: str, rng: np.random.Generator
 ) -> np.ndarray:
     """Coefficient vector with q nonzeros of magnitude Uniform[b, B]."""
-    if not 0 <= q <= p:
-        raise ValueError("q must be in [0, p]")
     beta = np.zeros(p)
     if q == 0:
         return beta

@@ -26,13 +26,12 @@ grow if that coordinate were forced (back) to zero:
 """
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RESPONSES, StandardizedDataset, Survival
+from .data import RESPONSES, StandardizedDataset, Survival, as_set, as_size
 
 # Guards against degenerate numerics; the solvers are otherwise exact.
 CURVATURE_FLOOR = 1e-10
@@ -328,37 +327,6 @@ def _fit_cox(d, active):
         objective, derivatives, np.zeros(len(active))
     )
     return _model(d, active, coef, 0.0, converged, iterations, value)
-
-
-def as_size(value, name: str, low: int, high: float) -> int:
-    """``value`` as an int in [low, high], else a ValueError naming ``name``.
-
-    Python and numpy integers pass, so nothing is truncated; a float or a
-    bool is refused, as a flag is not a size.
-    """
-    try:
-        size = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        size = None
-    if size is None or not low <= size <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return size
-
-
-def as_set(values, p: int) -> tuple[int, ...]:
-    """``values`` as sorted distinct int indices in [0, p), else a ValueError.
-
-    Integers pass as in :func:`as_size`; a bool is dropped, so it fails the
-    count like a duplicate.  The range is checked on the sorted ends.
-    """
-    values = tuple(values)
-    try:
-        active = sorted({operator.index(j) for j in values if not isinstance(j, bool)})
-    except TypeError:  # a float or a non-number
-        active = []
-    if len(active) != len(values) or (active and (active[0] < 0 or active[-1] >= p)):
-        raise ValueError(f"indices must be distinct integers in [0, {p}), got {values}")
-    return tuple(active)
 
 
 def fit_active(

@@ -14,11 +14,12 @@ about 2-6e-8 above its infimum, flagged converged.  In 93 of 654 (dataset,
 criterion) checks on binomial and cox designs with n 20-40 and p 6-8 a path
 size beat that fit's loss, yet the choice matched the full sweep's in all
 654.  ``FitPath.stop`` says why the sweep ended.  The golden-section search
-brackets the `elbow' of the loss-versus-k curve with 2 + 3 solver calls per
-iteration; interval ends are held, not re-solved.  Sizes 1 and k_max are
-solved once up front and each iteration solves only the split k_M and its
-neighbours, so ``GoldenSectionTrace.pdas_calls`` is 2 + 3 x iterations, for
-at most ``GSECTION_MAX_ITER`` iterations.  The iteration count is not O(log
+brackets the `elbow' of the loss-versus-k curve; interval ends are held,
+not re-solved.  Sizes 1 and k_max are solved once up front.  Each iteration
+solves the split k_M and k_M - 1, and k_M + 1 only when the loss drops into
+k_M, so ``GoldenSectionTrace.pdas_calls`` is 2 + 2 x iterations + the
+number of iterations whose split passed that drop test, for at most
+``GSECTION_MAX_ITER`` iterations.  The iteration count is not O(log
 k_max): when the loss is flat left of the split, the left end resets to 1,
 so the search can run many iterations before the interval collapses.
 Each search sizes every start with ``pdas.warm_start_set`` from an output it
@@ -273,7 +274,11 @@ def spdas(
 
 @dataclass(frozen=True)
 class GoldenSectionTrace:
-    """Per-iteration interval log of the elbow search."""
+    """Per-iteration interval log of the elbow search.
+
+    ``pdas_calls`` is the number of solver calls: 2 + 2 x iterations + the
+    iterations whose split passed the drop test, which alone probe k_M + 1.
+    """
 
     rows: tuple[tuple[int, int, int, int], ...]  # (iteration, k_left, k_split, k_right)
     terminal_k: int
@@ -297,16 +302,18 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
 
     ``run(k, prev)`` must fit size k, warm started from the previous output
     ``prev`` (or None), and return an object with a ``loss`` attribute.
-    Returns ``(output, rows, reason, calls)`` with ``calls`` = 2 + 3 x
-    iterations; interval ends are held, not re-solved.
+    Returns ``(output, rows, reason, calls)``; ``calls`` counts the ``run``
+    calls made, 2 + 2 x iterations + the iterations whose split passed the
+    drop test.  Interval ends are held, not re-solved.
 
     Sizes 1 and k_max are solved once, up front.  Each iteration solves the
     golden split k_M, warm started from the previous split, then probes
-    k_M - 1 and k_M + 1: a drop into k_M that is large relative to the loss
-    there, followed by a flat step beyond it, certifies an elbow.  Otherwise
-    the interval shrinks toward wherever the loss still moves, and k_M's
-    output becomes the moved end's; a reset left end takes back the size-1
-    output.  No ``run`` call gets an output at its own size as ``prev``.
+    k_M - 1, and k_M + 1 only if that probe passed: a drop into k_M that is
+    large relative to the loss there, followed by a flat step beyond it,
+    certifies an elbow.  Otherwise the interval shrinks toward wherever the
+    loss still moves, and k_M's output becomes the moved end's; a reset left
+    end takes back the size-1 output.  No ``run`` call gets an output at its
+    own size as ``prev``.
     """
     k_max = as_size(k_max, "k_max", 3, math.inf)
     check_eta(eta)
@@ -317,6 +324,7 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
     out_mid = None
     rows = []
     reason = "max-iter"
+    calls = 2
     for m in range(1, m_max + 1):
         # k_right - k_left >= 2 here, so k_left < k_mid < k_right: a new size
         k_mid = split_point(k_left, k_right)
@@ -326,8 +334,9 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         loss_mid = out_mid.loss
         tol = eta * max(abs(loss_mid), LOSS_FLOOR)
         drop_in = abs(loss_mid - run(k_mid - 1, out_mid).loss) > tol
-        flat_out = abs(loss_mid - run(k_mid + 1, out_mid).loss) < tol / 2.0
-        if drop_in and flat_out:
+        # k_M + 1 is solved only to confirm a drop: without one there is no elbow
+        calls += 2 + drop_in
+        if drop_in and abs(loss_mid - run(k_mid + 1, out_mid).loss) < tol / 2.0:
             reason = "elbow"
             break
 
@@ -343,7 +352,7 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         if k_left == k_right - 1:
             reason = "interval-collapse"
             break
-    return out_mid, tuple(rows), reason, 2 + 3 * len(rows)
+    return out_mid, tuple(rows), reason, calls
 
 
 def gpdas(
@@ -358,8 +367,9 @@ def gpdas(
     runs started by :func:`~bestsubset.pdas.warm_start_set`, from one
     ``null_fit`` when a run has no earlier output.  The runs share one
     ``evaluations`` dict, so each distinct active set is fitted at most once
-    per call; ``trace.pdas_calls`` counts solver calls (2 + 3 x iterations,
-    for at most ``GSECTION_MAX_ITER`` iterations), not fits.
+    per call; ``trace.pdas_calls`` counts solver calls (2 + 2 x iterations
+    + the iterations whose split passed the drop test, for at most
+    ``GSECTION_MAX_ITER`` iterations), not fits.
     """
     k_max = gsection_k_max(family, d.dataset.n, d.dataset.p, k_max)
     evaluations = {}  # shared by this search's pdas runs, dropped on return

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import bestsubset
 from bestsubset import bench
 from bestsubset.bench import BenchResult, BenchScenario
 from bestsubset.cli import _sparse_coefficients, main
@@ -479,6 +483,23 @@ class TestFit:
         assert run(["fit", "--input", data, "--family", "gaussian", "--no-header",
                     "--response", "z", "--method", "one", "-k", 1]) == 1
         assert "only be named with a header" in capsys.readouterr().err
+
+    def test_warning_is_one_line_without_a_source_path(self, tmp_path):
+        # a fresh process, so stderr holds exactly what a user sees
+        data = tmp_path / "six.csv"
+        assert run(["gen", "--family", "gaussian", "--n", 6, "--p", 8, "--q", 2,
+                    "--seed", 1, "--output", data]) == 0
+        src = os.path.dirname(os.path.dirname(bestsubset.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONWARNINGS", None)
+        argv = ["fit", "--input", data, "--family", "gaussian", "--method", "one", "-k", 6]
+        out = subprocess.run(
+            [sys.executable, "-m", "bestsubset.cli", *map(str, argv)],
+            capture_output=True, env=env, cwd=tmp_path,
+        )
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["k"] == 6
+        assert out.stderr == b"warning: singular least-squares system; adding ridge 6.000e-08\n"
 
     def test_deterministic_given_seed(self, tmp_path):
         data = gen_planted(tmp_path)

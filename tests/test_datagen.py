@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -153,6 +154,16 @@ class TestDefaults:
         assert default_magnitude_cap("gaussian", 0.5) == 50.0
         assert default_magnitude_cap("cox", 0.5) == 2.5
 
+    @pytest.mark.parametrize("q", [2.0, True, 2.5, np.float64(2.0), -1, 6])
+    def test_q_checked_by_the_size_rule(self, q):
+        want = f"q must be in [0, 5], got {q!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            GenConfig(n=30, p=5, q=q)
+
+    def test_numpy_integer_q_accepted(self):
+        _, _, support = gen_dataset(GenConfig(n=30, p=5, q=np.int64(2), seed=1))
+        assert support == gen_dataset(GenConfig(n=30, p=5, q=2, seed=1))[2]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GenConfig(n=10, p=4, q=5)
@@ -252,15 +263,26 @@ class TestCensoringHorizon:
             _censoring_horizon(np.full(4, 1e-30), 0.99)
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+def _loaded_after_cli_import(package):
+    """``package`` and its submodules loaded by a fresh ``import bestsubset.cli``."""
     # a fresh interpreter that imports this same copy of the package
     src = os.path.dirname(os.path.dirname(bestsubset.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, bestsubset, bestsubset.cli; "
-        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))"
+        f"print(sorted(k for k in sys.modules if k == {package!r} "
+        f"or k.startswith({package + '.'!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    assert _loaded_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_leaves_numpy_random_out():
+    # most CLI runs draw no random number; the generator loads it on first use
+    assert _loaded_after_cli_import("numpy.random") == "[]"

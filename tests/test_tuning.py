@@ -37,10 +37,13 @@ from bestsubset.tuning import (
 GAUSSIAN = ModelFamily("gaussian")
 # ``bestsubset.pdas`` is the function; the module is reached by import
 PDAS_MODULE = importlib.import_module("bestsubset.pdas")
+TUNING_MODULE = importlib.import_module("bestsubset.tuning")
 LONG_SEARCHES = [
-    GenConfig(n=500, p=100, q=10, rho=0.2, seed=3),  # 66 iterations, 200 calls
+    GenConfig(n=500, p=100, q=10, rho=0.2, seed=3),  # 66 iterations, 143 calls
     GenConfig(n=500, p=100, q=5, family="binomial", seed=3),
 ]
+# iterations of each LONG_SEARCHES search whose split passed the drop test
+LONG_SEARCH_DROPS = {"gaussian": 9, "binomial": 0}
 # the behaviour-corpus scenarios and the acceptance gate-02 instance, with k_max
 GATE_02_BETA = (4.0, -3.5, 3.0, -2.5, 2.0, -1.5) + (0.0,) * 19
 HELD_END_SEARCHES = [
@@ -83,11 +86,16 @@ def epsilon_stop_k(outs, epsilon):
 
 
 def five_call_search(run, k_max, eta, m_max):
-    """The former search loop, which solved both interval ends every iteration."""
+    """The former search loop, which solved both interval ends every iteration.
+
+    It solves k_M + 1 whatever the drop test says; the last value returned
+    is the number of iterations whose split passed that test.
+    """
     k_left, k_right = 1, k_max
     prev_left = prev_right = prev_mid = None
     rows = []
     reason = "max-iter"
+    drops = 0
     for m in range(1, m_max + 1):
         out_left = run(k_left, prev_left)
         out_right = run(k_right, prev_right)
@@ -99,6 +107,7 @@ def five_call_search(run, k_max, eta, m_max):
         tol = eta * max(abs(loss_mid), LOSS_FLOOR)
         drop_in = abs(loss_mid - run(k_mid - 1, out_mid).loss) > tol
         flat_out = abs(loss_mid - run(k_mid + 1, out_mid).loss) < tol / 2.0
+        drops += drop_in
         if drop_in and flat_out:
             reason = "elbow"
             break
@@ -116,7 +125,7 @@ def five_call_search(run, k_max, eta, m_max):
         if k_left == k_right - 1:
             reason = "interval-collapse"
             break
-    return out_mid, tuple(rows), reason, 5 * len(rows)
+    return out_mid, tuple(rows), reason, drops
 
 
 class TestCriteria:
@@ -520,7 +529,8 @@ class TestGoldenSectionSearch:
         ]
         assert reason == "elbow"
         assert out.loss == curve(6)
-        assert calls == 2 + 3 * len(rows)
+        # the splits 16, 10 and 7 lie on the flat part: only 5 and 6 probe k_M + 1
+        assert calls == 2 + 2 * len(rows) + 2
 
     def test_interval_shrinks_each_iteration(self):
         curve = elbow_curve(6)
@@ -528,6 +538,21 @@ class TestGoldenSectionSearch:
         _, rows, _, _ = golden_section_search(run, 25, eta=0.01, m_max=50)
         widths = [kr - kl for _, kl, _, kr in rows]
         assert all(b < a for a, b in zip(widths, widths[1:]))
+
+    def test_no_flat_out_probe_without_a_drop(self):
+        # a slow slope: no split's loss drops by more than eta into it
+        run_log = []
+
+        def run(k, prev):
+            run_log.append(k)
+            return SimpleNamespace(k=k, loss=1.0 - 1e-4 * k)
+
+        _, rows, reason, calls = golden_section_search(run, 50, eta=0.01, m_max=50)
+        assert reason == "interval-collapse" and len(rows) >= 5
+        # the ends, then each split and k_M - 1: k_M + 1 is never solved
+        splits = [km for _, _, km, _ in rows]
+        assert run_log == [1, 50] + [k for km in splits for k in (km, km - 1)]
+        assert calls == len(run_log) == 2 + 2 * len(rows)
 
     def test_flat_loss_collapses_quickly(self):
         run = lambda k, prev: SimpleNamespace(loss=1.0)
@@ -542,7 +567,7 @@ class TestGoldenSectionSearch:
         st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_probes_stay_in_range_and_make_three_calls_per_row(
+    def test_probes_stay_in_range_and_count_every_call(
         self, k_max, steps, eta, decreasing
     ):
         # a random monotone loss curve: cumulative sums of nonnegative steps
@@ -561,8 +586,8 @@ class TestGoldenSectionSearch:
 
         out, rows, reason, calls = golden_section_search(run, k_max, eta, m_max=100)
         assert all(1 <= k <= k_max for k in probed)
-        assert calls == len(probed) == 2 + 3 * len(rows)
-        old_out, old_rows, old_reason, _ = five_call_search(solve, k_max, eta, 100)
+        old_out, old_rows, old_reason, drops = five_call_search(solve, k_max, eta, 100)
+        assert calls == len(probed) == 2 + 2 * len(rows) + drops
         assert (out.k, rows, reason) == (old_out.k, old_rows, old_reason)
         assert all(kl < km < kr for _, kl, km, kr in rows)
         assert out.k == rows[-1][2]
@@ -593,19 +618,28 @@ class TestGpdas:
         assert report.k == trace.terminal_k
         assert trace.reason in ("elbow", "interval-collapse", "max-iter")
 
-    def test_pdas_call_budget(self):
+    def test_pdas_call_budget(self, monkeypatch):
         cfg = GenConfig(n=150, p=20, q=4, family="gaussian", seed=6, b=1.0, B=3.0)
         ds, _, _ = gen_dataset(cfg)
         sd = standardize(ds)
+        sizes = []
+
+        def counting_pdas(family, d, k, *args, **kwargs):
+            sizes.append(k)
+            return pdas(family, d, k, *args, **kwargs)
+
+        monkeypatch.setattr(TUNING_MODULE, "pdas", counting_pdas)
         _, trace = gpdas(GAUSSIAN, sd, k_max=15)
-        assert trace.pdas_calls == 2 + 3 * len(trace.rows)
+        # 6 iterations, 3 of whose splits pass the drop test
+        assert trace.pdas_calls == len(sizes) == 2 + 2 * len(trace.rows) + 3
 
     def test_pdas_call_bound_on_long_search(self):
         # this search runs 66 iterations and ends by interval-collapse at k=12
         cfg = GenConfig(n=500, p=100, q=10, family="gaussian", rho=0.2, seed=3)
         sd = standardize(gen_dataset(cfg)[0])
         _, trace = gpdas(GAUSSIAN, sd)
-        assert trace.pdas_calls == 2 + 3 * len(trace.rows)
+        drops = LONG_SEARCH_DROPS["gaussian"]
+        assert trace.pdas_calls == 2 + 2 * len(trace.rows) + drops
         assert len(trace.rows) <= 100
 
     def test_finds_true_size_on_strong_signal(self):
@@ -666,7 +700,7 @@ class TestGpdas:
             calls.append(args)
             return null_fit(*args, **kwargs)
 
-        for module in (importlib.import_module("bestsubset.tuning"), PDAS_MODULE):
+        for module in (TUNING_MODULE, PDAS_MODULE):
             monkeypatch.setattr(module, "null_fit", counting_null_fit)
         _, trace = gpdas(GAUSSIAN, sd, k_max=15)
         assert trace.pdas_calls >= 5 and len(calls) == 1
@@ -684,7 +718,7 @@ class TestGpdas:
         assert report.pdas_iterations == out.iterations
         assert report.pdas_converged == out.converged
         assert (trace.rows, trace.reason, trace.pdas_calls) == (rows, reason, calls)
-        assert trace.pdas_calls == 2 + 3 * len(trace.rows)
+        assert trace.pdas_calls == 2 + 2 * len(trace.rows) + LONG_SEARCH_DROPS[cfg.family]
 
     @pytest.mark.parametrize(
         "cfg, k_max", HELD_END_SEARCHES,
@@ -703,7 +737,7 @@ class TestGpdas:
             return pdas(family, sd, k, init=init, evaluations=evaluations)
 
         k_max = k_max or default_k_max(family, cfg.n, cfg.p)
-        out, rows, reason, calls = five_call_search(run, k_max, 0.01, 100)
+        out, rows, reason, drops = five_call_search(run, k_max, 0.01, 100)
         assert (report.k, report.active_set) == (out.k, out.model.active_set)
         assert report.loss == out.loss
         np.testing.assert_array_equal(report.beta, out.model.beta)
@@ -711,4 +745,4 @@ class TestGpdas:
         assert report.pdas_iterations == out.iterations
         assert report.pdas_converged == out.converged
         assert (trace.rows, trace.reason) == (rows, reason)
-        assert (calls, trace.pdas_calls) == (5 * len(rows), 2 + 3 * len(rows))
+        assert trace.pdas_calls == 2 + 2 * len(rows) + drops
