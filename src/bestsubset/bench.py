@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset, destandardize_coefficients, standardize
 from .datagen import GenConfig, gen_beta, gen_design, gen_response
 from .families import ModelFamily, predict
-from .metrics import accuracy, comparable_pairs, concordance_index, relative_mse, tp_fp
+from .metrics import accuracy, concordance_index, relative_mse, tp_fp
 from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
 from .tuning import check_epsilon, check_eta, gpdas, gsection_k_max, spdas
 
@@ -97,10 +97,11 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
     response = gen_response(scn.family, X, beta_star, cfg, rng)
     X_test = gen_design(scn.holdout, scn.p, scn.rho, rng)
     resp_test = gen_response(scn.family, X_test, beta_star, cfg, rng)
-    if scn.family == "cox" and not comparable_pairs(resp_test.time, resp_test.status).any():
-        raise ValueError(
-            f"replication {rep}: held-out set has no comparable pair; raise --holdout"
-        )
+    if scn.family == "cox":  # a pair is comparable iff an event precedes the latest time
+        if not np.any(resp_test.time[resp_test.status == 1.0] < resp_test.time.max()):
+            raise ValueError(
+                f"replication {rep}: held-out set has no comparable pair; raise --holdout"
+            )
     truth = tuple(int(j) for j in np.flatnonzero(beta_star))
 
     family = ModelFamily(scn.family)

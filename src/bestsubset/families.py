@@ -95,6 +95,34 @@ def _check_family(family: ModelFamily, d: StandardizedDataset) -> None:
         )
 
 
+class Problem:
+    """Work done once per (family, standardized dataset), shared by every search.
+
+    ``fits`` maps an active set to ``[model, delta]`` (delta None until a
+    ``pdas`` proposal needs it) for the latest n / 2 sets, at most n x p
+    floats; a fit is deterministic, so dropping the oldest changes no
+    result.  ``risk_design`` is the cox design with rows in risk order.
+    """
+
+    def __init__(self, d: StandardizedDataset):
+        self.fits, self.capacity = {}, d.dataset.n // 2
+        resp = d.dataset.response
+        self.risk_design = d.dataset.X[resp.order] if isinstance(resp, Survival) else None
+
+    def add(self, model: CoefficientModel) -> list:
+        """The entry of ``model``'s set, made from ``model`` when missing."""
+        if model.active_set not in self.fits and len(self.fits) >= self.capacity:
+            del self.fits[next(iter(self.fits))]  # the oldest
+        return self.fits.setdefault(model.active_set, [model, None])
+
+
+def problem(family: ModelFamily, d: StandardizedDataset) -> Problem:
+    """The :class:`Problem` of ``family`` on ``d``, made on first use."""
+    if family.tag not in d._problems:
+        d._problems[family.tag] = Problem(d)
+    return d._problems[family.tag]
+
+
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     # clip before exponentiation; e = exp(-|eta|) keeps every exp argument
     # <= 0: the result is 1 / (1 + e) for eta >= 0 and e / (1 + e) below
@@ -190,7 +218,7 @@ def grad_hess(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel):
         h = (X**2).T @ (prob * (1.0 - prob))
         return g, h
     resp = d.dataset.response
-    Xs = X[resp.order]
+    Xs = problem(family, d).risk_design
     g, u, xbar = _cox_derivatives(Xs, _active_predictor(X, m)[resp.order], resp)
     h = u @ Xs**2 - (xbar**2).sum(axis=0)
     # exact h is nonnegative; clear roundoff dust
@@ -308,9 +336,9 @@ def _fit_binomial(d, active):
     return _model(d, active, coef[1:], float(coef[0]), converged, iterations, value)
 
 
-def _fit_cox(d, active):
+def _fit_cox(d, active, Xs):
     resp = d.dataset.response
-    XA = d.dataset.X[:, list(active)][resp.order]
+    XA = Xs.take(list(active), axis=1)  # C order, the bits of a row gather
 
     def objective(c):
         eta = XA @ c
@@ -345,7 +373,7 @@ def fit_active(
         return _fit_gaussian(d, active)
     if family.tag == "binomial":
         return _fit_binomial(d, active)
-    return _fit_cox(d, active)
+    return _fit_cox(d, active, problem(family, d).risk_design)
 
 
 def predict(

@@ -29,6 +29,7 @@ from .families import (
     ModelFamily,
     as_size,
     fit_active,
+    problem,
 )
 from .pdas import null_fit, pdas
 
@@ -49,7 +50,8 @@ def _lower_bound(family: ModelFamily, d: StandardizedDataset, superset) -> float
     of nothing (the ridge fallback warns), converged, and is not separated
     (a separated fit stops short of its infimum with ``converged`` set, so
     any |eta| at ``LINEAR_PREDICTOR_CLIP`` disqualifies it).  Its warnings
-    are caught here, as no reported model comes from this fit.
+    are caught here, as no reported model comes from this fit; it is always
+    made (a memo hit could not say it warned) and kept only if it did not.
     """
     if len(superset) > family.max_size(d.dataset.n, d.dataset.p):
         return -math.inf
@@ -59,7 +61,10 @@ def _lower_bound(family: ModelFamily, d: StandardizedDataset, superset) -> float
             model = fit_active(family, d, superset)
         except ValueError:  # a non-finite Newton system
             return -math.inf
-    if caught or not model.solver_converged:
+    if caught:
+        return -math.inf
+    problem(family, d).add(model)
+    if not model.solver_converged:
         return -math.inf
     if family.tag != "gaussian":
         active = list(model.active_set)
@@ -78,7 +83,8 @@ def exhaustive_best_subset(
     """Globally best size-k subset, as its fitted model.
 
     The result is the one enumeration of all C(p, k) subsets gives; the
-    branch and bound fits each set at most once and usually far fewer.
+    branch and bound fits each set at most once, none the dataset's memo
+    holds at a leaf, and usually far fewer; at k = 1 it fits the p singletons.
     """
     n, p = d.dataset.n, d.dataset.p
     if p > p_cap:
@@ -88,10 +94,12 @@ def exhaustive_best_subset(
     k = as_size(k, "k", 0, family.max_size(n, p))
     if k in (0, p):  # a single subset
         return fit_active(family, d, range(k))
+    if k == 1:  # the bound fits would cost more than the p leaves
+        singletons = (fit_active(family, d, (j,)) for j in range(p))
+        return min(singletons, key=lambda model: (model.loss, model.active_set))
 
-    evaluations = {}  # the sets pdas fitted, reused at the leaves
-    null = null_fit(family, d, evaluations)
-    best = pdas(family, d, k, evaluations=evaluations).model
+    null = null_fit(family, d)
+    best = pdas(family, d, k).model
     order = tuple(np.argsort(-null.delta, kind="stable").tolist())
 
     # Nodes (picked, i, bound): the pool is order[i:], and bound is the
@@ -103,7 +111,8 @@ def exhaustive_best_subset(
         need = k - len(picked)
         if need in (0, p - i):  # a leaf: picked, or picked | pool
             leaf = tuple(sorted(picked + order[i:] if need else picked))
-            model = evaluations[leaf][0] if leaf in evaluations else fit_active(family, d, leaf)
+            entry = problem(family, d).fits.get(leaf)  # a set pdas or a search fitted
+            model = entry[0] if entry else fit_active(family, d, leaf)
             if (model.loss, model.active_set) < (best.loss, best.active_set):
                 best = model
             continue

@@ -29,6 +29,7 @@ from .families import (
     as_size,
     dual_sacrifice,
     fit_active,
+    problem,
 )
 
 DEFAULT_MAX_SWEEPS = 20
@@ -79,20 +80,19 @@ def select_top_k(delta: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(chosen).tolist())
 
 
-def _evaluate(family, d, active, evaluations):
-    """``(model, delta)`` on ``active``, via the ``evaluations`` memo."""
-    evaluations = {} if evaluations is None else evaluations
-    if active not in evaluations:
-        model = fit_active(family, d, active)
-        _, delta = dual_sacrifice(family, d, model)
-        delta.setflags(write=False)  # lookups share this array
-        evaluations[active] = model, delta
-    return evaluations[active]
+def _evaluate(family, d, active):
+    """``(model, delta)`` on ``active``, each computed once per dataset."""
+    context = problem(family, d)
+    entry = context.fits.get(active) or context.add(fit_active(family, d, active))
+    if entry[1] is None:
+        _, entry[1] = dual_sacrifice(family, d, entry[0])
+        entry[1].setflags(write=False)  # outputs share this array
+    return tuple(entry)
 
 
-def null_fit(family: ModelFamily, d: StandardizedDataset, evaluations=None) -> PdasOutput:
+def null_fit(family: ModelFamily, d: StandardizedDataset) -> PdasOutput:
     """The empty-model output (k = 0); anchors warm starts and k-0 criteria."""
-    return PdasOutput(*_evaluate(family, d, (), evaluations), 0, True, ((),))
+    return PdasOutput(*_evaluate(family, d, ()), 0, True, ((),))
 
 
 def warm_start_set(prev: PdasOutput, k: int) -> tuple[int, ...]:
@@ -118,8 +118,6 @@ def pdas(
     k: int,
     init=None,
     m_max: int = DEFAULT_MAX_SWEEPS,
-    *,
-    evaluations: dict | None = None,
 ) -> PdasOutput:
     """Run the active-set fixed-point iteration at cardinality k.
 
@@ -129,26 +127,22 @@ def pdas(
     is True only when an active set reproduced itself; hitting a cycle or
     ``m_max`` returns the best visited set with the flag down.
 
-    ``evaluations`` maps an active set to its ``(model, delta)`` for
-    this family and dataset.  Every set this run fits is looked up there
-    first and added when missing, so callers that run ``pdas`` repeatedly
-    on one dataset can share a dict to fit each set once.  Results do not
-    depend on it.
+    Each set is looked up first in the memo all runs on ``d`` share, so it
+    is fitted once per dataset while held there; no result depends on it.
     """
     p = d.dataset.p
     k = as_size(k, "k", 1, family.max_size(d.dataset.n, p))
     m_max = as_size(m_max, "m_max", 1, math.inf)
-    evaluations = {} if evaluations is None else evaluations
 
     if init is None:
-        active = warm_start_set(null_fit(family, d, evaluations), k)
+        active = warm_start_set(null_fit(family, d), k)
     else:
         active = as_set(init, p)
         as_size(len(active), "init size", k, k)
 
     visited: dict[tuple[int, ...], tuple] = {}  # set -> (model, delta)
     for _ in range(m_max):
-        model, delta = visited[active] = _evaluate(family, d, active, evaluations)
+        model, delta = visited[active] = _evaluate(family, d, active)
         proposal = select_top_k(delta, k)
         if proposal == active:
             return PdasOutput(model, delta, len(visited), True, tuple(visited))

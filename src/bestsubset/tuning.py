@@ -15,17 +15,14 @@ criterion) checks on binomial and cox designs with n 20-40 and p 6-8 a path
 size beat that fit's loss, yet the choice matched the full sweep's in all
 654.  ``FitPath.stop`` says why the sweep ended.  The golden-section search
 brackets the `elbow' of the loss-versus-k curve; interval ends are held,
-not re-solved.  Sizes 1 and k_max are solved once up front.  Each iteration
-solves the split k_M and k_M - 1, and k_M + 1 only when the loss drops into
-k_M, so ``GoldenSectionTrace.pdas_calls`` is 2 + 2 x iterations + the
-number of iterations whose split passed that drop test, for at most
-``GSECTION_MAX_ITER`` iterations.  The iteration count is not O(log
-k_max): when the loss is flat left of the split, the left end resets to 1,
-so the search can run many iterations before the interval collapses.
+not re-solved (:func:`golden_section_search` lists the sizes each iteration
+solves).  The iteration count is not O(log k_max): when the loss is flat
+left of the split, the left end resets to 1, so the search can run many
+iterations before the interval collapses.
 Each search sizes every start with ``pdas.warm_start_set`` from an output it
 holds, and a start with no earlier output from its one ``null_fit``.  The
-gpdas runs revisit sets, so ``gpdas`` fits each distinct active set at most
-once per call and ``pdas_calls`` counts solver calls, not fits.
+runs of both searches share the dataset's memo (``families.Problem``), so
+``GoldenSectionTrace.pdas_calls`` counts solver calls, not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
@@ -40,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import StandardizedDataset
-from .families import ModelFamily, as_size, fit_active, loglik_from_loss
+from .families import ModelFamily, as_size, fit_active, loglik_from_loss, problem
 from .pdas import PdasOutput, null_fit, pdas, warm_start_set
 
 CRITERIA = ("aic", "bic", "ebic")
@@ -194,12 +191,14 @@ def loglik_ceiling(family: ModelFamily, d: StandardizedDataset, k_max: int):
 
     With ``k_max`` = p the converged fit on all p columns bounds every
     restricted fit; one that warned (the ridge fallback), did not converge,
-    or failed gives no bound from it.  Otherwise binomial and cox losses
-    are nonnegative, so the bound is 0, and gaussian has none.  A separated
-    full fit gives a bound a few 1e-8 too low (see the module notes); the
-    oracle's |eta| test is not used to refuse it, as it fires on 9 of the 12
-    ``cox_reps`` benchmark full fits at seeds 0 and 104729 (max |eta| 32-42)
-    and would drop the bound that ends those sweeps early.
+    or failed gives no bound from it, so that fit is always made (a memo hit
+    could not say it warned) and enters the memo only if it did not warn.
+    Otherwise binomial and cox losses are nonnegative, so the bound is 0,
+    and gaussian has none.  A separated full fit gives a bound a few 1e-8
+    too low (see the module notes); the oracle's |eta| test is not used to
+    refuse it, as it fires on 9 of the 12 ``cox_reps`` benchmark full fits
+    at seeds 0 and 104729 (max |eta| 32-42) and would drop the bound that
+    ends those sweeps early.
     """
     n, p = d.dataset.n, d.dataset.p
     if k_max == p and family.max_size(n, p) >= p:
@@ -209,8 +208,10 @@ def loglik_ceiling(family: ModelFamily, d: StandardizedDataset, k_max: int):
                 full = fit_active(family, d, range(p))
             except ValueError:  # the sweep meets this fit itself if it gets to k = p
                 full = None
-        if full is not None and full.solver_converged and not caught:
-            return loglik_from_loss(family, n, full.loss)
+        if full is not None and not caught:
+            problem(family, d).add(full)
+            if full.solver_converged:
+                return loglik_from_loss(family, n, full.loss)
     return None if family.tag == "gaussian" else 0.0
 
 
@@ -363,21 +364,17 @@ def gpdas(
 ):
     """Golden-section elbow search over the subset size.
 
-    Returns ``(report, trace)``: :func:`golden_section_search` over ``pdas``
-    runs started by :func:`~bestsubset.pdas.warm_start_set`, from one
-    ``null_fit`` when a run has no earlier output.  The runs share one
-    ``evaluations`` dict, so each distinct active set is fitted at most once
-    per call; ``trace.pdas_calls`` counts solver calls (2 + 2 x iterations
-    + the iterations whose split passed the drop test, for at most
-    ``GSECTION_MAX_ITER`` iterations), not fits.
+    Returns ``(report, trace)``: :func:`golden_section_search`, for at most
+    ``GSECTION_MAX_ITER`` iterations, over ``pdas`` runs started by
+    :func:`~bestsubset.pdas.warm_start_set` (from one ``null_fit`` when a
+    run has no earlier output).  Each set is fitted once per dataset while
+    the shared memo holds it: ``trace.pdas_calls`` counts calls, not fits.
     """
     k_max = gsection_k_max(family, d.dataset.n, d.dataset.p, k_max)
-    evaluations = {}  # shared by this search's pdas runs, dropped on return
-    null = null_fit(family, d, evaluations)
+    null = null_fit(family, d)
 
     def run(k, prev):
-        start = warm_start_set(null if prev is None else prev, k)
-        return pdas(family, d, k, init=start, evaluations=evaluations)
+        return pdas(family, d, k, init=warm_start_set(null if prev is None else prev, k))
 
     out, rows, reason, calls = golden_section_search(run, k_max, eta, GSECTION_MAX_ITER)
     trace = GoldenSectionTrace(rows, out.k, reason, calls)

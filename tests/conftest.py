@@ -62,6 +62,27 @@ def enumerate_best_subset(family, d, k):
     return best
 
 
+def comparable_pairs(time, status):
+    """The concordance reference's pairs (i, j) where i is an event observed
+    before j, as an n x n mask."""
+    time = np.asarray(time, dtype=float)
+    status = np.asarray(status, dtype=float)
+    return (status[:, None] == 1.0) & (time[:, None] < time[None, :])
+
+
+def reference_concordance(risk, time, status):
+    """Harrell's C from n x n masks of the comparable, concordant and tied
+    pairs: the reference ``metrics.concordance_index`` must equal."""
+    risk = np.asarray(risk, dtype=float)
+    comparable = comparable_pairs(time, status)
+    n_pairs = int(comparable.sum())
+    if n_pairs == 0:
+        raise ValueError("no comparable pairs: concordance is undefined")
+    concordant = comparable & (risk[:, None] > risk[None, :])
+    tied = comparable & (risk[:, None] == risk[None, :])
+    return float((concordant.sum() + 0.5 * tied.sum()) / n_pairs)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -13,6 +13,7 @@ import bestsubset
 from bestsubset import bench
 from bestsubset.bench import BenchResult, BenchScenario
 from bestsubset.cli import _sparse_coefficients, main
+from bestsubset.data import Continuous, Dataset, save_csv
 from bestsubset.datagen import GenConfig
 
 
@@ -500,6 +501,28 @@ class TestFit:
         assert out.returncode == 0
         assert json.loads(out.stdout)["k"] == 6
         assert out.stderr == b"warning: singular least-squares system; adding ridge 6.000e-08\n"
+
+    def test_ridge_full_fit_warns_once_in_a_sweep(self, tmp_path):
+        # column 9 copies column 3, so the fit on all 10 columns takes the
+        # ridge path: the sweep's bound fit keeps its warning and is not
+        # reused, and the k = 10 step's own fit prints it
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((100, 10))
+        X[:, 9] = X[:, 3]
+        y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + rng.standard_normal(100)
+        data = tmp_path / "copied.csv"
+        save_csv(Dataset(X, Continuous(y)), data)
+        src = os.path.dirname(os.path.dirname(bestsubset.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONWARNINGS", None)
+        argv = ["fit", "--input", data, "--family", "gaussian", "--method", "sequential"]
+        out = subprocess.run(
+            [sys.executable, "-m", "bestsubset.cli", *map(str, argv)],
+            capture_output=True, env=env, cwd=tmp_path,
+        )
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["stop"] == "k_max"
+        assert out.stderr == b"warning: singular least-squares system; adding ridge 1.000e-06\n"
 
     def test_deterministic_given_seed(self, tmp_path):
         data = gen_planted(tmp_path)

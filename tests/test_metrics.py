@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from bestsubset.metrics import (
     accuracy,
-    comparable_pairs,
     concordance_index,
     relative_mse,
     tp_fp,
 )
+from conftest import comparable_pairs, reference_concordance
 
 
 class TestTpFp:
@@ -85,10 +85,12 @@ class TestConcordance:
         status = np.ones(4)
         risk = np.array([4.0, 3.0, 2.0, 1.0])
         assert concordance_index(risk, time, status) == 1.0
+        assert reference_concordance(risk, time, status) == 1.0
 
     def test_constant_risk_is_half(self):
         time = np.array([1.0, 2.0, 3.0])
         assert concordance_index(np.ones(3), time, np.ones(3)) == 0.5
+        assert reference_concordance(np.ones(3), time, np.ones(3)) == 0.5
 
     def test_hand_case_with_censoring(self):
         # pairs: (0,1),(0,2),(0,3) from event at t=1; (2,3) from event at t=3.
@@ -97,7 +99,8 @@ class TestConcordance:
         status = np.array([1.0, 0.0, 1.0, 1.0])
         risk = np.array([3.0, 1.0, 2.0, 2.0])
         # concordant: (0,1), (0,2), (0,3); tie: (2,3) -> (3 + 0.5) / 4
-        assert concordance_index(risk, time, status) == pytest.approx(3.5 / 4)
+        assert concordance_index(risk, time, status) == 3.5 / 4
+        assert reference_concordance(risk, time, status) == 3.5 / 4
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(13)
@@ -107,6 +110,7 @@ class TestConcordance:
         risk = rng.uniform(0.1, 2.0, 30)
         base = concordance_index(risk, time, status)
         assert concordance_index(np.exp(3 * risk), time, status) == base
+        assert reference_concordance(risk, time, status) == base
 
     def test_comparable_pairs_hand_case(self):
         # 0 is an event before 1 and 2; 1 is censored; 2 ties 3 in time
@@ -117,7 +121,30 @@ class TestConcordance:
         np.testing.assert_array_equal(comparable_pairs(time, status), expected)
 
     def test_no_comparable_pairs(self):
-        with pytest.raises(ValueError, match="no comparable pairs"):
-            concordance_index(
-                np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.0, 1.0])
-            )
+        for concordance in (concordance_index, reference_concordance):
+            with pytest.raises(ValueError, match="no comparable pairs"):
+                concordance(
+                    np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.0, 1.0])
+                )
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_pairwise_reference(self, data):
+        # exact equality: the same counts make the same float; times and
+        # risks are drawn from few values so that ties are common
+        n = data.draw(st.integers(0, 30))
+        times = st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.5, 7.0])
+        risks = st.one_of(
+            st.sampled_from([-1.0, 0.0, 0.0, 2.0, np.inf, -np.inf, np.nan]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        time = np.array(data.draw(st.lists(times, min_size=n, max_size=n)))
+        risk = np.array(data.draw(st.lists(risks, min_size=n, max_size=n)))
+        status = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+        try:
+            want = reference_concordance(risk, time, status)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                concordance_index(risk, time, status)
+        else:
+            assert concordance_index(risk, time, status) == want

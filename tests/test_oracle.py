@@ -281,19 +281,40 @@ class TestBranchAndBound:
         assert exhaustive_best_subset(family, sd, k).active_set != want
 
     def test_bound_fit_warnings_do_not_escape(self, monkeypatch):
+        # every fit of a set holding both copies of column 2 warns once; of
+        # those, only the bound fits keep their warning
         sd = duplicated_column()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            enumerate_best_subset(GAUSSIAN, sd, 1)
-        assert not caught  # no single-column fit warns
+        bounds = []
+        lower_bound = oracle._lower_bound
+
+        def recording(family, d, superset):
+            bounds.append(tuple(sorted(superset)))
+            return lower_bound(family, d, superset)
+
+        monkeypatch.setattr(oracle, "_lower_bound", recording)
         fitted = fitted_sets(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            exhaustive_best_subset(GAUSSIAN, sd, 1)
-        assert not caught
-        # ... though the search fitted a set holding both copies, which warns
-        with pytest.warns(RuntimeWarning, match="ridge"):
-            fit_active(GAUSSIAN, sd, next(s for s in fitted if {2, 5} <= set(s)))
+            exhaustive_best_subset(GAUSSIAN, sd, 2)
+
+        def ridged(sets):
+            return sum({2, 5} <= set(s) for s in sets)
+
+        assert ridged(bounds) > 0
+        assert len(caught) == ridged(fitted) - ridged(bounds)
+        assert all("ridge" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize(
+        "family, spec, k", [case for case in CORPUS if case.values[2] == 1]
+    )
+    def test_k1_fits_at_most_p_sets(self, monkeypatch, family, spec, k):
+        family, sd = corpus_instance(family, spec)
+        fitted = fitted_sets(monkeypatch)
+        got = exhaustive_best_subset(family, sd, k)
+        assert len(fitted) <= sd.dataset.p
+        want = enumerate_best_subset(family, sd, k)
+        assert (got.active_set, got.loss) == (want.active_set, want.loss)
+        np.testing.assert_array_equal(got.beta, want.beta)
 
     def test_tie_goes_to_the_first_set_whatever_the_incumbent(self, monkeypatch):
         # column 2 repeats its neighbour 1, so (1, 3, 7) and (2, 3, 7) fit

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from bestsubset.data import Continuous, Dataset, standardize
 from bestsubset.datagen import GenConfig, gen_dataset
-from bestsubset.families import ModelFamily, dual_sacrifice, fit_active, loss
+from bestsubset.families import ModelFamily, dual_sacrifice, fit_active, loss, problem
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import null_fit, pdas, select_top_k, warm_start_set
+from bestsubset.tuning import gpdas, spdas
 from conftest import random_standardized, random_subset
 
 GAUSSIAN = ModelFamily("gaussian")
@@ -411,24 +412,53 @@ def assert_same_output(a, b):
 class TestSharedEvaluations:
     @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
     def test_shared_dict_changes_no_output(self, family):
+        # every run on sd shares its memo; a fresh standardization of the
+        # same data starts with an empty one
         p = 12
         beta = np.zeros(p)
         beta[[1, 4, 9]] = [1.0, -0.8, 0.6]
-        sd = random_standardized(family, 90, p, seed=8, beta=beta, censor_rate=0.2)
-        fam = ModelFamily(family)
+
+        def instance():
+            return random_standardized(family, 90, p, seed=8, beta=beta, censor_rate=0.2)
+
+        sd, fam = instance(), ModelFamily(family)
+        shared = problem(fam, sd).fits
         rng = np.random.default_rng(1)
-        shared, returned = {}, []
+        returned = []
         for k in (5, 3, 1):
             inits = [None, warm_start_set(null_fit(fam, sd), k), random_subset(p, k, rng),
                      tuple(range(k))] + [warm_start_set(prev, k) for prev in returned]
             for init in inits:
-                out = pdas(fam, sd, k, init=init, evaluations=shared)
-                assert_same_output(out, pdas(fam, sd, k, init=init))
+                out = pdas(fam, sd, k, init=init)
+                assert_same_output(out, pdas(fam, instance(), k, init=init))
                 assert shared[out.model.active_set][0] is out.model
             returned.append(out)  # a larger output, trimmed by the next k
         assert () in shared
         for active, (model, _) in shared.items():
             assert model.active_set == active
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    def test_memo_holds_at_most_n_over_2_sets(self, family):
+        # n = 16: room for 8 sets, so both searches drop sets and fit some again
+        def instance():
+            return random_standardized(family, 16, 12, seed=3, censor_rate=0.2)
+
+        sd, fam = instance(), ModelFamily(family)
+        gold, trace = gpdas(fam, sd, k_max=8)
+        path, report = spdas(fam, sd, k_max=8)
+        fits = problem(fam, sd).fits
+        assert len(fits) == 8
+        used = {e.active_set for e in path.entries} | {gold.active_set}
+        assert not used <= set(fits)  # some were dropped
+        fresh_gold, fresh_trace = gpdas(fam, instance(), k_max=8)
+        fresh_path, fresh_report = spdas(fam, instance(), k_max=8)
+        assert (gold.active_set, gold.loss, trace.rows) == (
+            fresh_gold.active_set, fresh_gold.loss, fresh_trace.rows
+        )
+        assert [(e.active_set, e.loss) for e in path.entries] == [
+            (e.active_set, e.loss) for e in fresh_path.entries
+        ]
+        assert (report.k, path.stop) == (fresh_report.k, fresh_path.stop)
 
     def test_delta_is_read_only(self):
         sd = orthonormal_instance(seed=2)

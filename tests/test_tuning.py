@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,7 +59,8 @@ HELD_END_SEARCHES = [
 
 
 def memo_free_gpdas(family, sd, k_max, eta=0.01, m_max=100):
-    """gpdas's search over plain pdas runs, each fitting on its own."""
+    """gpdas's search over plain pdas runs; given a fresh standardization,
+    they share no fit with an earlier search."""
 
     def run(k, prev):
         init = None if prev is None else warm_start_set(prev, k)
@@ -458,6 +460,43 @@ class TestCertifiedStop:
         assert (path.stop, len(path.entries)) == ("k_max", 11)
         assert report.active_set == (0, 1)
 
+    def test_ridge_full_fit_stays_out_of_the_shared_memo(self):
+        # gpdas fits all p columns first, taking the ridge fallback; the
+        # sweep after it on the same dataset still refuses that fit's bound
+        sd = duplicated_column_instance()
+        with pytest.warns(RuntimeWarning, match="singular"):
+            gpdas(GAUSSIAN, sd, k_max=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            path, report = spdas(GAUSSIAN, sd, criterion="ebic")
+            fresh_path, fresh_report = spdas(
+                GAUSSIAN, duplicated_column_instance(), criterion="ebic"
+            )
+        assert path.stop == fresh_path.stop == "k_max"
+        assert [(e.active_set, e.loss) for e in path.entries] == [
+            (e.active_set, e.loss) for e in fresh_path.entries
+        ]
+        assert (report.k, report.active_set, report.loss) == (
+            fresh_report.k, fresh_report.active_set, fresh_report.loss
+        )
+
+    def test_spdas_then_gpdas_fit_the_full_set_once(self, monkeypatch):
+        family = ModelFamily("cox")
+        cfg = GenConfig(n=120, p=8, q=2, family="cox", censor_rate=0.2, seed=3)
+        sd = standardize(gen_dataset(cfg)[0])
+        fitted = []
+        for module in (TUNING_MODULE, PDAS_MODULE):
+            def counting(family, d, active, fit=module.fit_active):
+                fitted.append(tuple(active))
+                return fit(family, d, active)
+
+            monkeypatch.setattr(module, "fit_active", counting)
+        spdas(family, sd, k_max=8)
+        gpdas(family, sd, k_max=8)
+        # the sweep's bound fit, which gpdas's k_max = p run finds in the memo
+        assert fitted.count(tuple(range(8))) == 1
+        assert len(fitted) == len(set(fitted))
+
     def test_ceiling_by_family_and_k_max(self):
         for tag in ("binomial", "cox"):
             family = ModelFamily(tag)
@@ -711,7 +750,8 @@ class TestGpdas:
         sd = standardize(gen_dataset(cfg)[0])
         report, trace = gpdas(family, sd)
         k_max = default_k_max(family, cfg.n, cfg.p)
-        out, rows, reason, calls = memo_free_gpdas(family, sd, k_max)
+        fresh = standardize(gen_dataset(cfg)[0])
+        out, rows, reason, calls = memo_free_gpdas(family, fresh, k_max)
         assert (report.k, report.active_set) == (out.k, out.model.active_set)
         assert report.loss == out.loss
         np.testing.assert_array_equal(report.beta, out.model.beta)
@@ -726,15 +766,15 @@ class TestGpdas:
     )
     def test_same_result_as_five_call_search(self, cfg, k_max):
         # holding the interval-end outputs changes no result of the search
-        # that re-solved both ends every iteration
+        # that re-solved both ends every iteration; its runs find gpdas's
+        # fits in the dataset's memo, which changes no output either
         family = ModelFamily(cfg.family)
         sd = standardize(gen_dataset(cfg)[0])
         report, trace = gpdas(family, sd, k_max=k_max)
-        evaluations = {}
 
         def run(k, prev):
             init = None if prev is None else warm_start_set(prev, k)
-            return pdas(family, sd, k, init=init, evaluations=evaluations)
+            return pdas(family, sd, k, init=init)
 
         k_max = k_max or default_k_max(family, cfg.n, cfg.p)
         out, rows, reason, drops = five_call_search(run, k_max, 0.01, 100)
