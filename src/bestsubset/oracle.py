@@ -51,7 +51,8 @@ def _lower_bound(family: ModelFamily, d: StandardizedDataset, superset) -> float
     (a separated fit stops short of its infimum with ``converged`` set, so
     any |eta| at ``LINEAR_PREDICTOR_CLIP`` disqualifies it).  Its warnings
     are caught here, as no reported model comes from this fit; it is always
-    made (a memo hit could not say it warned) and kept only if it did not.
+    made (a memo hit could not say it warned) and never kept, as no leaf of
+    this search is as large as a superset.
     """
     if len(superset) > family.max_size(d.dataset.n, d.dataset.p):
         return -math.inf
@@ -61,10 +62,7 @@ def _lower_bound(family: ModelFamily, d: StandardizedDataset, superset) -> float
             model = fit_active(family, d, superset)
         except ValueError:  # a non-finite Newton system
             return -math.inf
-    if caught:
-        return -math.inf
-    problem(family, d).add(model)
-    if not model.solver_converged:
+    if caught or not model.solver_converged:
         return -math.inf
     if family.tag != "gaussian":
         active = list(model.active_set)
@@ -83,8 +81,9 @@ def exhaustive_best_subset(
     """Globally best size-k subset, as its fitted model.
 
     The result is the one enumeration of all C(p, k) subsets gives; the
-    branch and bound fits each set at most once, none the dataset's memo
-    holds at a leaf, and usually far fewer; at k = 1 it fits the p singletons.
+    branch and bound usually fits far fewer, at k = 1 just the p singletons.
+    A leaf the dataset's memo holds is not fitted, and no set is fitted
+    twice unless ``pdas`` here fitted more sets than the memo keeps (n / 2).
     """
     n, p = d.dataset.n, d.dataset.p
     if p > p_cap:

@@ -13,7 +13,7 @@ from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import CoefficientModel, ModelFamily, fit_active, loss
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import pdas
-from conftest import enumerate_best_subset, random_subset
+from conftest import enumerate_best_subset, random_standardized, random_subset
 
 GAUSSIAN = ModelFamily("gaussian")
 PDAS_MODULE = importlib.import_module("bestsubset.pdas")
@@ -227,6 +227,18 @@ class TestBranchAndBound:
         assert len(fitted) == len(set(fitted))
         # and no fit is tried past the size cap, where it could only raise
         assert max(map(len, fitted)) <= family.max_size(sd.dataset.n, sd.dataset.p)
+
+    @pytest.mark.parametrize("family, seed", [("gaussian", 1), ("binomial", 0), ("cox", 4)])
+    def test_no_set_fitted_twice_past_the_memo_size(self, monkeypatch, family, seed):
+        # n = 8: the dataset's memo keeps 4 sets, far fewer than the bound
+        # fits the search makes between pdas's fits and the leaves reusing them
+        family = ModelFamily(family)
+        sd = random_standardized(family.tag, 8, 10, seed=seed, censor_rate=0.2)
+        fitted = fitted_sets(monkeypatch)
+        got = exhaustive_best_subset(family, sd, 3)
+        assert len(fitted) == len(set(fitted)) > 60
+        want = enumerate_best_subset(family, sd, 3)
+        assert (got.active_set, got.loss) == (want.active_set, want.loss)
 
     def test_non_converged_superset_fit_does_not_prune(self, monkeypatch):
         # one Newton step leaves each fit above its minimum: a bound taken from

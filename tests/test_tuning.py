@@ -19,6 +19,7 @@ from bestsubset.families import (
     ModelFamily,
     fit_active,
     loglik_from_loss,
+    problem,
 )
 from bestsubset.pdas import null_fit, pdas
 from bestsubset.tuning import (
@@ -59,11 +60,11 @@ HELD_END_SEARCHES = [
 
 
 def memo_free_gpdas(family, sd, k_max, eta=0.01, m_max=100):
-    """gpdas's search over plain pdas runs; given a fresh standardization,
-    they share no fit with an earlier search."""
+    """gpdas's search over plain pdas runs, each fitting on its own."""
 
     def run(k, prev):
         init = None if prev is None else warm_start_set(prev, k)
+        problem(family, sd).fits.clear()
         return pdas(family, sd, k, init=init)
 
     return golden_section_search(run, k_max, eta, m_max)
@@ -750,8 +751,7 @@ class TestGpdas:
         sd = standardize(gen_dataset(cfg)[0])
         report, trace = gpdas(family, sd)
         k_max = default_k_max(family, cfg.n, cfg.p)
-        fresh = standardize(gen_dataset(cfg)[0])
-        out, rows, reason, calls = memo_free_gpdas(family, fresh, k_max)
+        out, rows, reason, calls = memo_free_gpdas(family, sd, k_max)
         assert (report.k, report.active_set) == (out.k, out.model.active_set)
         assert report.loss == out.loss
         np.testing.assert_array_equal(report.beta, out.model.beta)
@@ -766,15 +766,16 @@ class TestGpdas:
     )
     def test_same_result_as_five_call_search(self, cfg, k_max):
         # holding the interval-end outputs changes no result of the search
-        # that re-solved both ends every iteration; its runs find gpdas's
-        # fits in the dataset's memo, which changes no output either
+        # that re-solved both ends every iteration; its runs share the memo
+        # of a fresh standardization, none of whose fits gpdas made
         family = ModelFamily(cfg.family)
         sd = standardize(gen_dataset(cfg)[0])
         report, trace = gpdas(family, sd, k_max=k_max)
+        fresh = standardize(gen_dataset(cfg)[0])
 
         def run(k, prev):
             init = None if prev is None else warm_start_set(prev, k)
-            return pdas(family, sd, k, init=init)
+            return pdas(family, fresh, k, init=init)
 
         k_max = k_max or default_k_max(family, cfg.n, cfg.p)
         out, rows, reason, drops = five_call_search(run, k_max, 0.01, 100)
