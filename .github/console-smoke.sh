@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke run of the installed `bestsubset` console script, in the current
 # directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
-# oracle for each family, the oracle past the default p cap, and the input
+# oracle for each family, two cox searches run twice with the same bytes,
+# the oracle past the default p cap, and the input
 # checks of gen and fit, with the exact refusal of an out-of-range size.  gsection reports are piped into a JSON parser,
 # since its trace lines go to stderr.
 # Usage: bash console-smoke.sh
@@ -46,6 +47,15 @@ for fam in binomial cox; do
   tail -n +2 $fam.csv > $fam-nh.csv
   bestsubset fit --input $fam-nh.csv --family $fam --no-header --method one -k 2
   bestsubset oracle --input $fam.csv --family $fam -k 2
+done
+# cox searches warm start their fits: the same CSV gives the same bytes
+for method in sequential gsection; do
+  for run in 1 2; do
+    bestsubset fit --input cox.csv --family cox --method $method --k-max 5 \
+      --output cox-$method-$run.json 2> cox-$method-$run.err
+  done
+  cmp cox-$method-1.json cox-$method-2.json
+  cmp cox-$method-1.err cox-$method-2.err
 done
 # magnitudes matter only when coefficients are drawn
 bestsubset gen --family gaussian --n 60 --p 8 --q 0 --b 2 --B 1 --output q0.csv

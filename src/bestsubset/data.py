@@ -21,8 +21,8 @@ from typing import ClassVar
 import numpy as np
 
 
-def _frozen_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, dtype=float, order="K"):
+    arr = np.array(values, dtype=dtype, order=order)
     arr.setflags(write=False)
     return arr
 
@@ -163,7 +163,8 @@ class Dataset:
     column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        X = _frozen_array(self.X)
+        # C order whatever the caller's, so no fit's bits depend on it
+        X = _frozen_array(self.X, order="C")
         if X.ndim != 2:
             raise ValueError("X must be a 2-D matrix")
         n, p = X.shape

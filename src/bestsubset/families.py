@@ -100,14 +100,20 @@ class Problem:
 
     ``fits`` maps an active set to ``[model, delta]`` (delta None until a
     ``pdas`` proposal needs it) for the latest n / 2 sets, at most n x p
-    floats; a fit is deterministic, so dropping the oldest changes no
-    result.  ``risk_design`` is the cox design with rows in risk order.
+    floats.  Dropping the oldest changes no selection; a cox fit's last
+    digits (<= 1e-12 relative in the loss, the Newton tolerance in beta)
+    can depend on which warm start fitted the set first.  ``risk_design``
+    is the cox design with rows in risk order and ``zero_loss`` the cox
+    loss at beta = 0, the same for every set.
     """
 
     def __init__(self, d: StandardizedDataset):
         self.fits, self.capacity = {}, d.dataset.n // 2
         resp = d.dataset.response
-        self.risk_design = d.dataset.X[resp.order] if isinstance(resp, Survival) else None
+        self.risk_design = self.zero_loss = None
+        if isinstance(resp, Survival):
+            self.risk_design = d.dataset.X[resp.order]
+            self.zero_loss = _cox_loss(np.zeros(d.dataset.n), resp)
 
     def add(self, model: CoefficientModel) -> list:
         """The entry of ``model``'s set, made from ``model`` when missing."""
@@ -152,6 +158,26 @@ def _cox_log_risk(eta_sorted: np.ndarray, risk_end: np.ndarray):
 def _cox_loss(eta_sorted: np.ndarray, resp: Survival) -> float:
     log_risk, _, _ = _cox_log_risk(eta_sorted, resp.risk_end)
     return float(np.sum(log_risk[resp.events] - eta_sorted[resp.events]))
+
+
+def _monotone(eta_sorted: np.ndarray, resp: Survival) -> bool:
+    """Whether ``eta_sorted`` certifies a monotone partial likelihood.
+
+    It does when every event's eta is strictly above the running max of the
+    rows before it in risk order, which is then every other row of its risk
+    set: scaling beta up drives the loss to its infimum 0, so the loss has
+    no minimizer.  An event whose time is tied never certifies (the risk set
+    then holds a row after it, and two tied events bound the loss above 0).
+    O(n).
+    """
+    ev = np.flatnonzero(resp.events)
+    end = resp.risk_end
+    before = ev[ev > 0]
+    # a tie: the event's risk set reaches past it, or the previous row's reaches it
+    if np.any(end[ev] > ev + 1) or np.any(end[before - 1] > before):
+        return False
+    prior = np.maximum.accumulate(np.concatenate(([-np.inf], eta_sorted[:-1])))
+    return bool(np.all(eta_sorted[ev] > prior[ev]))
 
 
 def _cox_derivatives(Xs: np.ndarray, eta_sorted: np.ndarray, resp: Survival):
@@ -336,9 +362,9 @@ def _fit_binomial(d, active):
     return _model(d, active, coef[1:], float(coef[0]), converged, iterations, value)
 
 
-def _fit_cox(d, active, Xs):
+def _fit_cox(d, active, context, start):
     resp = d.dataset.response
-    XA = Xs.take(list(active), axis=1)  # C order, the bits of a row gather
+    XA = context.risk_design.take(list(active), axis=1)  # C order, the bits of a row gather
 
     def objective(c):
         eta = XA @ c
@@ -351,6 +377,20 @@ def _fit_cox(d, active, Xs):
         score, u, xbar = _cox_derivatives(XA, eta, resp)
         return score, XA.T @ (XA * u[:, None]) - xbar.T @ xbar
 
+    if start is not None and start.solver_converged:
+        coef = start.beta[list(active)]
+        value, eta = objective(coef)
+        if np.any(coef) and value <= context.zero_loss and not _monotone(eta, resp):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    coef, value, converged, iterations = _damped_newton(
+                        objective, derivatives, coef
+                    )
+                except ValueError:
+                    converged = False
+            if converged and not caught and not _monotone(XA @ coef, resp):
+                return _model(d, active, coef, 0.0, True, iterations, value)
     coef, value, converged, iterations = _damped_newton(
         objective, derivatives, np.zeros(len(active))
     )
@@ -358,13 +398,27 @@ def _fit_cox(d, active, Xs):
 
 
 def fit_active(
-    family: ModelFamily, d: StandardizedDataset, active_set
+    family: ModelFamily, d: StandardizedDataset, active_set, start=None
 ) -> CoefficientModel:
     """Minimize the family loss with all coordinates off ``active_set`` at zero.
 
     The returned model carries the loss it reached.  Hitting an iteration
     cap yields a result flagged non-converged rather than an error, so
     callers inside the active-set iteration can proceed.
+
+    ``start``, an earlier model, warm starts a cox fit from its coefficients
+    on ``active_set`` (a start that is zero there is the cold start).  The
+    start is used only if it converged, its loss on the set is at most the
+    loss at zero, and its eta certifies no monotone likelihood
+    (:func:`_monotone`); the warm result is kept only if it converged,
+    raised and warned nothing, and certifies none either.  Otherwise the set
+    is fitted from zero, with the cold fit's bits and warnings.  A kept
+    warm fit moves the loss only in its last digits (<= 1e-12 relative)
+    and beta within the Newton tolerance; on collinear columns, where the
+    minimizer is not unique, it can reach another minimizer of equal loss.
+    Gaussian fits do not iterate.  Binomial ignores ``start``: a separated
+    fit ends wherever its iteration stops, so it depends on the start, and
+    no separation certificate guards it yet.
     """
     _check_family(family, d)
     active = as_set(active_set, d.dataset.p)
@@ -373,7 +427,7 @@ def fit_active(
         return _fit_gaussian(d, active)
     if family.tag == "binomial":
         return _fit_binomial(d, active)
-    return _fit_cox(d, active, problem(family, d).risk_design)
+    return _fit_cox(d, active, problem(family, d), start)
 
 
 def predict(

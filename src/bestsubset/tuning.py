@@ -20,9 +20,13 @@ solves).  The iteration count is not O(log k_max): when the loss is flat
 left of the split, the left end resets to 1, so the search can run many
 iterations before the interval collapses.
 Each search sizes every start with ``pdas.warm_start_set`` from an output it
-holds, and a start with no earlier output from its one ``null_fit``.  The
+holds, and a start with no earlier output from its one ``null_fit``, and
+passes that output's model as ``pdas``'s ``start``, so cox fits begin from
+the coefficients it holds (binomial and gaussian fits ignore it).  The
 runs of both searches share the dataset's memo (``families.Problem``), so
-``GoldenSectionTrace.pdas_calls`` counts solver calls, not fits.
+``GoldenSectionTrace.pdas_calls`` counts solver calls, not fits.  Dropping
+a memo entry changes no selection; a cox fit's last digits (<= 1e-12
+relative in the loss) can depend on which warm start fitted the set first.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
@@ -246,7 +250,7 @@ def spdas(
     best = entries[0].criteria.value(chosen)
     stop = "k_max"
     for k in range(1, k_max + 1):
-        out = pdas(family, d, k, init=warm_start_set(prev, k))
+        out = pdas(family, d, k, init=warm_start_set(prev, k), start=prev.model)
         entries.append(entry(out))
         best = min(best, entries[-1].criteria.value(chosen))
         if k == k_max:
@@ -374,7 +378,8 @@ def gpdas(
     null = null_fit(family, d)
 
     def run(k, prev):
-        return pdas(family, d, k, init=warm_start_set(null if prev is None else prev, k))
+        prev = null if prev is None else prev
+        return pdas(family, d, k, init=warm_start_set(prev, k), start=prev.model)
 
     out, rows, reason, calls = golden_section_search(run, k_max, eta, GSECTION_MAX_ITER)
     trace = GoldenSectionTrace(rows, out.k, reason, calls)

@@ -17,6 +17,9 @@ from bestsubset.data import (
     standardize,
 )
 from bestsubset.datagen import GenConfig, gen_dataset
+from bestsubset.families import ModelFamily, fit_active
+
+COX = ModelFamily("cox")
 
 
 def write(path, text):
@@ -358,6 +361,17 @@ class TestStandardize:
         assert peak <= 1.2 * 8 * n * p
         assert not np.shares_memory(sd.dataset.X, d.X)
         assert not sd.dataset.X.flags.writeable
+
+    def test_fortran_ordered_design_gives_the_c_ordered_bits(self, tmp_path):
+        d = gen_dataset(GenConfig(n=150, p=15, q=3, family="cox", censor_rate=0.2, seed=3))[0]
+        save_csv(d, tmp_path / "cox.csv")
+        want = fit_active(COX, standardize(d), (1, 4, 9))
+        # load_csv's column gather is Fortran-ordered too
+        fortran = Dataset(np.asfortranarray(d.X), d.response)
+        for other in (fortran, load_csv(tmp_path / "cox.csv", "cox")):
+            got = fit_active(COX, standardize(other), (1, 4, 9))
+            assert got.loss == want.loss
+            assert np.array_equal(got.beta, want.beta)
 
     @pytest.mark.parametrize("p", [1, 511, 512, 1300])
     def test_blocked_norms_equal_the_squared_copy_sum(self, p):

@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 
 from bestsubset import families
 from bestsubset.data import Continuous, Dataset, Survival, standardize
+from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import (
     LINEAR_PREDICTOR_CLIP,
     RIDGE_JITTER,
@@ -671,3 +672,143 @@ class TestPredictorReuse:
         assert reused.solver_iterations == recomputed.solver_iterations
         assert reused.solver_converged == recomputed.solver_converged
         assert reused.solver_iterations > 1
+
+
+def survival(times, status):
+    """A Survival response given in risk order (descending times)."""
+    resp = Survival(np.array(times, dtype=float), np.array(status, dtype=float))
+    assert np.array_equal(resp.order, np.arange(len(times)))
+    return resp
+
+
+def fit_and_warnings(family, sd, active, start=None):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_active(family, sd, active, start)
+    return model, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_model(a, b):
+    assert (a.loss, a.solver_iterations, a.solver_converged) == (
+        b.loss, b.solver_iterations, b.solver_converged
+    )
+    np.testing.assert_array_equal(a.beta, b.beta)
+
+
+def newton_starts(monkeypatch):
+    """The start of every damped Newton run from here on."""
+    starts = []
+    newton = families._damped_newton
+
+    def recording(objective, derivatives, coef):
+        starts.append(np.array(coef))
+        return newton(objective, derivatives, coef)
+
+    monkeypatch.setattr(families, "_damped_newton", recording)
+    return starts
+
+
+class TestWarmStartGuard:
+    @pytest.mark.parametrize(
+        "times, status, eta, certified",
+        [
+            ((4, 3, 2, 1), (1, 1, 1, 1), (0.0, 1.0, 2.0, 3.0), True),  # strict order
+            ((4, 3, 2, 1), (1, 1, 1, 1), (0.0, 2.0, 1.0, 3.0), False),  # one inversion
+            ((4, 3, 2, 1), (1, 0, 1, 1), (0.0, 5.0, 6.0, 7.0), True),
+            ((4, 3, 2, 1), (1, 0, 1, 1), (0.0, 5.0, 4.0, 7.0), False),  # a censored row above
+            ((4, 3, 2, 1), (0, 1, 0, 1), (9.0, 1.0, -5.0, 10.0), False),  # the first row above
+            ((4, 3, 3, 1), (1, 1, 1, 1), (0.0, 1.0, 2.0, 3.0), False),  # tied events
+            # an event tied with a censored row; ties among censored rows only
+            ((4, 3, 3, 1), (1, 1, 0, 1), (0.0, 1.0, -9.0, 3.0), False),
+            ((4, 3, 3, 1), (1, 0, 0, 1), (0.0, 1.0, 2.0, 3.0), True),
+            ((2, 1), (0, 1), (0.0, 0.0), False),  # equal eta is not strictly above
+        ],
+    )
+    def test_monotone_hand_cases(self, times, status, eta, certified):
+        assert families._monotone(np.array(eta), survival(times, status)) is certified
+
+    def test_separated_set_keeps_the_cold_fit(self, monkeypatch):
+        # oracle corpus case cox-censored-seed1: on (0, 2, 6) the loss has no
+        # minimizer (cold loss 1.1e-7, |beta| up to 365), and an unguarded
+        # warm run from the (0, 6) fit ends elsewhere, at loss 1.4e-7
+        sd = standardize(gen_dataset(GenConfig(
+            n=30, p=8, q=2, family="cox", rho=0.5, censor_rate=0.7, seed=1
+        ))[0])
+        resp = sd.dataset.response
+        active = (0, 2, 6)
+        cold, cold_warnings = fit_and_warnings(COX, sd, active)
+        assert cold.loss < 1e-6
+        assert families._monotone((sd.dataset.X @ cold.beta)[resp.order], resp)
+        # the warm run from the (0, 6) fit ends certified with no warning,
+        # the one from the (0, 2) fit warns, and the nearby start certifies
+        subsets = [fit_active(COX, sd, subset) for subset in ((0, 6), (0, 2))]
+        for start in subsets:
+            assert not families._monotone((sd.dataset.X @ start.beta)[resp.order], resp)
+        nearby = CoefficientModel(0.9 * cold.beta, 0.0, active)
+        starts = newton_starts(monkeypatch)
+        for start in (*subsets, nearby):
+            got, got_warnings = fit_and_warnings(COX, sd, active, start)
+            assert_same_model(got, cold)
+            assert got_warnings == cold_warnings
+        # the two warm runs and three cold fits: the nearby start never runs
+        assert [bool(np.any(c)) for c in starts] == [True, False, True, False, False]
+
+    @pytest.mark.parametrize("trouble", ["warns", "raises"])
+    def test_troubled_warm_run_gives_the_fit_and_warnings(self, monkeypatch, trouble):
+        # column 5 copies column 2, so each Newton step of a cold fit of a
+        # set holding both warns of its ridge
+        ds = gen_dataset(GenConfig(n=60, p=6, q=2, family="cox", censor_rate=0.2, seed=4))[0]
+        X = np.array(ds.X)
+        X[:, 5] = X[:, 2]
+        sd = standardize(Dataset(X, ds.response))
+        active = (1, 2, 5)
+        cold, cold_warnings = fit_and_warnings(COX, sd, active)
+        assert cold_warnings and all("ridge" in message for _, message in cold_warnings)
+        start = fit_active(COX, sd, (1, 2))
+        newton = families._damped_newton
+
+        def troubled(objective, derivatives, coef):
+            if np.any(coef):  # the warm run
+                if trouble == "raises":
+                    raise ValueError("non-finite entries in Newton system")
+                warnings.warn("overflow encountered", RuntimeWarning)
+            return newton(objective, derivatives, coef)
+
+        monkeypatch.setattr(families, "_damped_newton", troubled)
+        got, got_warnings = fit_and_warnings(COX, sd, active, start)
+        assert_same_model(got, cold)
+        assert got_warnings == cold_warnings
+
+    @pytest.mark.parametrize("refusal", ["not converged", "above the zero loss", "zero on the set"])
+    def test_refused_start_is_never_run(self, monkeypatch, refusal):
+        sd = random_standardized("cox", 60, 6, seed=5, beta=np.array([1.0, -1.0, 0.5, 0, 0, 0]))
+        active = (0, 1, 2)
+        cold = fit_active(COX, sd, active)
+        beta = fit_active(COX, sd, (0, 1)).beta
+        start = {
+            "not converged": CoefficientModel(beta, 0.0, (0, 1), False),
+            "above the zero loss": CoefficientModel(-5.0 * beta, 0.0, (0, 1)),
+            "zero on the set": fit_active(COX, sd, (4,)),
+        }[refusal]
+        starts = newton_starts(monkeypatch)
+        assert_same_model(fit_active(COX, sd, active, start), cold)
+        assert len(starts) == 1 and not np.any(starts[0])
+
+    def test_kept_warm_fit_takes_fewer_iterations(self, monkeypatch):
+        sd = random_standardized("cox", 60, 6, seed=5, beta=np.array([1.0, -1.0, 0.5, 0, 0, 0]))
+        active = (0, 1, 2)
+        cold = fit_active(COX, sd, active)
+        starts = newton_starts(monkeypatch)
+        warm = fit_active(COX, sd, active, fit_active(COX, sd, (0, 1)))
+        assert len(starts) == 2 and np.any(starts[1])  # the (0, 1) fit, then the warm run
+        assert warm.solver_converged and warm.solver_iterations < cold.solver_iterations
+        assert warm.loss == pytest.approx(cold.loss, rel=1e-12, abs=0)
+        np.testing.assert_allclose(warm.beta, cold.beta, rtol=1e-6)
+
+    @pytest.mark.parametrize("tag", ["gaussian", "binomial"])
+    def test_other_families_ignore_the_start(self, tag):
+        sd = random_standardized(tag, 60, 6, seed=5, beta=np.array([1.0, -1.0, 0.5, 0, 0, 0]))
+        family = FAMILY[tag]
+        start = fit_active(family, sd, (0, 1))
+        cold = fit_active(family, sd, (0, 1, 2))
+        assert_same_model(fit_active(family, sd, (0, 1, 2), start), cold)

@@ -183,9 +183,9 @@ def fitted_sets(monkeypatch):
     fitted = []
 
     def recording(fit):
-        def wrapped(family, d, active):
+        def wrapped(family, d, active, start=None):
             fitted.append(tuple(sorted(active)))
-            return fit(family, d, active)
+            return fit(family, d, active, start)
 
         return wrapped
 

@@ -452,13 +452,22 @@ class TestSharedEvaluations:
         assert not used <= set(fits)  # some were dropped
         fresh_gold, fresh_trace = gpdas(fam, instance(), k_max=8)
         fresh_path, fresh_report = spdas(fam, instance(), k_max=8)
-        assert (gold.active_set, gold.loss, trace.rows) == (
-            fresh_gold.active_set, fresh_gold.loss, fresh_trace.rows
-        )
-        assert [(e.active_set, e.loss) for e in path.entries] == [
-            (e.active_set, e.loss) for e in fresh_path.entries
+
+        def same_loss(a, b):
+            # spdas reuses sets gpdas fitted from its warm starts, so a cox
+            # loss can differ from a fresh run's in its last digits
+            return a == (pytest.approx(b, rel=1e-12, abs=0) if family == "cox" else b)
+
+        assert (gold.active_set, trace.rows) == (fresh_gold.active_set, fresh_trace.rows)
+        assert same_loss(gold.loss, fresh_gold.loss)
+        assert [e.active_set for e in path.entries] == [
+            e.active_set for e in fresh_path.entries
         ]
+        assert all(same_loss(a.loss, b.loss) for a, b in zip(path.entries, fresh_path.entries))
         assert (report.k, path.stop) == (fresh_report.k, fresh_path.stop)
+        # a memo hit returns the fit of its own set
+        for active, (model, _) in fits.items():
+            assert same_loss(model.loss, fit_active(fam, sd, active).loss)
 
     def test_delta_is_read_only(self):
         sd = orthonormal_instance(seed=2)

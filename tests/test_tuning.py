@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bestsubset import bench
 from bestsubset.bench import BenchScenario, run_replication
 from bestsubset.data import Continuous, Dataset, standardize
-from bestsubset.datagen import GenConfig, gen_dataset
+from bestsubset.datagen import GenConfig, gen_beta, gen_dataset, gen_design, gen_response
 from bestsubset.families import (
     CoefficientModel,
     ModelFamily,
@@ -263,6 +263,85 @@ class TestWarmStart:
             assert warm_start_set(out, np.int64(k)) == warm_start_set(out, k)
 
 
+def replication_data(scn, rep):
+    """The standardized training data of ``run_replication(scn, rep)``."""
+    rng = np.random.default_rng([scn.seed, rep])
+    cfg = scn.gen_config()
+    b, B = cfg.magnitude_range()
+    X = gen_design(scn.n, scn.p, scn.rho, rng)
+    beta_star = gen_beta(scn.p, scn.q, b, B, "random", rng)
+    return standardize(Dataset(X, gen_response(scn.family, X, beta_star, cfg, rng)))
+
+
+# the perfbench ``cox_reps`` smoke scenario
+COX_REPS_SMOKE = BenchScenario(
+    family="cox", n=100, p=15, q=3, censor_rate=0.2, holdout=200, seed=300,
+    methods=("spdas", "gpdas"), criterion="ebic", reps=1,
+)
+# (family, dataset maker, k_max): cox_reps smoke reps 0-1, then the
+# behaviour corpus's datasets
+WARM_START_CASES = [
+    pytest.param("cox", lambda: replication_data(COX_REPS_SMOKE, 0), None, id="cox-smoke-rep0"),
+    pytest.param("cox", lambda: replication_data(COX_REPS_SMOKE, 1), None, id="cox-smoke-rep1"),
+    *[
+        pytest.param(
+            family, lambda cfg=cfg: standardize(gen_dataset(cfg)[0]), 8, id=f"{family}-corpus"
+        )
+        for family, cfg in (
+            ("cox", GenConfig(n=150, p=15, q=3, family="cox", censor_rate=0.2, seed=3)),
+            ("binomial", GenConfig(n=500, p=20, q=3, family="binomial", seed=2)),
+            ("gaussian", GenConfig(n=100, p=20, q=3, seed=1)),
+        )
+    ],
+]
+
+
+class TestWarmStartedFits:
+    @staticmethod
+    def searched(monkeypatch, family, sd, k_max, warm):
+        """spdas (EBIC) then gpdas on ``sd``, and the Newton iterations of
+        their fits; with ``warm`` False every fit drops its start."""
+        iterations = []
+        fit = PDAS_MODULE.fit_active
+
+        def fitting(family, d, active, start=None):
+            model = fit(family, d, active, start if warm else None)
+            iterations.append(model.solver_iterations)
+            return model
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PDAS_MODULE, "fit_active", fitting)
+            path, report = spdas(family, sd, k_max=k_max, criterion="ebic")
+            gold, trace = gpdas(family, sd, k_max=k_max)
+        return path, report, gold, trace, sum(iterations)
+
+    @pytest.mark.parametrize("tag, make, k_max", WARM_START_CASES)
+    def test_same_selections_as_cold_fits(self, monkeypatch, tag, make, k_max):
+        family = ModelFamily(tag)
+        path, report, gold, trace, iters = self.searched(monkeypatch, family, make(), k_max, True)
+        cold_path, cold_report, cold_gold, cold_trace, cold_iters = self.searched(
+            monkeypatch, family, make(), k_max, False
+        )
+        assert [e.active_set for e in path.entries] == [e.active_set for e in cold_path.entries]
+        assert (report.k, report.active_set, path.stop) == (
+            cold_report.k, cold_report.active_set, cold_path.stop
+        )
+        assert (gold.k, gold.active_set) == (cold_gold.k, cold_gold.active_set)
+        assert (trace.rows, trace.reason, trace.pdas_calls) == (
+            cold_trace.rows, cold_trace.reason, cold_trace.pdas_calls
+        )
+        pairs = list(zip(path.entries, cold_path.entries)) + [(gold, cold_gold)]
+        if tag == "cox":
+            for a, b in pairs:
+                assert a.loss == pytest.approx(b.loss, rel=1e-12, abs=0)
+            assert iters < cold_iters
+        else:  # binomial and gaussian fits ignore the start
+            for a, b in pairs:
+                assert (a.loss, a.intercept) == (b.loss, b.intercept)
+                np.testing.assert_array_equal(a.beta, b.beta)
+            assert iters == cold_iters
+
+
 class TestSpdas:
     def planted(self, seed=123):
         beta = [0.0] * 20
@@ -487,9 +566,9 @@ class TestCertifiedStop:
         sd = standardize(gen_dataset(cfg)[0])
         fitted = []
         for module in (TUNING_MODULE, PDAS_MODULE):
-            def counting(family, d, active, fit=module.fit_active):
+            def counting(family, d, active, start=None, fit=module.fit_active):
                 fitted.append(tuple(active))
-                return fit(family, d, active)
+                return fit(family, d, active, start)
 
             monkeypatch.setattr(module, "fit_active", counting)
         spdas(family, sd, k_max=8)
@@ -724,9 +803,9 @@ class TestGpdas:
         sd = standardize(gen_dataset(cfg)[0])
         fitted = []
 
-        def counting_fit(family, d, active):
+        def counting_fit(family, d, active, start=None):
             fitted.append(tuple(active))
-            return fit_active(family, d, active)
+            return fit_active(family, d, active, start)
 
         monkeypatch.setattr(PDAS_MODULE, "fit_active", counting_fit)
         gpdas(ModelFamily(cfg.family), sd)
