@@ -2,7 +2,8 @@
 # Smoke run of the installed `bestsubset` console script, in the current
 # directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
 # oracle for each family, two cox searches run twice with the same bytes,
-# the oracle past the default p cap, and the input
+# a cox oracle whose refused bound fits stay silent, the oracle past the
+# default p cap, and the input
 # checks of gen and fit, with the exact refusal of an out-of-range size.  gsection reports are piped into a JSON parser,
 # since its trace lines go to stderr.
 # Usage: bash console-smoke.sh
@@ -57,6 +58,12 @@ for method in sequential gsection; do
   cmp cox-$method-1.json cox-$method-2.json
   cmp cox-$method-1.err cox-$method-2.err
 done
+# 7 of the 22 bound fits of this cox oracle raise or warn; the search
+# refuses them without a word on stderr
+bestsubset gen --family cox --n 40 --p 12 --q 3 --rho 0.5 --censor-rate 0.7 --seed 2 \
+  --output silent.csv
+bestsubset oracle --input silent.csv --family cox -k 3 2> silent.err
+test ! -s silent.err
 # magnitudes matter only when coefficients are drawn
 bestsubset gen --family gaussian --n 60 --p 8 --q 0 --b 2 --B 1 --output q0.csv
 must_fail bestsubset gen --family gaussian --n 60 --p 8 --q 2 --b -1 --B 1 --output bad.csv

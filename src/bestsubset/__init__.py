@@ -31,7 +31,7 @@ from .families import (
 )
 from .metrics import SelectionScore, accuracy, concordance_index, relative_mse, tp_fp
 from .oracle import exhaustive_best_subset
-from .pdas import PdasOutput, null_fit, pdas, select_top_k
+from .pdas import PdasOutput, null_fit, pdas, select_top_k, warm_start_set
 from .tuning import (
     CriterionValues,
     FitPath,
@@ -40,7 +40,6 @@ from .tuning import (
     criteria,
     gpdas,
     spdas,
-    warm_start_set,
 )
 
 __version__ = "0.1.0"

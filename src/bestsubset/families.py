@@ -328,6 +328,23 @@ def _damped_newton(objective, derivatives, coef: np.ndarray):
     return coef, current, converged, iterations
 
 
+def quiet_fit(fn, *args):
+    """``fn(*args)``, or None if it raised ``ValueError`` or warned.
+
+    The rule for every fit no report comes from (``loglik_ceiling``'s full
+    fit, the oracle's bound fits, a cox warm run): it is used only if it
+    raised nothing (a non-finite Newton system) and warned of nothing (the
+    ridge fallback).  Every warning is caught, so none escapes.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except ValueError:
+            return None
+    return None if caught else result
+
+
 def _model(d, active, coef, intercept, converged, iterations, value):
     beta = np.zeros(d.dataset.p)
     beta[list(active)] = coef
@@ -363,15 +380,14 @@ def _fit_binomial(d, active):
 
 
 def _fit_cox(d, active, context, start):
+    if not active:
+        return _model(d, active, (), 0.0, True, 0, context.zero_loss)
     resp = d.dataset.response
     XA = context.risk_design.take(list(active), axis=1)  # C order, the bits of a row gather
 
     def objective(c):
         eta = XA @ c
         return _cox_loss(eta, resp), eta
-
-    if not active:
-        return _model(d, active, (), 0.0, True, 0, objective(np.zeros(0))[0])
 
     def derivatives(eta):
         score, u, xbar = _cox_derivatives(XA, eta, resp)
@@ -381,15 +397,9 @@ def _fit_cox(d, active, context, start):
         coef = start.beta[list(active)]
         value, eta = objective(coef)
         if np.any(coef) and value <= context.zero_loss and not _monotone(eta, resp):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    coef, value, converged, iterations = _damped_newton(
-                        objective, derivatives, coef
-                    )
-                except ValueError:
-                    converged = False
-            if converged and not caught and not _monotone(XA @ coef, resp):
+            warm = quiet_fit(_damped_newton, objective, derivatives, coef)
+            if warm is not None and warm[2] and not _monotone(XA @ warm[0], resp):
+                coef, value, _, iterations = warm
                 return _model(d, active, coef, 0.0, True, iterations, value)
     coef, value, converged, iterations = _damped_newton(
         objective, derivatives, np.zeros(len(active))
@@ -410,9 +420,9 @@ def fit_active(
     on ``active_set`` (a start that is zero there is the cold start).  The
     start is used only if it converged, its loss on the set is at most the
     loss at zero, and its eta certifies no monotone likelihood
-    (:func:`_monotone`); the warm result is kept only if it converged,
-    raised and warned nothing, and certifies none either.  Otherwise the set
-    is fitted from zero, with the cold fit's bits and warnings.  A kept
+    (:func:`_monotone`); the warm result is kept only if :func:`quiet_fit`
+    accepts it, it converged, and it certifies none either.  Otherwise the
+    set is fitted from zero, with the cold fit's bits and warnings.  A kept
     warm fit moves the loss only in its last digits (<= 1e-12 relative)
     and beta within the Newton tolerance; on collinear columns, where the
     minimizer is not unique, it can reach another minimizer of equal loss.

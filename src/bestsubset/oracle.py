@@ -18,7 +18,6 @@ still have to fit grows as C(p, k).
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -27,9 +26,11 @@ from .families import (
     LINEAR_PREDICTOR_CLIP,
     CoefficientModel,
     ModelFamily,
+    _active_predictor,
     as_size,
     fit_active,
     problem,
+    quiet_fit,
 )
 from .pdas import null_fit, pdas
 
@@ -46,27 +47,20 @@ def _lower_bound(family: ModelFamily, d: StandardizedDataset, superset) -> float
     """A lower bound on the loss of every subset of ``superset``, or -inf.
 
     The loss of the fit on ``superset`` is one only when that fit is a
-    minimum: it fits within the family's size cap, raises nothing, warns
-    of nothing (the ridge fallback warns), converged, and is not separated
-    (a separated fit stops short of its infimum with ``converged`` set, so
-    any |eta| at ``LINEAR_PREDICTOR_CLIP`` disqualifies it).  Its warnings
-    are caught here, as no reported model comes from this fit; it is always
-    made (a memo hit could not say it warned) and never kept, as no leaf of
-    this search is as large as a superset.
+    minimum: it fits within the family's size cap,
+    :func:`~bestsubset.families.quiet_fit` accepts it, it converged, and it
+    is not separated (a separated fit stops short of its infimum with
+    ``converged`` set, so any |eta| at ``LINEAR_PREDICTOR_CLIP`` disqualifies
+    it).  It never enters the memo, as no leaf of this search is as large
+    as a superset.
     """
     if len(superset) > family.max_size(d.dataset.n, d.dataset.p):
         return -math.inf
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        try:
-            model = fit_active(family, d, superset)
-        except ValueError:  # a non-finite Newton system
-            return -math.inf
-    if caught or not model.solver_converged:
+    model = quiet_fit(fit_active, family, d, superset)
+    if model is None or not model.solver_converged:
         return -math.inf
     if family.tag != "gaussian":
-        active = list(model.active_set)
-        eta = model.intercept + d.dataset.X[:, active] @ model.beta[active]
+        eta = model.intercept + _active_predictor(d.dataset.X, model)
         if np.max(np.abs(eta)) >= LINEAR_PREDICTOR_CLIP:
             return -math.inf
     return model.loss

@@ -35,13 +35,12 @@ Every size is reported by one builder, :func:`fixed_k_report`, as a
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import StandardizedDataset
-from .families import ModelFamily, as_size, fit_active, loglik_from_loss, problem
+from .families import ModelFamily, as_size, fit_active, loglik_from_loss, problem, quiet_fit
 from .pdas import PdasOutput, null_fit, pdas, warm_start_set
 
 CRITERIA = ("aic", "bic", "ebic")
@@ -194,25 +193,19 @@ def loglik_ceiling(family: ModelFamily, d: StandardizedDataset, k_max: int):
     """An upper bound on the log-likelihood of every fit of up to ``k_max``, or None.
 
     With ``k_max`` = p the converged fit on all p columns bounds every
-    restricted fit; one that warned (the ridge fallback), did not converge,
-    or failed gives no bound from it, so that fit is always made (a memo hit
-    could not say it warned) and enters the memo only if it did not warn.
-    Otherwise binomial and cox losses are nonnegative, so the bound is 0,
-    and gaussian has none.  A separated full fit gives a bound a few 1e-8
+    restricted fit.  That fit is always made, through ``families.quiet_fit``
+    (a memo hit could not say it warned), and kept in the memo unless the
+    helper refuses it.  Otherwise binomial and cox losses are nonnegative,
+    so the bound is 0, and gaussian has none.  A separated full fit gives a bound a few 1e-8
     too low (see the module notes); the oracle's |eta| test is not used to
     refuse it, as it fires on 9 of the 12 ``cox_reps`` benchmark full fits
     at seeds 0 and 104729 (max |eta| 32-42) and would drop the bound that
     ends those sweeps early.
     """
     n, p = d.dataset.n, d.dataset.p
-    if k_max == p and family.max_size(n, p) >= p:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            try:
-                full = fit_active(family, d, range(p))
-            except ValueError:  # the sweep meets this fit itself if it gets to k = p
-                full = None
-        if full is not None and not caught:
+    if k_max == p:
+        full = quiet_fit(fit_active, family, d, range(p))
+        if full is not None:
             problem(family, d).add(full)
             if full.solver_converged:
                 return loglik_from_loss(family, n, full.loss)

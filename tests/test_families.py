@@ -25,6 +25,7 @@ from bestsubset.families import (
     loglik_from_loss,
     loss,
     predict,
+    quiet_fit,
 )
 from conftest import random_standardized
 
@@ -586,6 +587,40 @@ class TestSolveSpd:
             b[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             _solve_spd(A, b, "test")
+
+
+class TestQuietFit:
+    def test_raise_gives_none(self):
+        def raising():
+            raise ValueError("non-finite entries in Newton system")
+
+        assert quiet_fit(raising) is None
+
+    @pytest.mark.parametrize("category", [RuntimeWarning, UserWarning])
+    @pytest.mark.parametrize("outer", ["always", "ignore", "error"])
+    def test_warning_gives_none_and_none_escapes(self, category, outer):
+        def warning(x):
+            warnings.warn("singular Newton system; adding ridge", category)
+            return x
+
+        filters = list(warnings.filters)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(outer)
+            assert quiet_fit(warning, 1.0) is None
+        assert caught == []
+        assert warnings.filters == filters
+
+    def test_clean_call_returns_the_same_object(self):
+        sd = random_standardized("cox", 40, 4, seed=3)
+        filters = list(warnings.filters)
+        model = fit_active(COX, sd, (0, 1))
+        assert quiet_fit(lambda *args: model, COX, sd, (0, 1)) is model
+        assert_same_model(quiet_fit(fit_active, COX, sd, (0, 1)), model)
+        assert warnings.filters == filters
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(KeyError):
+            quiet_fit({}.__getitem__, "missing")
 
 
 def masked_sigmoid(eta):

@@ -599,6 +599,41 @@ class TestCertifiedStop:
         monkeypatch.setattr(tuning_module, "fit_active", lambda *args: stalled)
         assert loglik_ceiling(family, sd, 6) == 0.0
 
+    @pytest.mark.parametrize("tag, bound", [("gaussian", None), ("binomial", 0.0), ("cox", 0.0)])
+    def test_raising_full_fit_gives_the_fallback_bound(self, monkeypatch, tag, bound):
+        family = ModelFamily(tag)
+        sd = standardize(gen_dataset(GenConfig(n=80, p=6, q=2, family=tag, seed=5))[0])
+        fit = TUNING_MODULE.fit_active
+
+        def raising(family, d, active, start=None):
+            if len(active) == 6:
+                raise ValueError("non-finite entries in Newton system")
+            return fit(family, d, active, start)
+
+        monkeypatch.setattr(TUNING_MODULE, "fit_active", raising)
+        assert loglik_ceiling(family, sd, 6) == bound
+        assert tuple(range(6)) not in problem(family, sd).fits
+
+    @pytest.mark.parametrize("tag", ["gaussian", "cox"])
+    def test_full_fit_that_raises_unpatched(self, tag):
+        # gaussian with n < p: the fit on all p columns is over the size cap;
+        # this cox design warns five times on its full fit, then meets a
+        # non-finite Newton system
+        cfg = {
+            "gaussian": GenConfig(n=6, p=8, q=2, seed=1),
+            "cox": GenConfig(n=30, p=8, q=3, family="cox", rho=0.5, censor_rate=0.2, seed=5),
+        }[tag]
+        family = ModelFamily(tag)
+        sd = standardize(gen_dataset(cfg)[0])
+        with warnings.catch_warnings(), pytest.raises(ValueError):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fit_active(family, sd, range(8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bound = loglik_ceiling(family, sd, 8)
+        assert (bound, caught) == ({"gaussian": None, "cox": 0.0}[tag], [])
+        assert tuple(range(8)) not in problem(family, sd).fits
+
     def test_logit_reps_scenario_is_certified_by_k_14(self, monkeypatch):
         scn = BenchScenario(
             family="binomial", n=500, p=100, q=5, reps=1, methods=("spdas",),
