@@ -213,8 +213,8 @@ class StandardizedDataset:
     column_centers: np.ndarray
     column_scales: np.ndarray
     response_center: float
-    # the solvers' per-dataset work, by family tag (``families.problem``)
-    _problems: dict = field(default_factory=dict, init=False, repr=False)
+    # the solvers' per-dataset work, made on first use (``families.problem``)
+    _problem: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "column_centers", _frozen_array(self.column_centers))

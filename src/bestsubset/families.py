@@ -96,13 +96,15 @@ def _check_family(family: ModelFamily, d: StandardizedDataset) -> None:
 
 
 class Problem:
-    """Work done once per (family, standardized dataset), shared by every search.
+    """Work done once per standardized dataset, shared by every search.
 
     ``fits`` maps an active set to ``[model, delta]`` (delta None until a
     ``pdas`` proposal needs it) for the latest n / 2 sets, at most n x p
     floats.  Dropping the oldest changes no selection; a cox fit's last
     digits (<= 1e-12 relative in the loss, the Newton tolerance in beta)
-    can depend on which warm start fitted the set first.  ``risk_design``
+    can depend on which warm start fitted the set first.  Threads may add
+    at once, with no lock (the dataset stays picklable): each add drops the
+    oldest sets until the memo fits again, and none raises.  ``risk_design``
     is the cox design with rows in risk order and ``zero_loss`` the cox
     loss at beta = 0, the same for every set.
     """
@@ -117,16 +119,17 @@ class Problem:
 
     def add(self, model: CoefficientModel) -> list:
         """The entry of ``model``'s set, made from ``model`` when missing."""
-        if model.active_set not in self.fits and len(self.fits) >= self.capacity:
-            del self.fits[next(iter(self.fits))]  # the oldest
-        return self.fits.setdefault(model.active_set, [model, None])
+        entry = self.fits.setdefault(model.active_set, [model, None])
+        while len(self.fits) > self.capacity:  # drop the oldest,
+            self.fits.pop(next(iter(list(self.fits)), None), None)  # if no thread did
+        return entry
 
 
-def problem(family: ModelFamily, d: StandardizedDataset) -> Problem:
-    """The :class:`Problem` of ``family`` on ``d``, made on first use."""
-    if family.tag not in d._problems:
-        d._problems[family.tag] = Problem(d)
-    return d._problems[family.tag]
+def problem(d: StandardizedDataset) -> Problem:
+    """The :class:`Problem` of ``d``, made on first use."""
+    if d._problem is None:
+        object.__setattr__(d, "_problem", Problem(d))
+    return d._problem
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -244,7 +247,7 @@ def grad_hess(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel):
         h = (X**2).T @ (prob * (1.0 - prob))
         return g, h
     resp = d.dataset.response
-    Xs = problem(family, d).risk_design
+    Xs = problem(d).risk_design
     g, u, xbar = _cox_derivatives(Xs, _active_predictor(X, m)[resp.order], resp)
     h = u @ Xs**2 - (xbar**2).sum(axis=0)
     # exact h is nonnegative; clear roundoff dust
@@ -423,9 +426,9 @@ def fit_active(
     (:func:`_monotone`); the warm result is kept only if :func:`quiet_fit`
     accepts it, it converged, and it certifies none either.  Otherwise the
     set is fitted from zero, with the cold fit's bits and warnings.  A kept
-    warm fit moves the loss only in its last digits (<= 1e-12 relative)
-    and beta within the Newton tolerance; on collinear columns, where the
-    minimizer is not unique, it can reach another minimizer of equal loss.
+    warm fit moves only the last digits (:class:`Problem` says how far); on
+    collinear columns, where the minimizer is not unique, it can reach
+    another minimizer of equal loss.
     Gaussian fits do not iterate.  Binomial ignores ``start``: a separated
     fit ends wherever its iteration stops, so it depends on the start, and
     no separation certificate guards it yet.
@@ -437,7 +440,7 @@ def fit_active(
         return _fit_gaussian(d, active)
     if family.tag == "binomial":
         return _fit_binomial(d, active)
-    return _fit_cox(d, active, problem(family, d), start)
+    return _fit_cox(d, active, problem(d), start)
 
 
 def predict(

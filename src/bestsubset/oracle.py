@@ -104,7 +104,7 @@ def exhaustive_best_subset(
         need = k - len(picked)
         if need in (0, p - i):  # a leaf: picked, or picked | pool
             leaf = tuple(sorted(picked + order[i:] if need else picked))
-            entry = problem(family, d).fits.get(leaf)  # a set pdas or a search fitted
+            entry = problem(d).fits.get(leaf)  # a set pdas or a search fitted
             model = entry[0] if entry else fit_active(family, d, leaf)
             if (model.loss, model.active_set) < (best.loss, best.active_set):
                 best = model

@@ -85,7 +85,7 @@ def _evaluate(family, d, active, start=None):
 
     A set missing from the memo is fitted from ``start`` (``fit_active``).
     """
-    context = problem(family, d)
+    context = problem(d)
     entry = context.fits.get(active) or context.add(fit_active(family, d, active, start))
     if entry[1] is None:
         _, entry[1] = dual_sacrifice(family, d, entry[0])
@@ -137,9 +137,8 @@ def pdas(
     use it and when it is refused.
 
     Each set is looked up first in the memo all runs on ``d`` share, so it
-    is fitted once per dataset while held there.  That changes no
-    selection; a cox fit's last digits (<= 1e-12 relative in the loss) can
-    depend on which warm start fitted the set first.
+    is fitted once per dataset while held there; ``families.Problem`` says
+    what that changes.
     """
     p = d.dataset.p
     k = as_size(k, "k", 1, family.max_size(d.dataset.n, p))

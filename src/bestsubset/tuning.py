@@ -10,23 +10,21 @@ choice is the same.  The bound is the deviance of the converged fit on all p
 columns when ``k_max`` is p (every fit is a restricted one), else 0 for
 binomial and cox (the loss is nonnegative); gaussian gets none otherwise.
 The full-fit bound is exact only for a true minimum: a separated fit stops
-about 2-6e-8 above its infimum, flagged converged.  In 93 of 654 (dataset,
-criterion) checks on binomial and cox designs with n 20-40 and p 6-8 a path
-size beat that fit's loss, yet the choice matched the full sweep's in all
-654.  ``FitPath.stop`` says why the sweep ended.  The golden-section search
-brackets the `elbow' of the loss-versus-k curve; interval ends are held,
-not re-solved (:func:`golden_section_search` lists the sizes each iteration
-solves).  The iteration count is not O(log k_max): when the loss is flat
+about 2-6e-8 above its infimum, flagged converged, so a path size can beat
+its loss; no choice has been seen to change.  ``FitPath.stop`` says why the
+sweep ended.  The golden-section search brackets the `elbow' of the
+loss-versus-k curve; interval ends are held, not re-solved
+(:func:`golden_section_search` lists the sizes each iteration solves).
+The iteration count is not O(log k_max): when the loss is flat
 left of the split, the left end resets to 1, so the search can run many
 iterations before the interval collapses.
 Each search sizes every start with ``pdas.warm_start_set`` from an output it
 holds, and a start with no earlier output from its one ``null_fit``, and
 passes that output's model as ``pdas``'s ``start``, so cox fits begin from
 the coefficients it holds (binomial and gaussian fits ignore it).  The
-runs of both searches share the dataset's memo (``families.Problem``), so
-``GoldenSectionTrace.pdas_calls`` counts solver calls, not fits.  Dropping
-a memo entry changes no selection; a cox fit's last digits (<= 1e-12
-relative in the loss) can depend on which warm start fitted the set first.
+runs of both searches share the dataset's memo (``families.Problem``, which
+says what sharing changes), so ``GoldenSectionTrace.pdas_calls`` counts
+solver calls, not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
@@ -196,17 +194,16 @@ def loglik_ceiling(family: ModelFamily, d: StandardizedDataset, k_max: int):
     restricted fit.  That fit is always made, through ``families.quiet_fit``
     (a memo hit could not say it warned), and kept in the memo unless the
     helper refuses it.  Otherwise binomial and cox losses are nonnegative,
-    so the bound is 0, and gaussian has none.  A separated full fit gives a bound a few 1e-8
-    too low (see the module notes); the oracle's |eta| test is not used to
-    refuse it, as it fires on 9 of the 12 ``cox_reps`` benchmark full fits
-    at seeds 0 and 104729 (max |eta| 32-42) and would drop the bound that
-    ends those sweeps early.
+    so the bound is 0, and gaussian has none.  A separated full fit gives a
+    bound a few 1e-8 too low (see the module notes); the oracle's |eta| test
+    is not used to refuse it, as it fires on most benchmark cox full fits
+    and would drop the bound that ends those sweeps early.
     """
     n, p = d.dataset.n, d.dataset.p
     if k_max == p:
         full = quiet_fit(fit_active, family, d, range(p))
         if full is not None:
-            problem(family, d).add(full)
+            problem(d).add(full)
             if full.solver_converged:
                 return loglik_from_loss(family, n, full.loss)
     return None if family.tag == "gaussian" else 0.0

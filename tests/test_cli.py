@@ -210,6 +210,35 @@ class TestRejectedScenarios:
         assert search_calls == []
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "family, text, extra, message",
+        [
+            ("gaussian", "", [], "empty file: {path}"),
+            ("gaussian", "x1,y\n1,2\n3,4\n", ["--response", "z"],
+             "response column 'z' not found in header"),
+            ("gaussian", "1\n2\n3\n", ["--no-header"], "too few columns for predictors plus response"),
+            ("cox", "x1,time,status\n1,2,1\n2,3,0\n", ["--response", "time"],
+             "family 'cox' needs 2 response column(s), got 1"),
+            ("gaussian", "y\n1\n2\n3\n", [], "no predictor columns left after removing the response"),
+        ],
+        ids=["empty", "missing-response", "too-few-columns", "response-count", "no-predictors-left"],
+    )
+    def test_refused_csv_prints_one_error_line(self, tmp_path, capsys, family, text, extra, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert run(["fit", "--family", family, "--input", path, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=path)}\n"
+
+    def test_explicit_beta_longer_than_p(self, tmp_path, capsys):
+        argv = ["gen", "--family", "gaussian", "--n", 10, "--p", 2, "--q", 1,
+                "--beta", "1,2,3", "--output", tmp_path / "d.csv"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: explicit beta is longer than p\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_sparse_coefficients_match_the_loop():
     def loop(names, beta):

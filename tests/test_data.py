@@ -293,6 +293,41 @@ class TestValidation:
         assert d.X[0, 0] == 1.0
         assert X.flags.writeable
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda tmp: Continuous(np.zeros((2, 2))), "continuous response must be a 1-D vector"),
+            (lambda tmp: Continuous([1.0, np.inf]), "continuous response contains non-finite values"),
+            (lambda tmp: Binary(np.zeros((2, 2))), "binary response must be a 1-D vector"),
+            (lambda tmp: Survival([1.0, 2.0], [1.0]),
+             "time and status must be 1-D vectors of equal length"),
+            (lambda tmp: Survival([1.0, 2.0], [1.0, 0.5]), "status must be 0 (censored) or 1 (event)"),
+            (lambda tmp: Dataset(np.ones(3), Continuous([1.0, 2.0, 3.0])), "X must be a 2-D matrix"),
+            (lambda tmp: Dataset(np.ones((3, 0)), Continuous([1.0, 2.0, 3.0])),
+             "need at least 1 predictor"),
+            (lambda tmp: Dataset(np.eye(3), Continuous([1.0, 2.0, 3.0]), ("a", "b")),
+             "column_names length does not match p"),
+            (lambda tmp: load_csv(write(tmp / "d.csv", "\n\n"), "gaussian"), "empty file: {tmp}/d.csv"),
+            (lambda tmp: load_csv(write(tmp / "d.csv", "x1,y\n1,2\n"), "gaussian", "z"),
+             "response column 'z' not found in header"),
+            (lambda tmp: load_csv(write(tmp / "d.csv", "1\n2\n"), "gaussian", header=False),
+             "too few columns for predictors plus response"),
+            (lambda tmp: load_csv(write(tmp / "d.csv", "x1,y\n1,2\n"), "poisson"),
+             "unknown family 'poisson'"),
+            (lambda tmp: load_csv(write(tmp / "d.csv", "x1,time,status\n1,2,1\n"), "cox", ("time",)),
+             "family 'cox' needs 2 response column(s), got 1"),
+            (lambda tmp: load_csv(write(tmp / "d.csv", "y\n1\n2\n"), "gaussian"),
+             "no predictor columns left after removing the response"),
+        ],
+        ids=["continuous-2d", "continuous-inf", "binary-2d", "survival-lengths", "status-value",
+             "x-1d", "no-predictor", "column-names", "csv-empty", "csv-missing-response",
+             "csv-too-few-columns", "csv-unknown-family", "csv-response-count",
+             "csv-no-predictors-left"],
+    )
+    def test_input_check_messages(self, tmp_path, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(tmp=tmp_path))}$"):
+            make(tmp_path)
+
 
 class TestStandardize:
     def test_known_column(self):

@@ -263,6 +263,24 @@ class TestCensoringHorizon:
             _censoring_horizon(np.full(4, 1e-30), 0.99)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GenConfig(n=1, p=2, q=1), "need n >= 2 and p >= 1"),
+        (lambda: GenConfig(n=10, p=2, q=1, signs="mixed"), "signs must be 'random' or 'positive'"),
+        (lambda: gen_beta(5, 2, 1.0, 2.0, "mixed", np.random.default_rng(0)),
+         "signs must be 'random' or 'positive'"),
+        (lambda: gen_response("poisson", np.eye(3), np.zeros(3), GenConfig(n=3, p=3, q=0),
+                              np.random.default_rng(0)),
+         "unknown family 'poisson'"),
+    ],
+    ids=["config-n", "config-signs", "gen-beta-signs", "gen-response-family"],
+)
+def test_input_check_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def _loaded_after_cli_import(package):
     """``package`` and its submodules loaded by a fresh ``import bestsubset.cli``."""
     # a fresh interpreter that imports this same copy of the package
@@ -286,3 +304,9 @@ def test_cli_import_leaves_scipy_optimize_out():
 def test_cli_import_leaves_numpy_random_out():
     # most CLI runs draw no random number; the generator loads it on first use
     assert _loaded_after_cli_import("numpy.random") == "[]"
+
+
+@pytest.mark.parametrize("package", ["concurrent.futures", "multiprocessing"])
+def test_cli_import_leaves_process_pools_out(package):
+    # bench imports its process pool only when jobs > 1
+    assert _loaded_after_cli_import(package) == "[]"

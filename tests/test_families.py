@@ -1,4 +1,7 @@
 import math
+import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -27,6 +30,8 @@ from bestsubset.families import (
     predict,
     quiet_fit,
 )
+from bestsubset.pdas import pdas
+from bestsubset.tuning import spdas
 from conftest import random_standardized
 
 GAUSSIAN = ModelFamily("gaussian")
@@ -589,6 +594,20 @@ class TestSolveSpd:
             _solve_spd(A, b, "test")
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ModelFamily("poisson"), "unknown family 'poisson'"),
+        (lambda: fit_active(GAUSSIAN, random_standardized("binomial", 20, 3, seed=1), (0,)),
+         "family 'gaussian' does not match response type Binary"),
+    ],
+    ids=["unknown-family", "family-mismatch"],
+)
+def test_input_check_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 class TestQuietFit:
     def test_raise_gives_none(self):
         def raising():
@@ -621,6 +640,54 @@ class TestQuietFit:
     def test_other_errors_propagate(self):
         with pytest.raises(KeyError):
             quiet_fit({}.__getitem__, "missing")
+
+
+class TestProblem:
+    def test_one_problem_per_dataset(self, monkeypatch):
+        # a wrong-family call reaches the context before fit_active refuses
+        # it, and must not leave a second one behind
+        made = []
+
+        class Counted(families.Problem):
+            def __init__(self, d):
+                made.append(d)
+                super().__init__(d)
+
+        monkeypatch.setattr(families, "Problem", Counted)
+        cfg = GenConfig(n=40, p=6, q=2, family="cox", censor_rate=0.2, seed=3)
+        sd = standardize(gen_dataset(cfg)[0])
+        with pytest.raises(ValueError, match="family 'gaussian' does not match response type Survival"):
+            pdas(GAUSSIAN, sd, 1)
+        spdas(COX, sd)
+        assert made == [sd]
+
+    def test_concurrent_adds_neither_raise_nor_overfill(self):
+        sd = random_standardized("gaussian", 8, 40, seed=0)
+        context = families.Problem(sd)
+        assert context.capacity == 4
+        models = [fit_active(GAUSSIAN, sd, (j,)) for j in range(40)]
+        errors = []
+
+        def adder(offset):
+            try:
+                for i in range(20_000):
+                    context.add(models[(i + offset) % 40])
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=adder, args=(10 * t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(context.fits) <= context.capacity
 
 
 def masked_sigmoid(eta):

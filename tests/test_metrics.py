@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,3 +150,13 @@ class TestConcordance:
                 concordance_index(risk, time, status)
         else:
             assert concordance_index(risk, time, status) == want
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(lambda: accuracy([0.5], [1.0, 0.0]), "prob and y must have equal length")],
+    ids=["accuracy-lengths"],
+)
+def test_input_check_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

@@ -422,7 +422,7 @@ class TestSharedEvaluations:
             return random_standardized(family, 90, p, seed=8, beta=beta, censor_rate=0.2)
 
         sd, fam = instance(), ModelFamily(family)
-        shared = problem(fam, sd).fits
+        shared = problem(sd).fits
         rng = np.random.default_rng(1)
         returned = []
         for k in (5, 3, 1):
@@ -446,7 +446,7 @@ class TestSharedEvaluations:
         sd, fam = instance(), ModelFamily(family)
         gold, trace = gpdas(fam, sd, k_max=8)
         path, report = spdas(fam, sd, k_max=8)
-        fits = problem(fam, sd).fits
+        fits = problem(sd).fits
         assert len(fits) == 8
         used = {e.active_set for e in path.entries} | {gold.active_set}
         assert not used <= set(fits)  # some were dropped
