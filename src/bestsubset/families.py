@@ -102,11 +102,12 @@ class Problem:
     ``pdas`` proposal needs it) for the latest n / 2 sets, at most n x p
     floats.  Dropping the oldest changes no selection; a cox fit's last
     digits (<= 1e-12 relative in the loss, the Newton tolerance in beta)
-    can depend on which warm start fitted the set first.  Threads may add
-    at once, with no lock (the dataset stays picklable): each add drops the
-    oldest sets until the memo fits again, and none raises.  ``risk_design``
+    can depend on which warm start fitted the set first.  ``risk_design``
     is the cox design with rows in risk order and ``zero_loss`` the cox
-    loss at beta = 0, the same for every set.
+    loss at beta = 0, the same for every set.  No lock guards it, so the
+    dataset stays picklable: concurrent adds each drop the oldest sets until
+    the memo fits, and none raises, but threads' first calls can each make a
+    context, and all but one are dropped, which costs refits, not errors.
     """
 
     def __init__(self, d: StandardizedDataset):

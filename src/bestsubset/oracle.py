@@ -81,9 +81,7 @@ def exhaustive_best_subset(
     """
     n, p = d.dataset.n, d.dataset.p
     if p > p_cap:
-        raise ValueError(
-            f"refusing exhaustive search: p={p} exceeds p_cap={p_cap}"
-        )
+        raise ValueError(f"refusing exhaustive search: p={p} exceeds p_cap={p_cap}")
     k = as_size(k, "k", 0, family.max_size(n, p))
     if k in (0, p):  # a single subset
         return fit_active(family, d, range(k))

@@ -25,6 +25,7 @@ from .data import StandardizedDataset
 from .families import (
     CoefficientModel,
     ModelFamily,
+    _check_family,
     as_set,
     as_size,
     dual_sacrifice,
@@ -85,6 +86,7 @@ def _evaluate(family, d, active, start=None):
 
     A set missing from the memo is fitted from ``start`` (``fit_active``).
     """
+    _check_family(family, d)  # every family reads the one memo of d
     context = problem(d)
     entry = context.fits.get(active) or context.add(fit_active(family, d, active, start))
     if entry[1] is None:

@@ -30,7 +30,8 @@ from bestsubset.families import (
     predict,
     quiet_fit,
 )
-from bestsubset.pdas import pdas
+from bestsubset.oracle import exhaustive_best_subset
+from bestsubset.pdas import null_fit, pdas
 from bestsubset.tuning import spdas
 from conftest import random_standardized
 
@@ -644,8 +645,7 @@ class TestQuietFit:
 
 class TestProblem:
     def test_one_problem_per_dataset(self, monkeypatch):
-        # a wrong-family call reaches the context before fit_active refuses
-        # it, and must not leave a second one behind
+        # a refused wrong-family call must not leave a second context behind
         made = []
 
         class Counted(families.Problem):
@@ -660,6 +660,20 @@ class TestProblem:
             pdas(GAUSSIAN, sd, 1)
         spdas(COX, sd)
         assert made == [sd]
+
+    @pytest.mark.parametrize(
+        "search",
+        [null_fit, lambda family, sd: pdas(family, sd, 1),
+         lambda family, sd: exhaustive_best_subset(family, sd, 2)],
+        ids=["null_fit", "pdas", "oracle"],
+    )
+    def test_wrong_family_refused_on_a_filled_memo(self, search):
+        # every set these visit is in the memo already, delta included
+        cfg = GenConfig(n=40, p=6, q=2, family="cox", censor_rate=0.2, seed=3)
+        sd = standardize(gen_dataset(cfg)[0])
+        spdas(COX, sd)
+        with pytest.raises(ValueError, match="family 'gaussian' does not match response type Survival"):
+            search(GAUSSIAN, sd)
 
     def test_concurrent_adds_neither_raise_nor_overfill(self):
         sd = random_standardized("gaussian", 8, 40, seed=0)
