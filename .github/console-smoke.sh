@@ -3,9 +3,10 @@
 # directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
 # oracle for each family, two cox searches run twice with the same bytes,
 # a cox oracle whose refused bound fits stay silent, the oracle past the
-# default p cap, and the input
-# checks of gen and fit, with the exact refusal of an out-of-range size.  gsection reports are piped into a JSON parser,
-# since its trace lines go to stderr.
+# default p cap, CSVs with a byte-order mark, and the input checks of gen
+# and fit, with the exact refusals of a repeated header name and of an
+# out-of-range size.  gsection reports are piped into a JSON parser, since
+# its trace lines go to stderr.
 # Usage: bash console-smoke.sh
 set -eo pipefail
 
@@ -73,6 +74,16 @@ printf 'x1,x2,y\n1,2,3\n4,5\n' > ragged.csv
 must_fail bestsubset fit --input ragged.csv --family gaussian --method one -k 1
 printf 'x1,x2,y\n1,2,3\n4,abc,6\n' > text.csv
 must_fail bestsubset fit --input text.csv --family gaussian --method one -k 1
+# a leading UTF-8 byte-order mark is dropped, whichever column comes first
+{ printf '\xef\xbb\xbf'; cat d.csv; } > bom.csv
+bestsubset fit --input d.csv --family gaussian --method one -k 2 --output plain.json
+bestsubset fit --input bom.csv --family gaussian --method one -k 2 --output bom.json
+cmp plain.json bom.json
+printf '\xef\xbb\xbfy,x1,x2\n3,1,2\n6,4,0\n9,7,8\n2,1,5\n' > bom-first.csv
+bestsubset fit --input bom-first.csv --family gaussian --method one -k 1
+printf 'y,a,y\n1,2,3\n4,5,6\n' > repeated.csv
+refused "column 'y' appears more than once in the header" \
+  bestsubset fit --input repeated.csv --family gaussian --method one -k 1
 cp d.csv tail.csv
 printf '1,2,3,4,5,6,7,8,oops\r\n' >> tail.csv
 must_fail bestsubset fit --input tail.csv --family gaussian --method one -k 1 2> tail.err

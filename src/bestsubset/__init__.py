@@ -6,7 +6,7 @@ sequentially or by golden-section elbow location, and ships a data
 generator, an exhaustive oracle, and a Monte-Carlo benchmark harness.
 """
 
-from .bench import BenchResult, BenchScenario, run_bench
+from .bench import BenchScenario, run_bench
 from .data import (
     Binary,
     Continuous,
@@ -29,11 +29,10 @@ from .families import (
     loss,
     predict,
 )
-from .metrics import SelectionScore, accuracy, concordance_index, relative_mse, tp_fp
+from .metrics import accuracy, concordance_index, relative_mse, tp_fp
 from .oracle import exhaustive_best_subset
 from .pdas import PdasOutput, null_fit, pdas, select_top_k, warm_start_set
 from .tuning import (
-    CriterionValues,
     FitPath,
     GoldenSectionTrace,
     SelectionReport,
@@ -45,12 +44,10 @@ from .tuning import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchResult",
     "BenchScenario",
     "Binary",
     "CoefficientModel",
     "Continuous",
-    "CriterionValues",
     "Dataset",
     "FitPath",
     "GenConfig",
@@ -58,7 +55,6 @@ __all__ = [
     "ModelFamily",
     "PdasOutput",
     "SelectionReport",
-    "SelectionScore",
     "StandardizedDataset",
     "Survival",
     "accuracy",

@@ -108,14 +108,14 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
     d = standardize(Dataset(X, response))
 
     def method_row(model, elapsed):
-        score = tp_fp(model.active_set, truth)
+        tp, fp = tp_fp(model.active_set, truth)
         return {
             "k": len(model.active_set),
             "active": list(model.active_set),
             "loss": model.loss,
             "time": elapsed,
-            "tp": score.tp,
-            "fp": score.fp,
+            "tp": tp,
+            "fp": fp,
             "metric": _holdout_metric(
                 scn, family, d, model, beta_star, X_test, resp_test
             ),
@@ -151,13 +151,6 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
     return record
 
 
-@dataclass(frozen=True, eq=False)
-class BenchResult:
-    scenario: BenchScenario
-    records: tuple[dict, ...]
-    summary: tuple[dict, ...]
-
-
 def _mean_sd(values):
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -185,8 +178,8 @@ def summarize(scn: BenchScenario, records) -> tuple[dict, ...]:
     return tuple(rows)
 
 
-def run_bench(scn: BenchScenario, jobs: int = 1) -> BenchResult:
-    """Run all replications, optionally across processes.
+def run_bench(scn: BenchScenario, jobs: int = 1):
+    """Run all replications, optionally across processes; ``(records, summary)``.
 
     Results are keyed by replication index, so the executor cannot affect
     the output.
@@ -200,4 +193,4 @@ def run_bench(scn: BenchScenario, jobs: int = 1) -> BenchResult:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, scn.reps)) as pool:
             records = list(pool.map(run_replication, [scn] * scn.reps, range(scn.reps)))
-    return BenchResult(scn, tuple(records), summarize(scn, records))
+    return tuple(records), summarize(scn, records)

@@ -59,10 +59,6 @@ def _sparse_coefficients(names, beta):
     ]
 
 
-def _criteria(report):
-    return {name: getattr(report.criteria, name) for name in _CRITERIA}
-
-
 def _model_payload(family, method, model, meta):
     """Keys every model report has, plus the original-scale coefficients.
 
@@ -94,7 +90,7 @@ def _report_payload(report: SelectionReport, meta, dense=False):
         pdas_iterations=report.pdas_iterations,
         pdas_converged=report.pdas_converged,
         solver_converged=report.solver_converged,
-        **_criteria(report),
+        **report.criteria,
     )
     if dense:
         payload["coefficients_dense"] = [float(v) for v in beta_orig]
@@ -235,14 +231,14 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _format_summary_csv(result, with_timing=True):
-    metric = bench_mod.METRIC_NAME[result.scenario.family]
+def _format_summary_csv(scenario, summary, with_timing=True):
+    metric = bench_mod.METRIC_NAME[scenario.family]
     stats = [(metric, ".6f"), ("tp", ".4f"), ("fp", ".4f"), ("k", ".4f")]
     if with_timing:
         stats.insert(0, ("time", ".2f"))
     cells = [(f"{name}_{stat}", fmt) for name, fmt in stats for stat in ("mean", "sd")]
     rows = [["method", "reps"] + [column for column, _ in cells]]
-    for row in result.summary:
+    for row in summary:
         values = [format(row[column], fmt) for column, fmt in cells]
         rows.append([row["method"], row["reps"], *values])
     return _csv_text(rows)
@@ -250,12 +246,11 @@ def _format_summary_csv(result, with_timing=True):
 
 def cmd_bench(args) -> int:
     scenario = _from_args(bench_mod.BenchScenario, args)
-    result = bench_mod.run_bench(scenario, jobs=args.jobs)
-    _write_text(
-        _format_summary_csv(result, with_timing=not args.no_timing), args.output
-    )
+    records, summary = bench_mod.run_bench(scenario, jobs=args.jobs)
+    text = _format_summary_csv(scenario, summary, with_timing=not args.no_timing)
+    _write_text(text, args.output)
     if args.details is not None:
-        detail = {"records": list(result.records)}
+        detail = {"records": list(records)}
         if args.no_timing:
             for record in detail["records"]:
                 for stats in record["methods"].values():

@@ -15,6 +15,7 @@ import csv
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -292,7 +293,6 @@ def _float_row(i, row, names) -> list[float]:
                 text = cell.strip()
                 what = f"non-numeric value {text!r}" if text else "missing value"
                 raise ValueError(f"{what} at row {i}, column {column!r}") from None
-        raise
 
 
 def _read_rows(fh, path, response, n_resp, header):
@@ -303,6 +303,9 @@ def _read_rows(fh, path, response, n_resp, header):
         raise ValueError(f"empty file: {path}")
     if header:
         names = [c.strip() for c in first]
+        repeated = [c for c, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValueError(f"column {repeated[0]!r} appears more than once in the header")
         for col in response:
             if col not in names:
                 raise ValueError(f"response column {col!r} not found in header")
@@ -347,8 +350,9 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
     cox family); it defaults to the response type's ``columns``.  With
     ``header=False`` all columns are unnamed and the response is taken from
     the last column (last two for cox); predictors are then named X1..Xp,
-    and naming a ``response`` is an error.  A file that does not decode is
-    refused naming the file's line and byte offset of the first bad byte.
+    and naming a ``response`` is an error.  A header may not repeat a name.
+    The file is read as UTF-8 after an optional byte-order mark; one that does
+    not decode is refused naming its line and byte offset of the first bad byte.
     """
     if family not in RESPONSES:
         raise ValueError(f"unknown family {family!r}")
@@ -368,7 +372,7 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
         )
 
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise ValueError(f"file not found: {path}") from None
     with fh:

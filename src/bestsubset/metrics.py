@@ -1,25 +1,16 @@
 """Evaluation statistics: signal recovery counts and predictive scores."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ACCURACY_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class SelectionScore:
-    """True/false positive counts of a selected index set against the truth."""
-
-    tp: int
-    fp: int
-
-
-def tp_fp(selected, truth) -> SelectionScore:
+def tp_fp(selected, truth) -> tuple[int, int]:
+    """``(tp, fp)``: true and false positives of a selected index set."""
     selected = frozenset(int(j) for j in selected)
     truth = frozenset(int(j) for j in truth)
     tp = len(selected & truth)
-    return SelectionScore(tp, len(selected) - tp)
+    return tp, len(selected) - tp
 
 
 def relative_mse(X: np.ndarray, beta_hat, beta_star) -> float:

@@ -47,21 +47,8 @@ GOLDEN_RATIO = 0.618
 GSECTION_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class CriterionValues:
-    """Deviance and the penalized criteria at one subset size."""
-
-    deviance: float
-    aic: float
-    bic: float
-    ebic: float
-
-    def value(self, criterion: str) -> float:
-        return getattr(self, criterion)
-
-
-def criteria(loglik: float, k: int, n: int, p: int) -> CriterionValues:
-    """Information criteria from a log-likelihood and model size.
+def criteria(loglik: float, k: int, n: int, p: int) -> dict[str, float]:
+    """Information criteria from a log-likelihood and model size, by name.
 
     deviance = -2 loglik, aic = deviance + 2k, bic = deviance + k log n,
     ebic = bic + 2k log p.
@@ -72,7 +59,7 @@ def criteria(loglik: float, k: int, n: int, p: int) -> CriterionValues:
     aic = deviance + 2.0 * k
     bic = deviance + k * math.log(n)
     ebic = bic + 2.0 * k * math.log(p)
-    return CriterionValues(deviance, aic, bic, ebic)
+    return {"deviance": deviance, "aic": aic, "bic": bic, "ebic": ebic}
 
 
 def resolve_criterion(criterion: str, n: int, p: int) -> str:
@@ -110,7 +97,8 @@ class SelectionReport:
     """A model at one subset size with its criteria and diagnostics.
 
     Both the selected model and every entry of a :class:`FitPath` are
-    reports; ``method`` and ``criterion`` say how the size was chosen.
+    reports; ``method`` and ``criterion`` say how the size was chosen, and
+    ``criteria`` is the dict :func:`criteria` returns.
     """
 
     family: str
@@ -121,7 +109,7 @@ class SelectionReport:
     intercept: float
     loss: float
     loglik: float
-    criteria: CriterionValues
+    criteria: dict[str, float]
     criterion: str
     pdas_iterations: int
     pdas_converged: bool
@@ -237,12 +225,12 @@ def spdas(
 
     prev = null_fit(family, d)
     entries = [entry(prev)]
-    best = entries[0].criteria.value(chosen)
+    best = entries[0].criteria[chosen]
     stop = "k_max"
     for k in range(1, k_max + 1):
         out = pdas(family, d, k, init=warm_start_set(prev, k), start=prev.model)
         entries.append(entry(out))
-        best = min(best, entries[-1].criteria.value(chosen))
+        best = min(best, entries[-1].criteria[chosen])
         if k == k_max:
             break
         if epsilon > 0.0:
@@ -253,14 +241,14 @@ def spdas(
         if ceiling is not None:
             # strict, with a margin for the full fit's tolerance: ties go to
             # the smaller k, which is already on the path
-            bound = criteria(ceiling, k + 1, n, p).value(chosen)
+            bound = criteria(ceiling, k + 1, n, p)[chosen]
             if bound > best + 1e-9 * max(abs(best), 1.0):
                 stop = "certified"
                 break
         prev = out
 
     best_by = {
-        name: min(entries, key=lambda e: (e.criteria.value(name), e.k)).k
+        name: min(entries, key=lambda e: (e.criteria[name], e.k)).k
         for name in CRITERIA
     }
     path = FitPath(tuple(entries), best_by, stop)

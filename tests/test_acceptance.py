@@ -39,12 +39,12 @@ def gate(num, name, ok, detail=""):
 def test_01_criteria_golden_values():
     c = criteria(16.23951, k=4, n=200, p=20)
     ok = (
-        abs(c.aic - (-24.47901)) < 1e-4
-        and abs(c.bic - (-11.28574)) < 1e-4
-        and abs(c.ebic - 12.68012) < 1e-4
+        abs(c["aic"] - (-24.47901)) < 1e-4
+        and abs(c["bic"] - (-11.28574)) < 1e-4
+        and abs(c["ebic"] - 12.68012) < 1e-4
     )
     gate(1, "criteria golden values", ok,
-         f"aic={c.aic:.5f} bic={c.bic:.5f} ebic={c.ebic:.5f}")
+         f"aic={c['aic']:.5f} bic={c['bic']:.5f} ebic={c['ebic']:.5f}")
 
 
 def test_02_golden_section_trace():
@@ -116,9 +116,9 @@ def test_04_gaussian_benchmark_analogue():
         criterion="ebic", rho=0.2, holdout=1000, seed=100,
     )
     start = time.perf_counter()
-    result = run_bench(scn)
+    _, summary = run_bench(scn)
     elapsed = time.perf_counter() - start
-    row = result.summary[0]
+    row = summary[0]
     ok = (
         row["tp_mean"] >= 9.0
         and row["fp_mean"] <= 3.0
@@ -136,9 +136,9 @@ def test_05_logistic_benchmark_analogue():
         criterion="ebic", holdout=1000, seed=200,
     )
     start = time.perf_counter()
-    result = run_bench(scn)
+    _, summary = run_bench(scn)
     elapsed = time.perf_counter() - start
-    row = result.summary[0]
+    row = summary[0]
     ok = (
         row["tp_mean"] >= 4.5
         and row["fp_mean"] <= 3.0
@@ -156,9 +156,9 @@ def test_06_cox_benchmark_analogue():
         criterion="ebic", censor_rate=0.2, holdout=1000, seed=300,
     )
     start = time.perf_counter()
-    result = run_bench(scn)
+    _, summary = run_bench(scn)
     elapsed = time.perf_counter() - start
-    row = result.summary[0]
+    row = summary[0]
     ok = (
         row["tp_mean"] >= 4.5
         and row["fp_mean"] <= 3.0
@@ -288,10 +288,10 @@ def test_08_invariant_suite():
         p = int(rng.integers(1, 10**6))
         c = criteria(ll, k, n, p)
         if not (
-            c.deviance == -2.0 * ll
-            and c.aic == c.deviance + 2.0 * k
-            and c.bic == c.deviance + k * math.log(n)
-            and c.ebic == c.bic + 2.0 * k * math.log(p)
+            c["deviance"] == -2.0 * ll
+            and c["aic"] == c["deviance"] + 2.0 * k
+            and c["bic"] == c["deviance"] + k * math.log(n)
+            and c["ebic"] == c["bic"] + 2.0 * k * math.log(p)
         ):
             problems.append("criteria identities")
             break

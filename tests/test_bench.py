@@ -164,31 +164,29 @@ class TestScenarioValidation:
 
 class TestRunBench:
     def test_summary_rows(self):
-        result = run_bench(small_scenario())
-        assert [row["method"] for row in result.summary] == [
+        _, summary = run_bench(small_scenario())
+        assert [row["method"] for row in summary] == [
             "spdas",
             "gpdas",
             "oracle",
         ]
-        for row in result.summary:
+        for row in summary:
             assert row["metric"] == "mse"
             assert row["mse_mean"] >= 0.0
             assert row["tp_mean"] <= 2.0
 
     def test_single_rep_sd_is_zero(self):
-        result = run_bench(small_scenario(reps=1, methods=("spdas",)))
-        row = result.summary[0]
+        _, summary = run_bench(small_scenario(reps=1, methods=("spdas",)))
+        row = summary[0]
         assert row["mse_sd"] == 0.0
         assert row["tp_sd"] == 0.0
         assert row["time_sd"] == 0.0
 
     def test_parallel_matches_serial(self):
         scn = small_scenario(reps=4, methods=("spdas",))
-        serial = run_bench(scn, jobs=1)
-        parallel = run_bench(scn, jobs=2)
-        assert strip_times(list(serial.records)) == strip_times(
-            list(parallel.records)
-        )
+        serial, _ = run_bench(scn, jobs=1)
+        parallel, _ = run_bench(scn, jobs=2)
+        assert strip_times(list(serial)) == strip_times(list(parallel))
 
     @pytest.mark.parametrize("jobs", [2, 64])
     def test_pool_never_exceeds_reps(self, monkeypatch, jobs):
@@ -211,10 +209,10 @@ class TestRunBench:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         scn = small_scenario(reps=3, methods=("spdas",))
-        pooled = run_bench(scn, jobs=jobs)
+        pooled, _ = run_bench(scn, jobs=jobs)
         assert asked == [min(jobs, scn.reps)]
-        serial = run_bench(scn, jobs=1)
-        assert strip_times(list(pooled.records)) == strip_times(list(serial.records))
+        serial, _ = run_bench(scn, jobs=1)
+        assert strip_times(list(pooled)) == strip_times(list(serial))
 
     def test_oracle_requires_small_p(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -225,9 +223,9 @@ class TestRunBench:
             family="binomial", n=120, p=8, q=2, reps=2, methods=("spdas",),
             criterion="bic", k_max=5, holdout=80, seed=3, b=1.5, B=3.0,
         )
-        result = run_bench(scn)
-        assert result.summary[0]["metric"] == "accuracy"
-        assert 0.0 <= result.summary[0]["accuracy_mean"] <= 1.0
+        _, summary = run_bench(scn)
+        assert summary[0]["metric"] == "accuracy"
+        assert 0.0 <= summary[0]["accuracy_mean"] <= 1.0
 
     def test_cox_metric_is_concordance(self):
         scn = BenchScenario(
@@ -235,9 +233,9 @@ class TestRunBench:
             criterion="bic", k_max=5, holdout=80, seed=4, censor_rate=0.2,
             b=1.0, B=2.0,
         )
-        result = run_bench(scn)
-        assert result.summary[0]["metric"] == "cindex"
-        assert 0.0 <= result.summary[0]["cindex_mean"] <= 1.0
+        _, summary = run_bench(scn)
+        assert summary[0]["metric"] == "cindex"
+        assert 0.0 <= summary[0]["cindex_mean"] <= 1.0
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
@@ -265,7 +263,8 @@ class TestRunBench:
             family="gaussian", n=200, p=20, q=4, reps=10, methods=("spdas",),
             criterion="ebic", rho=0.2, holdout=200, seed=8,
         )
-        row = run_bench(scn).summary[0]
+        _, summary = run_bench(scn)
+        row = summary[0]
         assert row["tp_mean"] >= 3.5
         assert row["mse_mean"] < 0.1
 

@@ -11,7 +11,7 @@ import pytest
 
 import bestsubset
 from bestsubset import bench
-from bestsubset.bench import BenchResult, BenchScenario
+from bestsubset.bench import BenchScenario
 from bestsubset.cli import _sparse_coefficients, main
 from bestsubset.data import Continuous, Dataset, save_csv
 from bestsubset.datagen import GenConfig
@@ -692,7 +692,7 @@ class TestBenchCommand:
 
         def fake_run_bench(scenario, jobs):
             seen.append((scenario, jobs))
-            return BenchResult(scenario, (), ())
+            return (), ()
 
         monkeypatch.setattr(bench, "run_bench", fake_run_bench)
         assert run(["bench", "--family", "binomial", "--n", 50, "--p", 6,

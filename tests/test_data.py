@@ -1,3 +1,4 @@
+import builtins
 import csv
 import math
 import re
@@ -223,6 +224,40 @@ class TestLoadCsv:
         # str.strip removes the separators U+001C..U+001F but float() does not
         p = write(tmp_path / "d.csv", "x1,y\n1\x1c,2\n3,4\n")
         with pytest.raises(ValueError, match=r"^non-numeric value .* at row 1, column 'x1'$"):
+            load_csv(p, "gaussian")
+
+    def test_decode_error_kept_when_the_file_cannot_be_read_again(self, tmp_path, monkeypatch):
+        # a consumed stdin cannot be reread: the reader's chunk-relative error stands
+        body = bytearray(b"x1,y\r\n" + b"1.5,2.5\r\n" * 5000)
+        body[40000] = 0xFF
+        (tmp_path / "d.csv").write_bytes(bytes(body))
+
+        def open_text_only(path, mode="r", *args, **kwargs):
+            if "b" in mode:
+                raise OSError("cannot read the file again")
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("bestsubset.data.open", open_text_only, raising=False)
+        with pytest.raises(UnicodeDecodeError) as caught:
+            load_csv(str(tmp_path / "d.csv"), "gaussian")
+        assert caught.value.object[caught.value.start] == 0xFF
+        assert caught.value.start < 40000
+
+    @pytest.mark.parametrize("text", ["y,x1,x2\n3,1,2\n6,4,5\n9,7,8\n",
+                                      "x1,x2,y\n1,2,3\n4,5,6\n7,8,9\n"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        d = load_csv(str(tmp_path / "bom.csv"), "gaussian")
+        assert d.column_names == ("x1", "x2")
+        np.testing.assert_array_equal(d.response.y, [3, 6, 9])
+        np.testing.assert_array_equal(d.X, [[1, 2], [4, 5], [7, 8]])
+
+    @pytest.mark.parametrize("text, name", [("y,a,y\n1,2,3\n", "y"),
+                                            ("a, b,y,b \n1,2,3,4\n", "b")])
+    def test_repeated_header_name_is_refused(self, tmp_path, text, name):
+        p = write(tmp_path / "d.csv", text)
+        message = f"column {name!r} appears more than once in the header"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_csv(p, "gaussian")
 
 

@@ -16,20 +16,17 @@ from conftest import comparable_pairs, reference_concordance
 
 class TestTpFp:
     def test_perfect_selection(self):
-        s = tp_fp({1, 2, 5, 9}, {1, 2, 5, 9})
-        assert (s.tp, s.fp) == (4, 0)
+        assert tp_fp({1, 2, 5, 9}, {1, 2, 5, 9}) == (4, 0)
 
     def test_empty_selection(self):
-        s = tp_fp(set(), {1, 9})
-        assert (s.tp, s.fp) == (0, 0)
+        assert tp_fp(set(), {1, 9}) == (0, 0)
 
     def test_partial_overlap(self):
-        s = tp_fp({1, 2, 3}, {1, 9})
-        assert (s.tp, s.fp) == (1, 2)
+        assert tp_fp({1, 2, 3}, {1, 9}) == (1, 2)
 
     def test_counts_partition_selection(self):
-        s = tp_fp({0, 4, 7, 9}, {4, 5})
-        assert s.tp + s.fp == 4
+        tp, fp = tp_fp({0, 4, 7, 9}, {4, 5})
+        assert tp + fp == 4
 
 
 class TestRelativeMse:

@@ -135,21 +135,24 @@ def five_call_search(run, k_max, eta, m_max):
 class TestCriteria:
     def test_reference_values(self):
         c = criteria(16.23951, k=4, n=200, p=20)
-        assert c.deviance == pytest.approx(-32.47901, abs=1e-4)
-        assert c.aic == pytest.approx(-24.47901, abs=1e-4)
-        assert c.bic == pytest.approx(-11.28574, abs=1e-4)
-        assert c.ebic == pytest.approx(12.68012, abs=1e-4)
+        assert c["deviance"] == pytest.approx(-32.47901, abs=1e-4)
+        assert c["aic"] == pytest.approx(-24.47901, abs=1e-4)
+        assert c["bic"] == pytest.approx(-11.28574, abs=1e-4)
+        assert c["ebic"] == pytest.approx(12.68012, abs=1e-4)
+
+    def test_values_by_name(self):
+        assert list(criteria(1.0, k=1, n=10, p=3)) == ["deviance", "aic", "bic", "ebic"]
 
     def test_zero_size_model_has_no_penalty(self):
         c = criteria(-7.25, k=0, n=50, p=9)
-        assert c.aic == c.deviance == c.bic == c.ebic
+        assert c["aic"] == c["deviance"] == c["bic"] == c["ebic"]
 
     def test_doubling_n_shifts_bic_only(self):
         small = criteria(3.0, k=5, n=100, p=30)
         large = criteria(3.0, k=5, n=200, p=30)
-        assert large.aic == small.aic
-        assert large.bic - small.bic == pytest.approx(5 * math.log(2))
-        assert large.ebic - small.ebic == pytest.approx(5 * math.log(2))
+        assert large["aic"] == small["aic"]
+        assert large["bic"] - small["bic"] == pytest.approx(5 * math.log(2))
+        assert large["ebic"] - small["ebic"] == pytest.approx(5 * math.log(2))
 
     @given(
         st.floats(-1e6, 1e6),
@@ -160,10 +163,10 @@ class TestCriteria:
     @settings(max_examples=200, deadline=None)
     def test_arithmetic_identities_exact(self, loglik, k, n, p):
         c = criteria(loglik, k, n, p)
-        assert c.deviance == -2.0 * loglik
-        assert c.aic == c.deviance + 2.0 * k
-        assert c.bic == c.deviance + k * math.log(n)
-        assert c.ebic == c.bic + 2.0 * k * math.log(p)
+        assert c["deviance"] == -2.0 * loglik
+        assert c["aic"] == c["deviance"] + 2.0 * k
+        assert c["bic"] == c["deviance"] + k * math.log(n)
+        assert c["ebic"] == c["bic"] + 2.0 * k * math.log(p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -379,7 +382,7 @@ class TestSpdas:
         sd = self.planted(9)
         path, _ = spdas(GAUSSIAN, sd, k_max=10)
         for name in ("aic", "bic", "ebic"):
-            values = {e.k: e.criteria.value(name) for e in path.entries}
+            values = {e.k: e.criteria[name] for e in path.entries}
             best = min(values, key=lambda k: (values[k], k))
             assert path.best_by[name] == best
 
@@ -434,7 +437,7 @@ class TestSpdas:
             for e in path.entries:
                 assert (e.family, e.method, e.criterion) == (tag, "sequential", "bic")
                 assert e.loglik == loglik_from_loss(family, 120, e.loss)
-                assert e.criteria.deviance == -2.0 * e.loglik
+                assert e.criteria["deviance"] == -2.0 * e.loglik
 
     def test_loss_monotone_on_strong_signal_path(self):
         sd = self.planted(13)
@@ -494,7 +497,7 @@ class TestCertifiedStop:
 
             def value(out, criterion=criterion):
                 loglik = loglik_from_loss(family, n, out.loss)
-                return criteria(loglik, out.k, n, p).value(criterion)
+                return criteria(loglik, out.k, n, p)[criterion]
 
             best = min(outs, key=lambda out: (value(out), out.k))
             assert (report.k, report.active_set, report.loss) == (
