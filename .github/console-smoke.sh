@@ -3,9 +3,10 @@
 # directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
 # oracle for each family, two cox searches run twice with the same bytes,
 # a cox oracle whose refused bound fits stay silent, the oracle past the
-# default p cap, CSVs with a byte-order mark, and the input checks of gen
-# and fit, with the exact refusals of a repeated header name and of an
-# out-of-range size.  gsection reports are piped into a JSON parser, since
+# default p cap, CSVs with a byte-order mark, and the input checks of gen,
+# fit and bench, with the exact refusals of a repeated header name, a
+# response that names one column twice, a repeated bench method, a --q that
+# contradicts --beta and an out-of-range size.  gsection reports are piped into a JSON parser, since
 # its trace lines go to stderr.
 # Usage: bash console-smoke.sh
 set -eo pipefail
@@ -84,6 +85,21 @@ bestsubset fit --input bom-first.csv --family gaussian --method one -k 1
 printf 'y,a,y\n1,2,3\n4,5,6\n' > repeated.csv
 refused "column 'y' appears more than once in the header" \
   bestsubset fit --input repeated.csv --family gaussian --method one -k 1
+refused "column 'time' appears more than once in the response" \
+  bestsubset fit --input cox.csv --family cox --response time,time --method one -k 1
+refused "repeated methods: ['spdas']" \
+  bestsubset bench --family gaussian --n 60 --p 8 --q 2 --reps 1 --methods spdas,spdas
+# the truth file's q is the support size: --beta's nonzeros when --q is unset
+bestsubset gen --family gaussian --n 200 --p 20 --rho 0.2 --sigma 1.0 \
+  --beta 3,1.5,0,0,-2,0,0,0,-1 --seed 123 --output beta.csv
+python3 -c '
+import json
+truth = json.load(open("beta.csv.truth.json"))
+assert truth["config"]["q"] == len(truth["support"]) == 4, truth
+'
+refused "q=5 but explicit beta has 3 nonzeros" \
+  bestsubset gen --family gaussian --n 20 --p 5 --beta 1,2,3 --q 5 --output beta-q.csv
+test ! -e beta-q.csv
 cp d.csv tail.csv
 printf '1,2,3,4,5,6,7,8,oops\r\n' >> tail.csv
 must_fail bestsubset fit --input tail.csv --family gaussian --method one -k 1 2> tail.err

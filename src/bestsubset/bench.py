@@ -55,6 +55,9 @@ class BenchScenario:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"repeated methods: {repeated}")
         if "oracle" in self.methods and self.p > DEFAULT_P_CAP:
             raise ValueError(
                 f"infeasible scenario: oracle requires p <= {DEFAULT_P_CAP}, "
@@ -153,9 +156,7 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
 
 def _mean_sd(values):
     arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, sd
+    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
 
 def summarize(scn: BenchScenario, records) -> tuple[dict, ...]:
@@ -164,16 +165,9 @@ def summarize(scn: BenchScenario, records) -> tuple[dict, ...]:
     for name in scn.methods:
         per = [r["methods"][name] for r in records]
         row = {"method": name, "reps": scn.reps, "metric": metric}
-        for field_name, key in (
-            ("time", "time"),
-            (metric, "metric"),
-            ("tp", "tp"),
-            ("fp", "fp"),
-            ("k", "k"),
-        ):
-            mean, sd = _mean_sd([p[key] for p in per])
-            row[f"{field_name}_mean"] = mean
-            row[f"{field_name}_sd"] = sd
+        for column in ("time", metric, "tp", "fp", "k"):
+            key = "metric" if column == metric else column
+            row[f"{column}_mean"], row[f"{column}_sd"] = _mean_sd([p[key] for p in per])
         rows.append(row)
     return tuple(rows)
 

@@ -206,7 +206,10 @@ def _explicit_beta(text, p):
 def cmd_gen(args) -> int:
     if args.output is None:
         raise ValueError("--output is required for gen")
-    config = _from_args(GenConfig, args, beta=_explicit_beta(args.beta, args.p))
+    beta = _explicit_beta(args.beta, args.p)
+    # an unset --q is the count --beta plants, or 0
+    q = getattr(args, "q", 0 if beta is None else sum(v != 0.0 for v in beta))
+    config = _from_args(GenConfig, args, beta=beta, q=q)
     dataset, beta_star, support = gen_dataset(config)
     save_csv(dataset, args.output)
     sidecar = {
@@ -281,9 +284,7 @@ def _add_scenario_arguments(sub, **q_options):
     sub.add_argument("--family", choices=FAMILIES, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=int, required=True)
-    sub.add_argument(
-        "--q", type=int, help="number of nonzero coefficients", **q_options
-    )
+    sub.add_argument("--q", type=int, help="number of nonzero coefficients", **q_options)
     sub.add_argument("--rho", type=float, help="neighbor mixing weight")
     sub.add_argument("--sigma", type=float, help="gaussian noise sd")
     sub.add_argument("--b", type=float, help="smallest nonzero magnitude")
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser(
         "gen", help="generate a synthetic dataset", argument_default=argparse.SUPPRESS
     )
-    _add_scenario_arguments(gen, default=0)
+    _add_scenario_arguments(gen)
     gen.add_argument("--signs", choices=("random", "positive"))
     gen.add_argument(
         "--beta", default=None, help="explicit comma-separated coefficients"

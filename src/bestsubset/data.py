@@ -295,6 +295,12 @@ def _float_row(i, row, names) -> list[float]:
                 raise ValueError(f"{what} at row {i}, column {column!r}") from None
 
 
+def _refuse_repeats(names, where) -> None:
+    repeated = [c for c, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ValueError(f"column {repeated[0]!r} appears more than once in {where}")
+
+
 def _read_rows(fh, path, response, n_resp, header):
     """``(names, parsed)``: the column names and the rows as one float array."""
     rows = (row for row in csv.reader(fh) if row)
@@ -303,9 +309,7 @@ def _read_rows(fh, path, response, n_resp, header):
         raise ValueError(f"empty file: {path}")
     if header:
         names = [c.strip() for c in first]
-        repeated = [c for c, count in Counter(names).items() if count > 1]
-        if repeated:
-            raise ValueError(f"column {repeated[0]!r} appears more than once in the header")
+        _refuse_repeats(names, "the header")
         for col in response:
             if col not in names:
                 raise ValueError(f"response column {col!r} not found in header")
@@ -370,6 +374,7 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
         raise ValueError(
             f"family {family!r} needs {n_resp} response column(s), got {len(response)}"
         )
+    _refuse_repeats(response, "the response")
 
     try:
         fh = open(path, newline="", encoding="utf-8-sig")

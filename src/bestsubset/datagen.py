@@ -68,6 +68,9 @@ class GenConfig:
             beta = tuple(float(v) for v in self.beta)
             if len(beta) != self.p:
                 raise ValueError("explicit beta must have length p")
+            nonzero = sum(v != 0.0 for v in beta)
+            if nonzero != self.q:
+                raise ValueError(f"q={self.q} but explicit beta has {nonzero} nonzeros")
             object.__setattr__(self, "beta", beta)
         elif self.q > 0:
             b, B = self.magnitude_range()

@@ -98,16 +98,18 @@ def _check_family(family: ModelFamily, d: StandardizedDataset) -> None:
 class Problem:
     """Work done once per standardized dataset, shared by every search.
 
-    ``fits`` maps an active set to ``[model, delta]`` (delta None until a
-    ``pdas`` proposal needs it) for the latest n / 2 sets, at most n x p
-    floats.  Dropping the oldest changes no selection; a cox fit's last
-    digits (<= 1e-12 relative in the loss, the Newton tolerance in beta)
-    can depend on which warm start fitted the set first.  ``risk_design``
-    is the cox design with rows in risk order and ``zero_loss`` the cox
-    loss at beta = 0, the same for every set.  No lock guards it, so the
-    dataset stays picklable: concurrent adds each drop the oldest sets until
-    the memo fits, and none raises, but threads' first calls can each make a
-    context, and all but one are dropped, which costs refits, not errors.
+    Only its methods touch ``fits``, the memo of the latest n / 2 sets'
+    models and sacrifices (at most n x p floats); a read checks the family
+    first, as every family reads the one memo.  Dropping the oldest changes
+    no selection; a cox fit's last digits (<= 1e-12 relative in the loss,
+    the Newton tolerance in beta) can depend on which warm start fitted the
+    set first.  ``risk_design`` is the cox design with rows in risk order
+    and ``zero_loss`` the cox loss at beta = 0.  It holds no reference to
+    the dataset, so the two form no cycle.  No lock guards it, so the
+    dataset stays picklable: concurrent calls each drop the oldest sets
+    until the memo fits, and none raises, but threads' first calls can each
+    make a context, and all but one are dropped, which costs refits, not
+    errors.
     """
 
     def __init__(self, d: StandardizedDataset):
@@ -118,12 +120,30 @@ class Problem:
             self.risk_design = d.dataset.X[resp.order]
             self.zero_loss = _cox_loss(np.zeros(d.dataset.n), resp)
 
-    def add(self, model: CoefficientModel) -> list:
-        """The entry of ``model``'s set, made from ``model`` when missing."""
-        entry = self.fits.setdefault(model.active_set, [model, None])
+    def _hold(self, entry: tuple) -> None:
+        self.fits[entry[0].active_set] = entry  # a held set keeps its place
         while len(self.fits) > self.capacity:  # drop the oldest,
             self.fits.pop(next(iter(list(self.fits)), None), None)  # if no thread did
-        return entry
+
+    def add(self, model: CoefficientModel) -> None:
+        """Hold ``model`` unless its set is held; its sacrifices wait until needed."""
+        self._hold(self.fits.get(model.active_set) or (model, None))
+
+    def fit(self, family: ModelFamily, d: StandardizedDataset, active) -> CoefficientModel:
+        """The held model of ``active``, else a cold fit that is not held."""
+        _check_family(family, d)
+        entry = self.fits.get(active)
+        return entry[0] if entry else fit_active(family, d, active)
+
+    def evaluate(self, family: ModelFamily, d: StandardizedDataset, active, start=None):
+        """``(model, delta)`` on ``active``, fitted from ``start`` unless held."""
+        _check_family(family, d)
+        model, delta = self.fits.get(active) or (fit_active(family, d, active, start), None)
+        if delta is None:  # a held pair is replaced, never changed
+            _, delta = dual_sacrifice(family, d, model)
+            delta.setflags(write=False)  # outputs share this array
+            self._hold((model, delta))
+        return model, delta
 
 
 def problem(d: StandardizedDataset) -> Problem:

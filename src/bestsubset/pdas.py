@@ -22,16 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import StandardizedDataset
-from .families import (
-    CoefficientModel,
-    ModelFamily,
-    _check_family,
-    as_set,
-    as_size,
-    dual_sacrifice,
-    fit_active,
-    problem,
-)
+from .families import CoefficientModel, ModelFamily, as_set, as_size, problem
 
 DEFAULT_MAX_SWEEPS = 20
 
@@ -81,23 +72,9 @@ def select_top_k(delta: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(chosen).tolist())
 
 
-def _evaluate(family, d, active, start=None):
-    """``(model, delta)`` on ``active``, each computed once per dataset.
-
-    A set missing from the memo is fitted from ``start`` (``fit_active``).
-    """
-    _check_family(family, d)  # every family reads the one memo of d
-    context = problem(d)
-    entry = context.fits.get(active) or context.add(fit_active(family, d, active, start))
-    if entry[1] is None:
-        _, entry[1] = dual_sacrifice(family, d, entry[0])
-        entry[1].setflags(write=False)  # outputs share this array
-    return tuple(entry)
-
-
 def null_fit(family: ModelFamily, d: StandardizedDataset) -> PdasOutput:
     """The empty-model output (k = 0); anchors warm starts and k-0 criteria."""
-    return PdasOutput(*_evaluate(family, d, ()), 0, True, ((),))
+    return PdasOutput(*problem(d).evaluate(family, d, ()), 0, True, ((),))
 
 
 def warm_start_set(prev: PdasOutput, k: int) -> tuple[int, ...]:
@@ -154,7 +131,7 @@ def pdas(
 
     visited: dict[tuple[int, ...], tuple] = {}  # set -> (model, delta)
     for _ in range(m_max):
-        model, delta = visited[active] = _evaluate(family, d, active, start)
+        model, delta = visited[active] = problem(d).evaluate(family, d, active, start)
         if start is not None:
             start = model
         proposal = select_top_k(delta, k)

@@ -274,8 +274,9 @@ class TestRunBench:
     [
         (lambda: small_scenario(reps=0), "need at least one replication"),
         (lambda: run_bench(small_scenario(), jobs=0), "jobs must be >= 1"),
+        (lambda: small_scenario(methods=("spdas", "gpdas", "spdas")), "repeated methods: ['spdas']"),
     ],
-    ids=["reps", "jobs"],
+    ids=["reps", "jobs", "repeated-method"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -125,6 +125,25 @@ class TestGen:
         assert truth["config"]["b"] == 2.0 and truth["config"]["B"] == 1.0
         assert truth["beta"] == ([1.0, 0.0, 0.0] if "--beta" in drawn else [0.0] * 3)
 
+    def test_explicit_beta_records_its_support_size_as_q(self, tmp_path):
+        gen_planted(tmp_path)  # README's example, with no --q
+        truth = json.loads((tmp_path / "data.csv.truth.json").read_text())
+        assert truth["config"]["q"] == len(truth["support"]) == 4
+
+    @pytest.mark.parametrize("q, accepted", [(3, True), (5, False), (0, False)])
+    def test_q_must_agree_with_explicit_beta(self, tmp_path, capsys, q, accepted):
+        out = tmp_path / "d.csv"
+        argv = ["gen", "--family", "gaussian", "--n", 20, "--p", 5, "--beta", "1,2,3",
+                "--q", q, "--output", out]
+        assert run(argv) == (0 if accepted else 1)
+        captured = capsys.readouterr()
+        if accepted:
+            truth = json.loads((tmp_path / "d.csv.truth.json").read_text())
+            assert truth["config"]["q"] == len(truth["support"]) == 3
+        else:
+            assert captured.err == f"error: q={q} but explicit beta has 3 nonzeros\n"
+            assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_censor_rate_outside_cox_fails(self, tmp_path, capsys, family):
         out = tmp_path / "d.csv"
@@ -220,8 +239,11 @@ class TestRejectedScenarios:
             ("cox", "x1,time,status\n1,2,1\n2,3,0\n", ["--response", "time"],
              "family 'cox' needs 2 response column(s), got 1"),
             ("gaussian", "y\n1\n2\n3\n", [], "no predictor columns left after removing the response"),
+            ("cox", "x1,time,status\n1,1,1\n2,1,0\n", ["--response", "time,time"],
+             "column 'time' appears more than once in the response"),
         ],
-        ids=["empty", "missing-response", "too-few-columns", "response-count", "no-predictors-left"],
+        ids=["empty", "missing-response", "too-few-columns", "response-count", "no-predictors-left",
+             "repeated-response"],
     )
     def test_refused_csv_prints_one_error_line(self, tmp_path, capsys, family, text, extra, message):
         path = tmp_path / "d.csv"

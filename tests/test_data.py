@@ -260,6 +260,15 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_csv(p, "gaussian")
 
+    @pytest.mark.parametrize("times", [[2.0, 3.0, 5.0, 7.0], [1.0] * 4], ids=["times", "all-ones"])
+    def test_response_naming_one_column_twice_is_refused(self, tmp_path, times):
+        # all-ones times were read as a valid status, and status became a predictor
+        rows = "".join(f"{j},{t},{j % 2}\n" for j, t in enumerate(times))
+        p = write(tmp_path / "d.csv", "x1,time,status\n" + rows)
+        message = "column 'time' appears more than once in the response"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(p, "cox", response="time,time")
+
 
 def save_csv_per_cell(d, path):
     """The per-cell writer ``save_csv`` replaced, kept as its byte reference."""

@@ -273,8 +273,10 @@ class TestCensoringHorizon:
         (lambda: gen_response("poisson", np.eye(3), np.zeros(3), GenConfig(n=3, p=3, q=0),
                               np.random.default_rng(0)),
          "unknown family 'poisson'"),
+        (lambda: GenConfig(n=10, p=4, q=1, beta=(1.0, 0.0, -2.0, 0.0)),
+         "q=1 but explicit beta has 2 nonzeros"),
     ],
-    ids=["config-n", "config-signs", "gen-beta-signs", "gen-response-family"],
+    ids=["config-n", "config-signs", "gen-beta-signs", "gen-response-family", "config-q-beta"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

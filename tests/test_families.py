@@ -1,8 +1,10 @@
+import gc
 import math
 import re
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from bestsubset.families import (
 )
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import null_fit, pdas
-from bestsubset.tuning import spdas
+from bestsubset.tuning import gpdas, spdas
 from conftest import random_standardized
 
 GAUSSIAN = ModelFamily("gaussian")
@@ -674,6 +676,66 @@ class TestProblem:
         spdas(COX, sd)
         with pytest.raises(ValueError, match="family 'gaussian' does not match response type Survival"):
             search(GAUSSIAN, sd)
+
+    @pytest.mark.parametrize("read", ["fit", "evaluate"])
+    def test_memo_reads_check_the_family_themselves(self, read):
+        # the held sets are read directly, with no pdas call to check first
+        cfg = GenConfig(n=40, p=6, q=2, family="cox", censor_rate=0.2, seed=3)
+        sd = standardize(gen_dataset(cfg)[0])
+        spdas(COX, sd)
+        context = families.problem(sd)
+
+        def models(fits):
+            return [(active, model) for active, (model, _) in fits.items()]
+
+        held = models(context.fits)
+        assert len(held) > 1
+        for active, model in held:
+            with pytest.raises(ValueError, match="family 'gaussian' does not match response type Survival"):
+                getattr(context, read)(GAUSSIAN, sd, active)
+            got = getattr(context, read)(COX, sd, active)
+            assert (got if read == "fit" else got[0]) is model
+        assert models(context.fits) == held  # same sets, order and models
+
+    def test_fit_leaves_a_set_it_fits_out_of_the_memo(self):
+        sd = random_standardized("gaussian", 40, 6, seed=1)
+        context = families.problem(sd)
+        model = context.fit(GAUSSIAN, sd, (0, 2))
+        assert model.active_set == (0, 2) and context.fits == {}
+
+    def test_a_delta_replaces_the_held_pair_in_its_place(self, monkeypatch):
+        sd = random_standardized("cox", 40, 6, seed=1)
+        context = families.problem(sd)
+        models = [fit_active(COX, sd, (j,)) for j in range(3)]
+        for model in models:
+            context.add(model)
+        context.add(fit_active(COX, sd, (1,)))  # a held set keeps its model
+        first = context.fits[(1,)]
+        assert first == (models[1], None)
+        model, delta = context.evaluate(COX, sd, (1,))
+        assert model is models[1] and first == (models[1], None)
+        assert list(context.fits) == [(0,), (1,), (2,)]
+        assert context.fits[(1,)][1] is delta and not delta.flags.writeable
+        monkeypatch.setattr(families, "dual_sacrifice", None)  # a second call must not run it
+        assert context.evaluate(COX, sd, (1,))[1] is delta
+
+    @pytest.mark.parametrize("tag", ["gaussian", "binomial", "cox"])
+    def test_dataset_is_freed_without_the_cycle_collector(self, tag):
+        censor_rate = 0.2 if tag == "cox" else 0.0
+        cfg = GenConfig(n=60, p=8, q=2, family=tag, censor_rate=censor_rate, seed=3)
+        sd = standardize(gen_dataset(cfg)[0])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            spdas(FAMILY[tag], sd)
+            gpdas(FAMILY[tag], sd)
+            assert families.problem(sd).fits
+            ref = weakref.ref(sd)
+            del sd
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_concurrent_adds_neither_raise_nor_overfill(self):
         sd = random_standardized("gaussian", 8, 40, seed=0)

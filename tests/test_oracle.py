@@ -1,4 +1,3 @@
-import importlib
 import math
 import re
 import warnings
@@ -16,7 +15,6 @@ from bestsubset.pdas import pdas
 from conftest import enumerate_best_subset, random_standardized, random_subset
 
 GAUSSIAN = ModelFamily("gaussian")
-PDAS_MODULE = importlib.import_module("bestsubset.pdas")
 
 
 def instance(seed, n=80, p=8, q=2, **kw):
@@ -179,7 +177,7 @@ def corpus_instance(family, spec):
 
 
 def fitted_sets(monkeypatch):
-    """Every set fitted through ``oracle`` or ``pdas``, in call order."""
+    """Every set fitted through ``oracle`` or the dataset's memo, in call order."""
     fitted = []
 
     def recording(fit):
@@ -190,7 +188,7 @@ def fitted_sets(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(oracle, "fit_active", recording(oracle.fit_active))
-    monkeypatch.setattr(PDAS_MODULE, "fit_active", recording(PDAS_MODULE.fit_active))
+    monkeypatch.setattr(families, "fit_active", recording(families.fit_active))
     return fitted
 
 

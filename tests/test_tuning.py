@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestsubset import bench
+from bestsubset import bench, families
 from bestsubset.bench import BenchScenario, run_replication
 from bestsubset.data import Continuous, Dataset, standardize
 from bestsubset.datagen import GenConfig, gen_beta, gen_dataset, gen_design, gen_response
@@ -306,7 +306,7 @@ class TestWarmStartedFits:
         """spdas (EBIC) then gpdas on ``sd``, and the Newton iterations of
         their fits; with ``warm`` False every fit drops its start."""
         iterations = []
-        fit = PDAS_MODULE.fit_active
+        fit = families.fit_active
 
         def fitting(family, d, active, start=None):
             model = fit(family, d, active, start if warm else None)
@@ -314,7 +314,7 @@ class TestWarmStartedFits:
             return model
 
         with monkeypatch.context() as patch:
-            patch.setattr(PDAS_MODULE, "fit_active", fitting)
+            patch.setattr(families, "fit_active", fitting)
             path, report = spdas(family, sd, k_max=k_max, criterion="ebic")
             gold, trace = gpdas(family, sd, k_max=k_max)
         return path, report, gold, trace, sum(iterations)
@@ -569,7 +569,7 @@ class TestCertifiedStop:
         cfg = GenConfig(n=120, p=8, q=2, family="cox", censor_rate=0.2, seed=3)
         sd = standardize(gen_dataset(cfg)[0])
         fitted = []
-        for module in (TUNING_MODULE, PDAS_MODULE):
+        for module in (TUNING_MODULE, families):
             def counting(family, d, active, start=None, fit=module.fit_active):
                 fitted.append(tuple(active))
                 return fit(family, d, active, start)
@@ -846,7 +846,7 @@ class TestGpdas:
             fitted.append(tuple(active))
             return fit_active(family, d, active, start)
 
-        monkeypatch.setattr(PDAS_MODULE, "fit_active", counting_fit)
+        monkeypatch.setattr(families, "fit_active", counting_fit)
         gpdas(ModelFamily(cfg.family), sd)
         assert fitted and len(fitted) == len(set(fitted))
 
