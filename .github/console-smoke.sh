@@ -6,7 +6,9 @@
 # default p cap, CSVs with a byte-order mark, and the input checks of gen,
 # fit and bench, with the exact refusals of a repeated header name, a
 # response that names one column twice, a repeated bench method, a --q that
-# contradicts --beta and an out-of-range size.  gsection reports are piped into a JSON parser, since
+# contradicts --beta, a --beta with an empty field or a non-finite value, a
+# bench --k-max above spdas's cap (refused before any replication draws) and
+# an out-of-range size.  gsection reports are piped into a JSON parser, since
 # its trace lines go to stderr.
 # Usage: bash console-smoke.sh
 set -eo pipefail
@@ -22,7 +24,11 @@ must_fail() {
 refused() {
   local reason=$1
   shift
-  must_fail "$@" 2> refused.err
+  # not must_fail, whose message would land in refused.err unseen
+  if "$@" 2> refused.err; then
+    echo "expected a nonzero exit: $*" >&2
+    exit 1
+  fi
   if ! grep -qxF "error: $reason" refused.err; then
     echo "expected 'error: $reason' from: $*" >&2
     cat refused.err >&2
@@ -100,6 +106,17 @@ assert truth["config"]["q"] == len(truth["support"]) == 4, truth
 refused "q=5 but explicit beta has 3 nonzeros" \
   bestsubset gen --family gaussian --n 20 --p 5 --beta 1,2,3 --q 5 --output beta-q.csv
 test ! -e beta-q.csv
+refused "--beta has an empty field: '3,,1'" \
+  bestsubset gen --family gaussian --n 20 --p 4 --beta 3,,1 --output beta-empty.csv
+test ! -e beta-empty.csv
+refused "explicit beta must be finite, got nan" \
+  bestsubset gen --family binomial --n 20 --p 3 --beta nan,1 --seed 1 --output beta-nan.csv
+test ! -e beta-nan.csv
+# the gaussian cap is min(n, p) = 50; bench checks it before any draw
+refused "k_max must be in [1, 50], got 80" \
+  bestsubset bench --family gaussian --n 50 --p 100 --q 3 --k-max 80 --methods spdas \
+  --output wide.csv
+test ! -e wide.csv
 cp d.csv tail.csv
 printf '1,2,3,4,5,6,7,8,oops\r\n' >> tail.csv
 must_fail bestsubset fit --input tail.csv --family gaussian --method one -k 1 2> tail.err

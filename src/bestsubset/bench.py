@@ -19,7 +19,7 @@ from .datagen import GenConfig, gen_beta, gen_design, gen_response
 from .families import ModelFamily, predict
 from .metrics import accuracy, concordance_index, relative_mse, tp_fp
 from .oracle import DEFAULT_P_CAP, exhaustive_best_subset
-from .tuning import check_epsilon, check_eta, gpdas, gsection_k_max, spdas
+from .tuning import check_epsilon, check_eta, gpdas, resolve_criterion, search_k_max, spdas
 
 METRIC_NAME = {"gaussian": "mse", "binomial": "accuracy", "cox": "cindex"}
 KNOWN_METHODS = ("spdas", "gpdas", "oracle")
@@ -63,16 +63,20 @@ class BenchScenario:
                 f"infeasible scenario: oracle requires p <= {DEFAULT_P_CAP}, "
                 f"got p={self.p}"
             )
-        if "spdas" in self.methods:
-            check_epsilon(self.epsilon)
         if self.holdout < 2:
             raise ValueError(f"holdout must be >= 2, got {self.holdout}")
         if self.family == "gaussian" and self.q == 0:
             raise ValueError("gaussian scenario needs q >= 1 for its relative MSE")
         self.gen_config()  # GenConfig validates the generator fields
+        # what each search checks on entry, so no replication draws or fits first
+        family = ModelFamily(self.family)
+        if "spdas" in self.methods:
+            search_k_max(family, self.n, self.p, self.k_max)
+            check_epsilon(self.epsilon)
+            resolve_criterion(self.criterion, self.n, self.p)
         if "gpdas" in self.methods:
+            search_k_max(family, self.n, self.p, self.k_max, gsection=True)
             check_eta(self.eta)
-            gsection_k_max(ModelFamily(self.family), self.n, self.p, self.k_max)
 
     def gen_config(self) -> GenConfig:
         """The scenario's generator fields; the others keep GenConfig's defaults."""

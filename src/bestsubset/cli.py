@@ -197,7 +197,10 @@ def _explicit_beta(text, p):
     """``--beta`` as a length-p tuple padded with zeros, or None if unset."""
     if text is None:
         return None
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
+    cells = [v.strip() for v in text.split(",")]
+    if "" in cells:
+        raise ValueError(f"--beta has an empty field: {text!r}")
+    values = [float(v) for v in cells]
     if len(values) > p:
         raise ValueError("explicit beta is longer than p")
     return tuple(values + [0.0] * (p - len(values)))

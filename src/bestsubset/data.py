@@ -395,10 +395,16 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
 
 
 def save_csv(d: Dataset, path) -> None:
-    """Write a dataset back to CSV; values use repr so reloads are bit-exact."""
+    """Write a dataset back to CSV; values use repr so reloads are bit-exact.
+
+    A header that :func:`load_csv` would refuse, naming a column twice
+    after stripping spaces, is refused before the file is opened.
+    """
+    header = list(d.names()) + list(d.response.columns)
+    _refuse_repeats([c.strip() for c in header], "the header")
     responses = np.column_stack([getattr(d.response, c) for c in d.response.columns])
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(list(d.names()) + list(d.response.columns))
+        csv.writer(fh).writerow(header)
         # the bytes csv.writer would write: a float's repr never needs quoting
         for x, response in zip(d.X, responses.tolist()):
             fh.write(",".join(map(repr, x.tolist() + response)) + "\r\n")

@@ -68,6 +68,9 @@ class GenConfig:
             beta = tuple(float(v) for v in self.beta)
             if len(beta) != self.p:
                 raise ValueError("explicit beta must have length p")
+            bad = [v for v in beta if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"explicit beta must be finite, got {bad[0]}")
             nonzero = sum(v != 0.0 for v in beta)
             if nonzero != self.q:
                 raise ValueError(f"q={self.q} but explicit beta has {nonzero} nonzeros")

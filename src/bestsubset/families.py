@@ -471,6 +471,7 @@ def predict(
     meta: StandardizedDataset,
 ) -> np.ndarray:
     """Predict on original-scale rows: fitted values, probabilities, or risks."""
+    _check_family(family, meta)
     Xnew = np.asarray(Xnew, dtype=float)
     if Xnew.ndim != 2 or Xnew.shape[1] != meta.dataset.p:
         raise ValueError(

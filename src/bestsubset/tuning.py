@@ -28,8 +28,8 @@ solver calls, not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
 :class:`SelectionReport`: each entry of the sequential path is one, and
-``spdas`` returns the entry it chose, not a copy of it.  Both searches cap
-``k_max`` at ``ModelFamily.max_size`` and run ``pdas`` with its sweep cap.
+``spdas`` returns the entry it chose, not a copy of it.  Both searches take
+``k_max`` from :func:`search_k_max` and run ``pdas`` with its sweep cap.
 """
 
 import math
@@ -159,20 +159,15 @@ def fixed_k_report(family, d, out: PdasOutput, method: str, criterion: str):
     )
 
 
-def _checked_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> int:
-    """``k_max``, defaulted per family and checked against the size cap."""
+def search_k_max(family: ModelFamily, n: int, p: int, k_max, gsection: bool = False) -> int:
+    """``k_max`` of a size search: defaulted, capped, and >= 3 for golden section."""
+    given = "got" if k_max is not None else f"the default for n={n}, p={p} is"
     if k_max is None:
-        return default_k_max(family, n, p)
-    return as_size(k_max, "k_max", 1, family.max_size(n, p))
-
-
-def gsection_k_max(family: ModelFamily, n: int, p: int, k_max: int | None) -> int:
-    """``k_max`` of a golden-section search: defaulted, capped, and at least 3."""
-    resolved = _checked_k_max(family, n, p, k_max)
-    if resolved < 3:
-        given = "got" if k_max is not None else f"the default for n={n}, p={p} is"
-        raise ValueError(f"golden-section search needs k_max >= 3; {given} {resolved}")
-    return resolved
+        k_max = default_k_max(family, n, p)
+    k_max = as_size(k_max, "k_max", 1, family.max_size(n, p))
+    if gsection and k_max < 3:
+        raise ValueError(f"golden-section search needs k_max >= 3; {given} {k_max}")
+    return k_max
 
 
 def loglik_ceiling(family: ModelFamily, d: StandardizedDataset, k_max: int):
@@ -215,7 +210,7 @@ def spdas(
     ``k_max`` would choose.  ``path.stop`` names the rule that ended it.
     """
     n, p = d.dataset.n, d.dataset.p
-    k_max = _checked_k_max(family, n, p, k_max)
+    k_max = search_k_max(family, n, p, k_max)
     check_epsilon(epsilon)
     chosen = resolve_criterion(criterion, n, p)
     ceiling = loglik_ceiling(family, d, k_max)
@@ -257,16 +252,12 @@ def spdas(
 
 @dataclass(frozen=True)
 class GoldenSectionTrace:
-    """Per-iteration interval log of the elbow search.
-
-    ``pdas_calls`` is the number of solver calls: 2 + 2 x iterations + the
-    iterations whose split passed the drop test, which alone probe k_M + 1.
-    """
+    """Per-iteration interval log of the elbow search."""
 
     rows: tuple[tuple[int, int, int, int], ...]  # (iteration, k_left, k_split, k_right)
     terminal_k: int
     reason: str  # elbow | interval-collapse | max-iter
-    pdas_calls: int
+    pdas_calls: int  # the solver calls the search made
 
     def lines(self) -> list[str]:
         return [
@@ -286,8 +277,7 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
     ``run(k, prev)`` must fit size k, warm started from the previous output
     ``prev`` (or None), and return an object with a ``loss`` attribute.
     Returns ``(output, rows, reason, calls)``; ``calls`` counts the ``run``
-    calls made, 2 + 2 x iterations + the iterations whose split passed the
-    drop test.  Interval ends are held, not re-solved.
+    calls made.  Interval ends are held, not re-solved.
 
     Sizes 1 and k_max are solved once, up front.  Each iteration solves the
     golden split k_M, warm started from the previous split, then probes
@@ -301,25 +291,29 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
     k_max = as_size(k_max, "k_max", 3, math.inf)
     check_eta(eta)
     m_max = as_size(m_max, "m_max", 1, math.inf)
+    solved = []  # the size of each ``run`` call, in order
+
+    def solve(k, prev):
+        solved.append(k)
+        return run(k, prev)
+
     k_left, k_right = 1, k_max
-    out_left = first = run(1, None)
-    out_right = run(k_max, None)
+    out_left = first = solve(1, None)
+    out_right = solve(k_max, None)
     out_mid = None
     rows = []
     reason = "max-iter"
-    calls = 2
     for m in range(1, m_max + 1):
         # k_right - k_left >= 2 here, so k_left < k_mid < k_right: a new size
         k_mid = split_point(k_left, k_right)
-        out_mid = run(k_mid, out_mid)
+        out_mid = solve(k_mid, out_mid)
         rows.append((m, k_left, k_mid, k_right))
 
         loss_mid = out_mid.loss
         tol = eta * max(abs(loss_mid), LOSS_FLOOR)
-        drop_in = abs(loss_mid - run(k_mid - 1, out_mid).loss) > tol
+        drop_in = abs(loss_mid - solve(k_mid - 1, out_mid).loss) > tol
         # k_M + 1 is solved only to confirm a drop: without one there is no elbow
-        calls += 2 + drop_in
-        if drop_in and abs(loss_mid - run(k_mid + 1, out_mid).loss) < tol / 2.0:
+        if drop_in and abs(loss_mid - solve(k_mid + 1, out_mid).loss) < tol / 2.0:
             reason = "elbow"
             break
 
@@ -335,7 +329,7 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         if k_left == k_right - 1:
             reason = "interval-collapse"
             break
-    return out_mid, tuple(rows), reason, calls
+    return out_mid, tuple(rows), reason, len(solved)
 
 
 def gpdas(
@@ -352,7 +346,8 @@ def gpdas(
     run has no earlier output).  Each set is fitted once per dataset while
     the shared memo holds it: ``trace.pdas_calls`` counts calls, not fits.
     """
-    k_max = gsection_k_max(family, d.dataset.n, d.dataset.p, k_max)
+    k_max = search_k_max(family, d.dataset.n, d.dataset.p, k_max, gsection=True)
+    check_eta(eta)
     null = null_fit(family, d)
 
     def run(k, prev):

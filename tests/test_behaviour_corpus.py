@@ -3,6 +3,8 @@
 Per family, one small dataset is solved by ``pdas`` at a fixed k, by
 ``spdas`` with EBIC and by ``gpdas``; the selected k, the active set, the
 gpdas trace and stop reason, and the loss (to 1e-9 relative) are pinned.
+So are ROADMAP item 1's regression cases (gpdas's size, stop reason,
+iterations and solver calls).
 The pins record what the code did when they were taken: they are
 behaviour, not correctness, and exist so that a refactor of the solver
 shows "same selections, same losses" mechanically.  Work on the
@@ -12,6 +14,7 @@ gpdas entries; re-record them there and say why.
 
 import pytest
 
+from bestsubset.bench import BenchScenario, run_replication
 from bestsubset.data import standardize
 from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import ModelFamily
@@ -53,6 +56,23 @@ PINS = {
 }
 
 
+# ROADMAP item 1's regression cases, where the loss elbow lands far past the
+# planted size: the acceptance-05 scenario's gpdas picks per replication, and
+# two standalone searches as (k, reason, iterations, solver calls).  The
+# counted calls give the search a long run to match.
+ITEM_1_SCENARIO = BenchScenario(
+    family="binomial", n=500, p=100, q=5, reps=2, methods=("gpdas",),
+    criterion="ebic", holdout=1000, seed=200,
+)
+ITEM_1_PICKS = {0: (79, 5, 74), 1: (68, 5, 63)}  # rep -> (k, tp, fp)
+ITEM_1_SEARCHES = {
+    "binomial": (GenConfig(n=500, p=100, q=5, family="binomial", seed=3),
+                 (79, "interval-collapse", 5, 12)),
+    "gaussian": (GenConfig(n=500, p=100, q=10, rho=0.2, seed=3),
+                 (12, "interval-collapse", 66, 143)),
+}
+
+
 def _check(got, pinned):
     k, active, loss_value = pinned
     assert got[0] == k
@@ -77,3 +97,17 @@ def test_corpus(family):
     _check((gold.k, gold.active_set, gold.loss), pins["gpdas"])
     assert (trace.rows, trace.reason) == pins["gpdas_trace"]
     assert trace.terminal_k == gold.k
+
+
+@pytest.mark.parametrize("rep", sorted(ITEM_1_PICKS))
+def test_item_1_bench_picks(rep):
+    row = run_replication(ITEM_1_SCENARIO, rep)["methods"]["gpdas"]
+    assert (row["k"], row["tp"], row["fp"]) == ITEM_1_PICKS[rep]
+
+
+@pytest.mark.parametrize("family", sorted(ITEM_1_SEARCHES))
+def test_item_1_searches(family):
+    config, pinned = ITEM_1_SEARCHES[family]
+    report, trace = gpdas(ModelFamily(family), standardize(gen_dataset(config)[0]))
+    assert (report.k, trace.reason, len(trace.rows), trace.pdas_calls) == pinned
+    assert trace.terminal_k == report.k

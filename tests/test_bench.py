@@ -27,6 +27,13 @@ def small_scenario(**kw):
     return BenchScenario(**base)
 
 
+def wide_spdas_scenario(**kw):
+    """A gaussian p > n scenario, whose k_max cap is n = 50, running spdas only."""
+    return BenchScenario(
+        family="gaussian", n=50, p=100, q=3, reps=2, holdout=20, methods=("spdas",), **kw
+    )
+
+
 def strip_times(records):
     cleaned = []
     for record in records:
@@ -275,8 +282,11 @@ class TestRunBench:
         (lambda: small_scenario(reps=0), "need at least one replication"),
         (lambda: run_bench(small_scenario(), jobs=0), "jobs must be >= 1"),
         (lambda: small_scenario(methods=("spdas", "gpdas", "spdas")), "repeated methods: ['spdas']"),
+        # spdas's own entry checks, made before any replication draws
+        (lambda: wide_spdas_scenario(k_max=80), "k_max must be in [1, 50], got 80"),
+        (lambda: wide_spdas_scenario(criterion="dic"), "unknown criterion 'dic'"),
     ],
-    ids=["reps", "jobs", "repeated-method"],
+    ids=["reps", "jobs", "repeated-method", "spdas-k-max", "spdas-criterion"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,7 +15,7 @@ from bestsubset import bench
 from bestsubset.bench import BenchScenario
 from bestsubset.cli import _sparse_coefficients, main
 from bestsubset.data import Continuous, Dataset, save_csv
-from bestsubset.datagen import GenConfig
+from bestsubset.datagen import GenConfig, gen_design
 
 
 def run(argv):
@@ -144,6 +145,27 @@ class TestGen:
             assert captured.err == f"error: q={q} but explicit beta has 3 nonzeros\n"
             assert captured.out == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "family, beta, message",
+        [
+            ("gaussian", "3,,1", "--beta has an empty field: '3,,1'"),
+            ("gaussian", "3,1,", "--beta has an empty field: '3,1,'"),
+            ("binomial", "nan,1", "explicit beta must be finite, got nan"),
+            ("cox", "inf,1", "explicit beta must be finite, got inf"),
+        ],
+        ids=["empty-field", "trailing-comma", "nan", "inf"],
+    )
+    def test_beta_must_be_finite_with_no_empty_field(
+        self, tmp_path, capsys, family, beta, message
+    ):
+        # an empty field used to be dropped, shifting the later values left
+        out = tmp_path / "d.csv"
+        assert run(["gen", "--family", family, "--n", 20, "--p", 4, "--beta", beta,
+                    "--seed", 1, "--output", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_censor_rate_outside_cox_fails(self, tmp_path, capsys, family):
         out = tmp_path / "d.csv"
@@ -201,6 +223,28 @@ class TestRejectedScenarios:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_spdas_k_max_above_the_cap_fails_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the gaussian cap is min(n, p) = 50; the check used to wait for
+        # replication 0's designs, and under --jobs for a worker
+        draws = []
+
+        def counting_design(*args):
+            draws.append(args)
+            return gen_design(*args)
+
+        monkeypatch.setattr(bench, "gen_design", counting_design)
+        argv = ["bench", "--family", "gaussian", "--n", 50, "--p", 100, "--q", 3,
+                "--reps", 2, "--holdout", 20, "--methods", "spdas", "--k-max", 80,
+                "--output", tmp_path / "out.csv",
+                "--details", tmp_path / "details.json"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k_max must be in [1, 50], got 80\n"
+        assert draws == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, message",
@@ -574,6 +618,39 @@ class TestFit:
         assert out.returncode == 0
         assert json.loads(out.stdout)["stop"] == "k_max"
         assert out.stderr == b"warning: singular least-squares system; adding ridge 1.000e-06\n"
+
+    def test_warning_printer_runs_in_process(self, tmp_path, capsys):
+        # the printer main() installs, in this process: columns 0 and 1 are
+        # identical, so the size-2 fit meets a singular Gram
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 3))
+        X[:, 1] = X[:, 0]
+        y = 2.0 * X[:, 0] + rng.standard_normal(30)
+        data = tmp_path / "twins.csv"
+        save_csv(Dataset(X, Continuous(y)), data)
+        argv = ["fit", "--input", data, "--family", "gaussian", "--method", "one", "-k", 2]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["k"] == 2
+        assert re.fullmatch(
+            r"warning: singular least-squares system; adding ridge \d\.\d{3}e-\d\d\n",
+            captured.err,
+        ), captured.err
+
+    def test_module_entry_point_exits_with_the_status_of_main(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data = gen_planted(tmp_path)
+        argv = ["fit", "--input", data, "--family", "gaussian", "--method", "one", "-k", 4]
+        monkeypatch.setattr(sys, "argv", ["bestsubset", *map(str, argv)])
+        # the test module has imported bestsubset.cli already, which runpy notes
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            with pytest.raises(SystemExit) as exit_info:
+                runpy.run_module("bestsubset.cli", run_name="__main__")
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["active_indices"] == [1, 2, 5, 9]
+        assert captured.err == ""
 
     def test_deterministic_given_seed(self, tmp_path):
         data = gen_planted(tmp_path)

@@ -127,6 +127,47 @@ class TestLoadCsv:
         np.testing.assert_array_equal(d1.response.status, d.response.status)
 
     @pytest.mark.parametrize(
+        "family, names, repeated",
+        [
+            ("gaussian", ("a", "a"), "a"),
+            ("gaussian", ("y", "b"), "y"),
+            ("cox", ("time", "b"), "time"),
+            ("binomial", ("a", " a "), "a"),
+        ],
+        ids=["predictors", "gaussian-y", "cox-time", "spaces"],
+    )
+    def test_save_refuses_a_header_that_load_refuses(self, tmp_path, family, names, repeated):
+        rng = np.random.default_rng(3)
+        response = {
+            "gaussian": Continuous(rng.standard_normal(4)),
+            "binomial": Binary([0.0, 1.0, 1.0, 0.0]),
+            "cox": Survival(rng.uniform(0.1, 2.0, 4), [1.0, 0.0, 1.0, 1.0]),
+        }[family]
+        d = Dataset(rng.standard_normal((4, 2)), response, names)
+        want = f"column {repeated!r} appears more than once in the header"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            save_csv(d, tmp_path / "d.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_round_trip_of_a_loaded_dataset(self, tmp_path):
+        # the file loads with another response column, but its predictors
+        # then include one named like the default response: saving would
+        # write a header with 'y' twice, which the reload refuses
+        p = write(tmp_path / "named.csv", "y,target,x\n1,2,3\n4,5,7\n2,1,0\n")
+        d = load_csv(p, "gaussian", response="target")
+        assert d.column_names == ("y", "x")
+        with pytest.raises(ValueError, match="^column 'y' appears more than once in the header$"):
+            save_csv(d, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+        # names that need quoting still reload bit for bit
+        quoted = Dataset(d.X, d.response, ("y,1", '"x"'))
+        save_csv(quoted, tmp_path / "quoted.csv")
+        back = load_csv(tmp_path / "quoted.csv", "gaussian")
+        assert back.column_names == quoted.column_names
+        np.testing.assert_array_equal(back.X, quoted.X)
+        np.testing.assert_array_equal(back.response.y, quoted.response.y)
+
+    @pytest.mark.parametrize(
         "text, family, header, message",
         [
             ("x1,x2,y\n1,2,3\n4,5\n", "gaussian", True,

@@ -275,8 +275,13 @@ class TestCensoringHorizon:
          "unknown family 'poisson'"),
         (lambda: GenConfig(n=10, p=4, q=1, beta=(1.0, 0.0, -2.0, 0.0)),
          "q=1 but explicit beta has 2 nonzeros"),
+        (lambda: GenConfig(n=10, p=2, q=2, family="binomial", beta=(math.nan, 1.0)),
+         "explicit beta must be finite, got nan"),
+        (lambda: GenConfig(n=10, p=2, q=2, family="cox", beta=(1.0, -math.inf)),
+         "explicit beta must be finite, got -inf"),
     ],
-    ids=["config-n", "config-signs", "gen-beta-signs", "gen-response-family", "config-q-beta"],
+    ids=["config-n", "config-signs", "gen-beta-signs", "gen-response-family", "config-q-beta",
+         "config-beta-nan", "config-beta-inf"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -391,6 +391,16 @@ class TestPredict:
         prob = predict(BINOMIAL, model, rng.standard_normal((20, 4)) * 50, sd)
         assert np.all(prob > 0) and np.all(prob < 1)
 
+    @pytest.mark.parametrize("family", ["gaussian", "cox"])
+    def test_family_must_match_the_data(self, rng, family):
+        # a binomial model's intercept would be dropped, or the gaussian
+        # response center added, without a word
+        sd = random_standardized("binomial", 30, 4, seed=59)
+        model = fit_active(BINOMIAL, sd, (0, 1))
+        want = f"family {family!r} does not match response type Binary"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            predict(FAMILY[family], model, rng.standard_normal((5, 4)), sd)
+
 
 class TestLogLikelihood:
     def test_gaussian_profile_form(self):

@@ -850,6 +850,19 @@ class TestGpdas:
         gpdas(ModelFamily(cfg.family), sd)
         assert fitted and len(fitted) == len(set(fitted))
 
+    def test_eta_refused_before_the_null_fit(self, monkeypatch):
+        sd = standardize(gen_dataset(GenConfig(n=150, p=20, q=4, seed=6))[0])
+        fitted = []
+
+        def counting_fit(family, d, active, start=None):
+            fitted.append(tuple(active))
+            return fit_active(family, d, active, start)
+
+        monkeypatch.setattr(families, "fit_active", counting_fit)
+        with pytest.raises(ValueError, match=r"^eta must be in \(0, 1\)$"):
+            gpdas(GAUSSIAN, sd, eta=1.5)
+        assert fitted == [] and len(problem(sd).fits) == 0
+
     def test_one_null_fit_per_call(self, monkeypatch):
         sd = standardize(gen_dataset(GenConfig(n=150, p=20, q=4, seed=6))[0])
         calls = []
