@@ -5,10 +5,11 @@
 # a cox oracle whose refused bound fits stay silent, the oracle past the
 # default p cap, CSVs with a byte-order mark, and the input checks of gen,
 # fit and bench, with the exact refusals of a repeated header name, a
-# response that names one column twice, a repeated bench method, a --q that
-# contradicts --beta, a --beta with an empty field or a non-finite value, a
-# bench --k-max above spdas's cap (refused before any replication draws) and
-# an out-of-range size.  gsection reports are piped into a JSON parser, since
+# response that names one column twice, a repeated bench method, a bench
+# --methods with an empty field, a --q that contradicts --beta, a --beta
+# with an empty field or a non-finite value, a bench --k-max above spdas's
+# cap (refused before any replication draws), a gen --n below 2 and an
+# out-of-range size.  gsection reports are piped into a JSON parser, since
 # its trace lines go to stderr.
 # Usage: bash console-smoke.sh
 set -eo pipefail
@@ -95,6 +96,10 @@ refused "column 'time' appears more than once in the response" \
   bestsubset fit --input cox.csv --family cox --response time,time --method one -k 1
 refused "repeated methods: ['spdas']" \
   bestsubset bench --family gaussian --n 60 --p 8 --q 2 --reps 1 --methods spdas,spdas
+refused "--methods has an empty field: 'spdas,,gpdas'" \
+  bestsubset bench --family gaussian --n 60 --p 8 --q 2 --reps 1 --methods spdas,,gpdas \
+  --output methods-empty.csv
+test ! -e methods-empty.csv
 # the truth file's q is the support size: --beta's nonzeros when --q is unset
 bestsubset gen --family gaussian --n 200 --p 20 --rho 0.2 --sigma 1.0 \
   --beta 3,1.5,0,0,-2,0,0,0,-1 --seed 123 --output beta.csv
@@ -117,6 +122,9 @@ refused "k_max must be in [1, 50], got 80" \
   bestsubset bench --family gaussian --n 50 --p 100 --q 3 --k-max 80 --methods spdas \
   --output wide.csv
 test ! -e wide.csv
+refused "n must be in [2, inf], got 1" \
+  bestsubset gen --family gaussian --n 1 --p 3 --q 1 --output bad.csv
+test ! -e bad.csv
 cp d.csv tail.csv
 printf '1,2,3,4,5,6,7,8,oops\r\n' >> tail.csv
 must_fail bestsubset fit --input tail.csv --family gaussian --method one -k 1 2> tail.err

@@ -9,12 +9,13 @@ RNG substreams derived from (seed, replication index), so serial and
 parallel runs agree exactly.
 """
 
+import math
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, destandardize_coefficients, standardize
+from .data import Dataset, as_size, destandardize_coefficients, standardize
 from .datagen import GenConfig, gen_beta, gen_design, gen_response
 from .families import ModelFamily, predict
 from .metrics import accuracy, concordance_index, relative_mse, tp_fp
@@ -48,8 +49,7 @@ class BenchScenario:
     B: float | None = None
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("need at least one replication")
+        as_size(self.reps, "reps", 1, math.inf)
         if not self.methods:
             raise ValueError("need at least one method")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
@@ -63,8 +63,7 @@ class BenchScenario:
                 f"infeasible scenario: oracle requires p <= {DEFAULT_P_CAP}, "
                 f"got p={self.p}"
             )
-        if self.holdout < 2:
-            raise ValueError(f"holdout must be >= 2, got {self.holdout}")
+        as_size(self.holdout, "holdout", 2, math.inf)
         if self.family == "gaussian" and self.q == 0:
             raise ValueError("gaussian scenario needs q >= 1 for its relative MSE")
         self.gen_config()  # GenConfig validates the generator fields
@@ -98,12 +97,11 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
     """One replication; deterministic given (scenario.seed, rep)."""
     rng = np.random.default_rng([scn.seed, rep])
     cfg = scn.gen_config()
-    b, B = cfg.magnitude_range()
     X = gen_design(scn.n, scn.p, scn.rho, rng)
-    beta_star = gen_beta(scn.p, scn.q, b, B, "random", rng)
-    response = gen_response(scn.family, X, beta_star, cfg, rng)
+    beta_star = gen_beta(cfg, rng)
+    response = gen_response(cfg, X, beta_star, rng)
     X_test = gen_design(scn.holdout, scn.p, scn.rho, rng)
-    resp_test = gen_response(scn.family, X_test, beta_star, cfg, rng)
+    resp_test = gen_response(cfg, X_test, beta_star, rng)
     if scn.family == "cox":  # a pair is comparable iff an event precedes the latest time
         if not np.any(resp_test.time[resp_test.status == 1.0] < resp_test.time.max()):
             raise ValueError(
@@ -182,8 +180,7 @@ def run_bench(scn: BenchScenario, jobs: int = 1):
     Results are keyed by replication index, so the executor cannot affect
     the output.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    as_size(jobs, "jobs", 1, math.inf)
     if jobs == 1:
         records = [run_replication(scn, r) for r in range(scn.reps)]
     else:

@@ -193,14 +193,19 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _comma_fields(text, option):
+    """``option``'s comma-separated fields, stripped; an empty field is refused."""
+    cells = [v.strip() for v in text.split(",")]
+    if "" in cells:
+        raise ValueError(f"{option} has an empty field: {text!r}")
+    return cells
+
+
 def _explicit_beta(text, p):
     """``--beta`` as a length-p tuple padded with zeros, or None if unset."""
     if text is None:
         return None
-    cells = [v.strip() for v in text.split(",")]
-    if "" in cells:
-        raise ValueError(f"--beta has an empty field: {text!r}")
-    values = [float(v) for v in cells]
+    values = [float(v) for v in _comma_fields(text, "--beta")]
     if len(values) > p:
         raise ValueError("explicit beta is longer than p")
     return tuple(values + [0.0] * (p - len(values)))
@@ -251,6 +256,8 @@ def _format_summary_csv(scenario, summary, with_timing=True):
 
 
 def cmd_bench(args) -> int:
+    if hasattr(args, "methods"):  # unset, it keeps BenchScenario's default
+        args.methods = tuple(_comma_fields(args.methods, "--methods"))
     scenario = _from_args(bench_mod.BenchScenario, args)
     records, summary = bench_mod.run_bench(scenario, jobs=args.jobs)
     text = _format_summary_csv(scenario, summary, with_timing=not args.no_timing)
@@ -296,10 +303,6 @@ def _add_scenario_arguments(sub, **q_options):
     sub.add_argument("--seed", type=int)
 
 
-def _comma_list(text):
-    return tuple(item.strip() for item in text.split(",") if item.strip())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bestsubset",
@@ -343,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_arguments(bench, required=True)
     bench.add_argument("--reps", type=int, default=10)
-    bench.add_argument(
-        "--methods", type=_comma_list, help="comma list from: spdas,gpdas,oracle"
-    )
+    bench.add_argument("--methods", help="comma list from: spdas,gpdas,oracle")
     bench.add_argument("--criterion", choices=criteria)
     bench.add_argument("--k-max", type=int)
     bench.add_argument("--eta", type=float)

@@ -18,19 +18,6 @@ import numpy as np
 from .data import FAMILIES, Binary, Continuous, Dataset, Survival, as_size
 
 
-def default_signal_magnitude(family: str, p: int, n: int, sigma: float = 1.0) -> float:
-    """Smallest planted coefficient magnitude used by the benchmarks."""
-    base = math.sqrt(2.0 * math.log(p) / n)
-    if family == "gaussian":
-        return 5.0 * sigma * base
-    return 10.0 * base
-
-
-def default_magnitude_cap(family: str, b: float) -> float:
-    """Largest planted magnitude: 100 b for gaussian, 5 b otherwise."""
-    return 100.0 * b if family == "gaussian" else 5.0 * b
-
-
 @dataclass(frozen=True, eq=False)
 class GenConfig:
     """Scenario parameters for one synthetic dataset."""
@@ -51,8 +38,8 @@ class GenConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 2 or self.p < 1:
-            raise ValueError("need n >= 2 and p >= 1")
+        as_size(self.n, "n", 2, math.inf)
+        as_size(self.p, "p", 1, math.inf)
         as_size(self.q, "q", 0, self.p)
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
@@ -81,11 +68,17 @@ class GenConfig:
                 raise ValueError(f"magnitudes need 0 < b <= B < inf, got b={b}, B={B}")
 
     def magnitude_range(self) -> tuple[float, float]:
-        """``(b, B)`` with the defaults filled in; checked only when drawing."""
+        """``(b, B)`` with the defaults filled in; checked only when drawing.
+
+        Defaults: b = 5 sigma sqrt(2 log p / n) for gaussian, else
+        10 sqrt(2 log p / n); B = 100 b for gaussian, else 5 b.
+        """
+        gaussian = self.family == "gaussian"
         b = self.b
         if b is None:
-            b = default_signal_magnitude(self.family, self.p, self.n, self.sigma)
-        B = self.B if self.B is not None else default_magnitude_cap(self.family, b)
+            base = math.sqrt(2.0 * math.log(self.p) / self.n)
+            b = (5.0 * self.sigma if gaussian else 10.0) * base
+        B = self.B if self.B is not None else (100.0 if gaussian else 5.0) * b
         return b, B
 
 
@@ -100,19 +93,18 @@ def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
     return X * (math.sqrt(n) / norms)
 
 
-def gen_beta(
-    p: int, q: int, b: float, B: float, signs: str, rng: np.random.Generator
-) -> np.ndarray:
-    """Coefficient vector with q nonzeros of magnitude Uniform[b, B]."""
+def gen_beta(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
+    """The explicit ``config.beta``, else q nonzeros of magnitude Uniform[b, B]."""
+    if config.beta is not None:
+        return np.array(config.beta, dtype=float)
+    p, q = config.p, config.q
     beta = np.zeros(p)
     if q == 0:
         return beta
     support = rng.choice(p, size=q, replace=False)
-    magnitudes = rng.uniform(b, B, size=q)
-    if signs == "random":
+    magnitudes = rng.uniform(*config.magnitude_range(), size=q)
+    if config.signs == "random":
         magnitudes = magnitudes * rng.choice((-1.0, 1.0), size=q)
-    elif signs != "positive":
-        raise ValueError("signs must be 'random' or 'positive'")
     beta[support] = magnitudes
     return beta
 
@@ -141,22 +133,16 @@ def _censoring_horizon(rates: np.ndarray, target: float) -> float:
 
 
 def gen_response(
-    family: str,
-    X: np.ndarray,
-    beta_star: np.ndarray,
-    config: GenConfig,
-    rng: np.random.Generator,
+    config: GenConfig, X: np.ndarray, beta_star: np.ndarray, rng: np.random.Generator
 ):
-    """Draw the response for the given design and true coefficients."""
+    """Draw ``config.family``'s response for the given design and true coefficients."""
     eta = X @ beta_star
     n = X.shape[0]
-    if family == "gaussian":
+    if config.family == "gaussian":
         return Continuous(eta + config.sigma * rng.standard_normal(n))
-    if family == "binomial":
+    if config.family == "binomial":
         prob = 1.0 / (1.0 + np.exp(-np.clip(eta, -30, 30)))
         return Binary((rng.uniform(size=n) < prob).astype(float))
-    if family != "cox":
-        raise ValueError(f"unknown family {family!r}")
     rates = np.exp(np.clip(eta, -30, 30))
     times = -np.log(rng.uniform(size=n)) / rates
     status = np.ones(n)
@@ -180,11 +166,7 @@ def gen_dataset(config: GenConfig):
     """
     rng = np.random.default_rng(config.seed)
     X = gen_design(config.n, config.p, config.rho, rng)
-    if config.beta is not None:
-        beta_star = np.array(config.beta, dtype=float)
-    else:
-        b, B = config.magnitude_range()
-        beta_star = gen_beta(config.p, config.q, b, B, config.signs, rng)
-    response = gen_response(config.family, X, beta_star, config, rng)
+    beta_star = gen_beta(config, rng)
+    response = gen_response(config, X, beta_star, rng)
     support = tuple(int(j) for j in np.flatnonzero(beta_star))
     return Dataset(X, response), beta_star, support

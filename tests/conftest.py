@@ -46,6 +46,26 @@ def random_standardized(family, n, p, seed, beta=None, censor_rate=0.0):
     return standardize(Dataset(X, resp))
 
 
+class _Drawn(Exception):
+    """Stops a replication once its training data is drawn."""
+
+
+def replication_draw(scn, rep):
+    """The raw ``Dataset`` that ``bench.run_replication(scn, rep)`` passes to
+    ``bench.standardize``; the replication stops there and fits nothing."""
+    seen = []
+
+    def captured(dataset):
+        seen.append(dataset)
+        raise _Drawn
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "standardize", captured)
+        with pytest.raises(_Drawn):
+            bench.run_replication(scn, rep)
+    return seen[0]
+
+
 def random_subset(p, k, rng):
     """A uniformly random size-k subset of {0..p-1}, usable as a pdas init."""
     return tuple(sorted(int(j) for j in rng.choice(p, size=k, replace=False)))

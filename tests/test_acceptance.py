@@ -12,7 +12,7 @@ import numpy as np
 from bestsubset.bench import BenchScenario, run_bench
 from bestsubset.cli import main as cli_main
 from bestsubset.data import standardize
-from bestsubset.datagen import GenConfig, default_signal_magnitude, gen_dataset, gen_design
+from bestsubset.datagen import GenConfig, gen_dataset, gen_design
 from bestsubset.families import (
     CoefficientModel,
     ModelFamily,
@@ -86,7 +86,7 @@ def test_02_golden_section_trace():
 
 def test_03_oracle_equivalence():
     n, p, q, sigma = 200, 12, 4, 1.0
-    b = default_signal_magnitude("gaussian", p, n, sigma)  # 5 sigma sqrt(2 log p / n)
+    b, _ = GenConfig(n=n, p=p, q=q, sigma=sigma).magnitude_range()  # 5 sigma sqrt(2 log p / n)
     total = 50
     matches = 0
     fallback_ok = True

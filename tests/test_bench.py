@@ -96,9 +96,9 @@ class TestScenarioValidation:
         [
             (dict(b=2.0, B=1.0), "b <= B"),
             (dict(b=-1.0, B=1.0), "0 < b <= B"),
-            (dict(holdout=0), "holdout must be >= 2, got 0"),
-            (dict(holdout=1), "holdout must be >= 2, got 1"),
-            (dict(family="binomial", holdout=0), "holdout must be >= 2"),
+            (dict(holdout=0), "holdout must be in [2, inf], got 0"),
+            (dict(holdout=1), "holdout must be in [2, inf], got 1"),
+            (dict(family="binomial", holdout=0), "holdout must be in [2, inf], got 0"),
             (dict(methods=()), "need at least one method"),
             (dict(q=0), "gaussian scenario needs q >= 1"),
             (dict(sigma=float("nan")), "sigma must be positive and finite, got nan"),
@@ -106,7 +106,7 @@ class TestScenarioValidation:
         ],
     )
     def test_rejected_at_construction(self, kw, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             small_scenario(**kw)
 
     def test_cox_holdout_without_comparable_pair_fails_before_fitting(
@@ -221,6 +221,17 @@ class TestRunBench:
         serial, _ = run_bench(scn, jobs=1)
         assert strip_times(list(pooled)) == strip_times(list(serial))
 
+    @pytest.mark.parametrize("jobs", [2.5, True])
+    def test_bad_jobs_refused_before_any_pool(self, monkeypatch, search_calls, jobs):
+        pools = []
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda **kw: pools.append(kw)
+        )
+        want = f"jobs must be in [1, inf], got {jobs!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            run_bench(small_scenario(methods=("spdas",)), jobs=jobs)
+        assert pools == [] and search_calls == []
+
     def test_oracle_requires_small_p(self):
         with pytest.raises(ValueError, match="infeasible"):
             small_scenario(p=30, methods=("oracle",))
@@ -279,14 +290,20 @@ class TestRunBench:
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: small_scenario(reps=0), "need at least one replication"),
-        (lambda: run_bench(small_scenario(), jobs=0), "jobs must be >= 1"),
+        (lambda: small_scenario(reps=0), "reps must be in [1, inf], got 0"),
+        (lambda: run_bench(small_scenario(), jobs=0), "jobs must be in [1, inf], got 0"),
+        # sizes are whole numbers: 1.5 and 50.0 used to fail inside numpy,
+        # and True to run one replication
+        (lambda: small_scenario(reps=1.5), "reps must be in [1, inf], got 1.5"),
+        (lambda: small_scenario(reps=True), "reps must be in [1, inf], got True"),
+        (lambda: small_scenario(holdout=50.0), "holdout must be in [2, inf], got 50.0"),
         (lambda: small_scenario(methods=("spdas", "gpdas", "spdas")), "repeated methods: ['spdas']"),
         # spdas's own entry checks, made before any replication draws
         (lambda: wide_spdas_scenario(k_max=80), "k_max must be in [1, 50], got 80"),
         (lambda: wide_spdas_scenario(criterion="dic"), "unknown criterion 'dic'"),
     ],
-    ids=["reps", "jobs", "repeated-method", "spdas-k-max", "spdas-criterion"],
+    ids=["reps", "jobs", "reps-float", "reps-bool", "holdout-float", "repeated-method",
+         "spdas-k-max", "spdas-criterion"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

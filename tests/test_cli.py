@@ -224,6 +224,38 @@ class TestRejectedScenarios:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("methods", ["spdas,,gpdas", "spdas,gpdas,", ","])
+    def test_methods_with_an_empty_field_refused(self, tmp_path, capsys, methods):
+        # an empty field used to be dropped and the bench to run
+        argv = ["bench", "--family", "gaussian", "--n", 60, "--p", 8, "--q", 2, "--reps", 1,
+                "--methods", methods, "--output", tmp_path / "out.csv"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --methods has an empty field: {methods!r}\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--n", 1, "--p", 3, "--q", 1], "n must be in [2, inf], got 1"),
+            (["gen", "--n", 20, "--p", 0, "--q", 0], "p must be in [1, inf], got 0"),
+            (["bench", "--n", 60, "--p", 8, "--q", 2, "--reps", 0],
+             "reps must be in [1, inf], got 0"),
+            (["bench", "--n", 60, "--p", 8, "--q", 2, "--holdout", 1],
+             "holdout must be in [2, inf], got 1"),
+            (["bench", "--n", 60, "--p", 8, "--q", 2, "--jobs", 0],
+             "jobs must be in [1, inf], got 0"),
+        ],
+        ids=["gen-n", "gen-p", "bench-reps", "bench-holdout", "bench-jobs"],
+    )
+    def test_sizes_refused_in_the_one_wording(self, tmp_path, capsys, argv, message):
+        command, *rest = argv
+        assert run([command, "--family", "gaussian", *rest,
+                    "--output", tmp_path / "out.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     def test_spdas_k_max_above_the_cap_fails_before_any_draw(
         self, tmp_path, capsys, monkeypatch
     ):

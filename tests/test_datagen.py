@@ -12,8 +12,6 @@ from bestsubset.data import Binary, Survival
 from bestsubset.datagen import (
     GenConfig,
     _censoring_horizon,
-    default_magnitude_cap,
-    default_signal_magnitude,
     gen_beta,
     gen_dataset,
     gen_design,
@@ -52,22 +50,24 @@ class TestGenDesign:
 
 class TestGenBeta:
     def test_zero_support(self, rng):
-        np.testing.assert_array_equal(gen_beta(10, 0, 1.0, 2.0, "random", rng), 0.0)
+        cfg = GenConfig(n=10, p=10, q=0, b=1.0, B=2.0)
+        np.testing.assert_array_equal(gen_beta(cfg, rng), 0.0)
 
     def test_magnitudes_within_range(self, rng):
+        cfg = GenConfig(n=10, p=30, q=7, b=0.5, B=2.5)
         for _ in range(10):
-            beta = gen_beta(30, 7, 0.5, 2.5, "random", rng)
+            beta = gen_beta(cfg, rng)
             nz = beta[beta != 0]
             assert len(nz) == 7
             assert np.all((np.abs(nz) >= 0.5) & (np.abs(nz) <= 2.5))
 
     def test_positive_signs(self, rng):
-        beta = gen_beta(20, 6, 1.0, 2.0, "positive", rng)
+        beta = gen_beta(GenConfig(n=10, p=20, q=6, b=1.0, B=2.0, signs="positive"), rng)
         assert np.all(beta[beta != 0] > 0)
 
     def test_random_signs_mix(self):
         rng = np.random.default_rng(3)
-        beta = gen_beta(400, 200, 1.0, 2.0, "random", rng)
+        beta = gen_beta(GenConfig(n=10, p=400, q=200, b=1.0, B=2.0), rng)
         nz = beta[beta != 0]
         assert (nz > 0).any() and (nz < 0).any()
 
@@ -78,14 +78,14 @@ class TestGenResponse:
         X = rng.standard_normal((10, 3))
         beta = np.array([1.0, -2.0, 0.0])
         cfg_zero = GenConfig(n=10, p=3, q=1, family="gaussian", sigma=1e-300, seed=0)
-        resp = gen_response("gaussian", X, beta, cfg_zero, rng)
+        resp = gen_response(cfg_zero, X, beta, rng)
         np.testing.assert_allclose(resp.y, X @ beta, atol=1e-290)
 
     def test_binomial_null_is_fair_coin(self, rng):
         n = 4000
         cfg = GenConfig(n=n, p=2, q=0, family="binomial", seed=0)
         X = rng.standard_normal((n, 2))
-        resp = gen_response("binomial", X, np.zeros(2), cfg, rng)
+        resp = gen_response(cfg, X, np.zeros(2), rng)
         assert isinstance(resp, Binary)
         assert abs(resp.y.mean() - 0.5) < 4 / math.sqrt(n)
 
@@ -93,7 +93,7 @@ class TestGenResponse:
         n = 4000
         cfg = GenConfig(n=n, p=2, q=0, family="cox", censor_rate=0.0, seed=0)
         X = rng.standard_normal((n, 2))
-        resp = gen_response("cox", X, np.zeros(2), cfg, rng)
+        resp = gen_response(cfg, X, np.zeros(2), rng)
         assert isinstance(resp, Survival)
         assert np.all(resp.status == 1.0)
         assert abs(resp.time.mean() - 1.0) < 4 / math.sqrt(n)
@@ -104,7 +104,7 @@ class TestGenResponse:
         cfg = GenConfig(n=n, p=2, q=0, family="cox", censor_rate=target, seed=0)
         X = rng.standard_normal((n, 2))
         beta = np.array([0.5, -0.5])
-        resp = gen_response("cox", X, beta, cfg, rng)
+        resp = gen_response(cfg, X, beta, rng)
         censored = 1.0 - resp.status.mean()
         assert abs(censored - target) < 0.03
 
@@ -118,7 +118,7 @@ class TestGenDataset:
         # nothing is drawn for beta: the response follows the design directly
         rng = np.random.default_rng(5)
         X = gen_design(40, 10, cfg.rho, rng)
-        y = gen_response("gaussian", X, np.array(target), cfg, rng).y
+        y = gen_response(cfg, X, np.array(target), rng).y
         np.testing.assert_array_equal(dataset.X, X)
         np.testing.assert_array_equal(dataset.response.y, y)
 
@@ -145,14 +145,12 @@ class TestDeterminism:
 
 class TestDefaults:
     def test_benchmark_magnitudes(self):
-        assert default_signal_magnitude("gaussian", 100, 500, sigma=2.0) == (
-            pytest.approx(10.0 * math.sqrt(2 * math.log(100) / 500))
-        )
-        assert default_signal_magnitude("binomial", 100, 500) == pytest.approx(
-            10.0 * math.sqrt(2 * math.log(100) / 500)
-        )
-        assert default_magnitude_cap("gaussian", 0.5) == 50.0
-        assert default_magnitude_cap("cox", 0.5) == 2.5
+        base = math.sqrt(2 * math.log(100) / 500)
+        for family, sigma, cap in (("gaussian", 2.0, 100.0), ("binomial", 1.0, 5.0)):
+            b, B = GenConfig(n=500, p=100, q=1, family=family, sigma=sigma).magnitude_range()
+            assert b == pytest.approx(10.0 * base) and B == pytest.approx(cap * b)
+        assert GenConfig(n=500, p=100, q=1, b=0.5).magnitude_range() == (0.5, 50.0)
+        assert GenConfig(n=500, p=100, q=1, family="cox", b=0.5).magnitude_range() == (0.5, 2.5)
 
     @pytest.mark.parametrize("q", [2.0, True, 2.5, np.float64(2.0), -1, 6])
     def test_q_checked_by_the_size_rule(self, q):
@@ -266,13 +264,12 @@ class TestCensoringHorizon:
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: GenConfig(n=1, p=2, q=1), "need n >= 2 and p >= 1"),
+        (lambda: GenConfig(n=1, p=2, q=1), "n must be in [2, inf], got 1"),
+        # a float size used to pass and then fail inside numpy
+        (lambda: GenConfig(n=40.0, p=5, q=1), "n must be in [2, inf], got 40.0"),
+        (lambda: GenConfig(n=10, p=0, q=0), "p must be in [1, inf], got 0"),
         (lambda: GenConfig(n=10, p=2, q=1, signs="mixed"), "signs must be 'random' or 'positive'"),
-        (lambda: gen_beta(5, 2, 1.0, 2.0, "mixed", np.random.default_rng(0)),
-         "signs must be 'random' or 'positive'"),
-        (lambda: gen_response("poisson", np.eye(3), np.zeros(3), GenConfig(n=3, p=3, q=0),
-                              np.random.default_rng(0)),
-         "unknown family 'poisson'"),
+        (lambda: GenConfig(n=3, p=3, q=0, family="poisson"), "unknown family 'poisson'"),
         (lambda: GenConfig(n=10, p=4, q=1, beta=(1.0, 0.0, -2.0, 0.0)),
          "q=1 but explicit beta has 2 nonzeros"),
         (lambda: GenConfig(n=10, p=2, q=2, family="binomial", beta=(math.nan, 1.0)),
@@ -280,8 +277,8 @@ class TestCensoringHorizon:
         (lambda: GenConfig(n=10, p=2, q=2, family="cox", beta=(1.0, -math.inf)),
          "explicit beta must be finite, got -inf"),
     ],
-    ids=["config-n", "config-signs", "gen-beta-signs", "gen-response-family", "config-q-beta",
-         "config-beta-nan", "config-beta-inf"],
+    ids=["config-n", "config-n-float", "config-p", "config-signs", "gen-response-family",
+         "config-q-beta", "config-beta-nan", "config-beta-inf"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

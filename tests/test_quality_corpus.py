@@ -2,6 +2,9 @@
 
 Each family's default generator at n 200, p 40, q 5 (cox with 20 %
 censoring), at rho 0.5 and 0.2 with seeds 0-9, gives one dataset per seed.
+A held-out block, seeds 104729-104738 at rho 0.5, is pinned the same way,
+so a change tuned on the first block is also read on seeds it was not
+tuned on.
 ``spdas`` with EBIC and then ``gpdas`` search it, both at their default
 ``k_max`` and on one standardization, as a benchmark replication does.
 Per family, rho and method four counts are pinned: exact-support
@@ -22,6 +25,7 @@ from bestsubset.families import ModelFamily
 from bestsubset.tuning import gpdas, spdas
 
 SEEDS = range(10)
+HELD_OUT_SEEDS = range(104729, 104739)
 SEARCHES = {
     "spdas": lambda family, sd: spdas(family, sd, criterion="ebic")[1],
     "gpdas": lambda family, sd: gpdas(family, sd)[0],
@@ -36,12 +40,18 @@ PINS = {
     ("cox", 0.5): {"spdas": (4, 15, 0, 0), "gpdas": (5, 40, 0, 0)},
     ("cox", 0.2): {"spdas": (10, 0, 0, 0), "gpdas": (7, 4, 0, 0)},
 }
+# family -> method -> counts, on the held-out seeds at rho 0.5
+HELD_OUT_PINS = {
+    "gaussian": {"spdas": (8, 52, 0, 0), "gpdas": (0, 193, 0, 0)},
+    "binomial": {"spdas": (5, 4, 1, 0), "gpdas": (0, 308, 0, 0)},
+    "cox": {"spdas": (9, 7, 0, 0), "gpdas": (4, 37, 1, 0)},
+}
 
 
-def corpus_counts(tag, rho):
+def corpus_counts(tag, rho, seeds=SEEDS):
     family = ModelFamily(tag)
     counts = {method: [0, 0, 0, 0] for method in SEARCHES}
-    for seed in SEEDS:
+    for seed in seeds:
         censor_rate = 0.2 if tag == "cox" else 0.0
         cfg = GenConfig(n=200, p=40, q=5, family=tag, rho=rho, censor_rate=censor_rate, seed=seed)
         dataset, _, support = gen_dataset(cfg)
@@ -63,3 +73,9 @@ def corpus_counts(tag, rho):
 @pytest.mark.parametrize("tag, rho", list(PINS), ids=[f"{t}-rho{r}" for t, r in PINS])
 def test_counts_are_pinned(tag, rho):
     assert corpus_counts(tag, rho) == PINS[tag, rho]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tag", list(HELD_OUT_PINS))
+def test_held_out_counts_are_pinned(tag):
+    assert corpus_counts(tag, 0.5, HELD_OUT_SEEDS) == HELD_OUT_PINS[tag]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bestsubset import bench, families
 from bestsubset.bench import BenchScenario, run_replication
 from bestsubset.data import Continuous, Dataset, standardize
-from bestsubset.datagen import GenConfig, gen_beta, gen_dataset, gen_design, gen_response
+from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import (
     CoefficientModel,
     ModelFamily,
@@ -36,6 +36,7 @@ from bestsubset.tuning import (
     split_point,
     warm_start_set,
 )
+from conftest import replication_draw
 
 GAUSSIAN = ModelFamily("gaussian")
 # ``bestsubset.pdas`` is the function; the module is reached by import
@@ -268,13 +269,8 @@ class TestWarmStart:
 
 
 def replication_data(scn, rep):
-    """The standardized training data of ``run_replication(scn, rep)``."""
-    rng = np.random.default_rng([scn.seed, rep])
-    cfg = scn.gen_config()
-    b, B = cfg.magnitude_range()
-    X = gen_design(scn.n, scn.p, scn.rho, rng)
-    beta_star = gen_beta(scn.p, scn.q, b, B, "random", rng)
-    return standardize(Dataset(X, gen_response(scn.family, X, beta_star, cfg, rng)))
+    """A fresh standardization of the training data ``run_replication(scn, rep)`` draws."""
+    return standardize(replication_draw(scn, rep))
 
 
 # the perfbench ``cox_reps`` smoke scenario
