@@ -2,14 +2,16 @@
 # Smoke run of the installed `bestsubset` console script, in the current
 # directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
 # oracle for each family, two cox searches run twice with the same bytes,
+# a separated binomial dataset whose gsection and fixed-k (k = 12) fits stop
+# at their certificate and, run twice, give the same bytes,
 # a cox oracle whose refused bound fits stay silent, the oracle past the
 # default p cap, CSVs with a byte-order mark, and the input checks of gen,
 # fit and bench, with the exact refusals of a repeated header name, a
 # response that names one column twice, a repeated bench method, a bench
 # --methods with an empty field, a --q that contradicts --beta, a --beta
 # with an empty field or a non-finite value, a bench --k-max above spdas's
-# cap (refused before any replication draws), a gen --n below 2 and an
-# out-of-range size.  gsection reports are piped into a JSON parser, since
+# cap (refused before any replication draws), a gen --n below 2, a negative
+# gen --seed and an out-of-range size.  gsection reports are piped into a JSON parser, since
 # its trace lines go to stderr.
 # Usage: bash console-smoke.sh
 set -eo pipefail
@@ -66,6 +68,19 @@ for method in sequential gsection; do
   done
   cmp cox-$method-1.json cox-$method-2.json
   cmp cox-$method-1.err cox-$method-2.err
+done
+# n 60 at p 40: most binomial sizes separate the classes, and each such fit
+# stops at its separation certificate; the same CSV gives the same bytes
+bestsubset gen --family binomial --n 60 --p 40 --q 3 --seed 1 --output sep.csv
+for method in gsection one; do
+  k=()
+  if [ $method = one ]; then k=(-k 12); fi
+  for run in 1 2; do
+    bestsubset fit --input sep.csv --family binomial --method $method "${k[@]}" \
+      --output sep-$method-$run.json 2> sep-$method-$run.err
+  done
+  cmp sep-$method-1.json sep-$method-2.json
+  cmp sep-$method-1.err sep-$method-2.err
 done
 # 7 of the 22 bound fits of this cox oracle raise or warn; the search
 # refuses them without a word on stderr
@@ -125,6 +140,9 @@ test ! -e wide.csv
 refused "n must be in [2, inf], got 1" \
   bestsubset gen --family gaussian --n 1 --p 3 --q 1 --output bad.csv
 test ! -e bad.csv
+refused "seed must be in [0, inf], got -1" \
+  bestsubset gen --family gaussian --n 20 --p 4 --q 1 --seed -1 --output seed.csv
+test ! -e seed.csv
 cp d.csv tail.csv
 printf '1,2,3,4,5,6,7,8,oops\r\n' >> tail.csv
 must_fail bestsubset fit --input tail.csv --family gaussian --method one -k 1 2> tail.err

@@ -41,6 +41,7 @@ class GenConfig:
         as_size(self.n, "n", 2, math.inf)
         as_size(self.p, "p", 1, math.inf)
         as_size(self.q, "q", 0, self.p)
+        as_size(self.seed, "seed", 0, math.inf)
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.rho):

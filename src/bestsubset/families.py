@@ -67,7 +67,8 @@ class CoefficientModel:
     :func:`as_set` keeps as sorted distinct indices in [0, p);
     ``intercept`` is nonzero only for the binomial family.  ``loss`` is the
     family loss at these coefficients as computed by :func:`fit_active`,
-    None for a model built by hand.
+    None for a model built by hand; ``separated`` marks a binomial fit
+    stopped at its separation certificate, above the loss's infimum 0.
     """
 
     beta: np.ndarray
@@ -76,6 +77,7 @@ class CoefficientModel:
     solver_converged: bool = True
     solver_iterations: int = 0
     loss: float | None = None
+    separated: bool = False
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float)
@@ -369,10 +371,10 @@ def quiet_fit(fn, *args):
     return None if caught else result
 
 
-def _model(d, active, coef, intercept, converged, iterations, value):
+def _model(d, active, coef, intercept, converged, iterations, value, separated=False):
     beta = np.zeros(d.dataset.p)
     beta[list(active)] = coef
-    return CoefficientModel(beta, intercept, active, converged, iterations, value)
+    return CoefficientModel(beta, intercept, active, converged, iterations, value, separated)
 
 
 def _fit_gaussian(d, active):
@@ -392,7 +394,12 @@ def _fit_binomial(d, active):
         eta = Z @ c
         return _binomial_loss(eta, y), eta
 
+    def separates(eta):  # every row strictly correct: no minimizer exists
+        return bool(np.all((2.0 * y - 1.0) * eta > 0.0))
+
     def derivatives(eta):
+        if separates(eta):
+            return np.zeros(Z.shape[1]), None
         prob = _sigmoid(eta)
         w = np.maximum(prob * (1.0 - prob), IRLS_WEIGHT_FLOOR)
         return Z.T @ (prob - y), Z.T @ (Z * w[:, None])
@@ -400,7 +407,8 @@ def _fit_binomial(d, active):
     coef, value, converged, iterations = _damped_newton(
         objective, derivatives, np.zeros(Z.shape[1])
     )
-    return _model(d, active, coef[1:], float(coef[0]), converged, iterations, value)
+    return _model(d, active, coef[1:], float(coef[0]), converged, iterations, value,
+                  separates(Z @ coef))
 
 
 def _fit_cox(d, active, context, start):
@@ -450,9 +458,10 @@ def fit_active(
     warm fit moves only the last digits (:class:`Problem` says how far); on
     collinear columns, where the minimizer is not unique, it can reach
     another minimizer of equal loss.
-    Gaussian fits do not iterate.  Binomial ignores ``start``: a separated
-    fit ends wherever its iteration stops, so it depends on the start, and
-    no separation certificate guards it yet.
+    Gaussian fits do not iterate.  A binomial fit stops, converged and
+    flagged ``separated``, at the first iterate that classifies every row
+    strictly correctly; that iterate depends on the start, so binomial
+    ignores ``start``.
     """
     _check_family(family, d)
     active = as_set(active_set, d.dataset.p)

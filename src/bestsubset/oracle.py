@@ -48,17 +48,19 @@ def _lower_bound(family: ModelFamily, d: StandardizedDataset, superset) -> float
 
     The loss of the fit on ``superset`` is one only when that fit is a
     minimum: it fits within the family's size cap,
-    :func:`~bestsubset.families.quiet_fit` accepts it, it converged, and it
-    is not separated (a separated fit stops short of its infimum with
-    ``converged`` set, so any |eta| at ``LINEAR_PREDICTOR_CLIP`` disqualifies
-    it).  It never enters the memo, as no leaf of this search is as large
-    as a superset.
+    :func:`~bestsubset.families.quiet_fit` accepts it, and it converged.  A
+    fit flagged ``separated`` stops above its infimum, so it gives 0; an
+    unflagged binomial or cox fit may still be quasi-separated, so any |eta|
+    at ``LINEAR_PREDICTOR_CLIP`` disqualifies it.  It never enters the
+    memo, as no leaf of this search is as large as a superset.
     """
     if len(superset) > family.max_size(d.dataset.n, d.dataset.p):
         return -math.inf
     model = quiet_fit(fit_active, family, d, superset)
     if model is None or not model.solver_converged:
         return -math.inf
+    if model.separated:
+        return 0.0
     if family.tag != "gaussian":
         eta = model.intercept + _active_predictor(d.dataset.X, model)
         if np.max(np.abs(eta)) >= LINEAR_PREDICTOR_CLIP:

@@ -47,6 +47,10 @@ class PdasOutput:
         return self.model.loss
 
     @property
+    def separated(self) -> bool:
+        return self.model.separated
+
+    @property
     def k(self) -> int:
         return len(self.model.active_set)
 

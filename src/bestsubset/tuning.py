@@ -9,11 +9,11 @@ and the sweep stops: the path is then a prefix of the full one and the
 choice is the same.  The bound is the deviance of the converged fit on all p
 columns when ``k_max`` is p (every fit is a restricted one), else 0 for
 binomial and cox (the loss is nonnegative); gaussian gets none otherwise.
-The full-fit bound is exact only for a true minimum: a separated fit stops
-about 2-6e-8 above its infimum, flagged converged, so a path size can beat
-its loss; no choice has been seen to change.  ``FitPath.stop`` says why the
-sweep ended.  The golden-section search brackets the `elbow' of the
-loss-versus-k curve; interval ends are held, not re-solved
+A full fit flagged ``separated`` stops above its infimum 0, so it gives
+the bound 0 instead (a monotone cox fit is not flagged).  ``FitPath.stop``
+says why the sweep ended.  The golden-section search brackets the `elbow'
+of the loss-versus-k curve, reading a flagged size's loss as its infimum
+0; interval ends are held, not re-solved
 (:func:`golden_section_search` lists the sizes each iteration solves).
 The iteration count is not O(log k_max): when the loss is flat
 left of the split, the left end resets to 1, so the search can run many
@@ -97,8 +97,9 @@ class SelectionReport:
     """A model at one subset size with its criteria and diagnostics.
 
     Both the selected model and every entry of a :class:`FitPath` are
-    reports; ``method`` and ``criterion`` say how the size was chosen, and
-    ``criteria`` is the dict :func:`criteria` returns.
+    reports; ``method`` and ``criterion`` say how the size was chosen,
+    ``criteria`` is the dict :func:`criteria` returns and ``separated`` is
+    the model's flag.
     """
 
     family: str
@@ -114,6 +115,7 @@ class SelectionReport:
     pdas_iterations: int
     pdas_converged: bool
     solver_converged: bool
+    separated: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +158,7 @@ def fixed_k_report(family, d, out: PdasOutput, method: str, criterion: str):
         pdas_iterations=out.iterations,
         pdas_converged=out.converged,
         solver_converged=model.solver_converged,
+        separated=model.separated,
     )
 
 
@@ -174,20 +177,20 @@ def loglik_ceiling(family: ModelFamily, d: StandardizedDataset, k_max: int):
     """An upper bound on the log-likelihood of every fit of up to ``k_max``, or None.
 
     With ``k_max`` = p the converged fit on all p columns bounds every
-    restricted fit.  That fit is always made, through ``families.quiet_fit``
-    (a memo hit could not say it warned), and kept in the memo unless the
-    helper refuses it.  Otherwise binomial and cox losses are nonnegative,
-    so the bound is 0, and gaussian has none.  A separated full fit gives a
-    bound a few 1e-8 too low (see the module notes); the oracle's |eta| test
-    is not used to refuse it, as it fires on most benchmark cox full fits
-    and would drop the bound that ends those sweeps early.
+    restricted fit, unless it is flagged ``separated``.  That fit is always
+    made, through ``families.quiet_fit`` (a memo hit could not say it
+    warned), and kept in the memo unless the helper refuses it.  Otherwise
+    binomial and cox losses are nonnegative, so the bound is 0, and
+    gaussian has none.  The oracle's |eta| test is not used to refuse a
+    cox full fit, as it fires on most benchmark cox full fits and would
+    drop the bound that ends those sweeps early.
     """
     n, p = d.dataset.n, d.dataset.p
     if k_max == p:
         full = quiet_fit(fit_active, family, d, range(p))
         if full is not None:
             problem(d).add(full)
-            if full.solver_converged:
+            if full.solver_converged and not full.separated:
                 return loglik_from_loss(family, n, full.loss)
     return None if family.tag == "gaussian" else 0.0
 
@@ -275,7 +278,8 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
     """Drive the elbow search over an abstract solver.
 
     ``run(k, prev)`` must fit size k, warm started from the previous output
-    ``prev`` (or None), and return an object with a ``loss`` attribute.
+    ``prev`` (or None), and return an object with a ``loss`` attribute; one
+    whose ``separated`` attribute is true is compared at its infimum 0.
     Returns ``(output, rows, reason, calls)``; ``calls`` counts the ``run``
     calls made.  Interval ends are held, not re-solved.
 
@@ -297,6 +301,9 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         solved.append(k)
         return run(k, prev)
 
+    def level(out):
+        return 0.0 if getattr(out, "separated", False) else out.loss
+
     k_left, k_right = 1, k_max
     out_left = first = solve(1, None)
     out_right = solve(k_max, None)
@@ -309,16 +316,16 @@ def golden_section_search(run, k_max: int, eta: float, m_max: int):
         out_mid = solve(k_mid, out_mid)
         rows.append((m, k_left, k_mid, k_right))
 
-        loss_mid = out_mid.loss
+        loss_mid = level(out_mid)
         tol = eta * max(abs(loss_mid), LOSS_FLOOR)
-        drop_in = abs(loss_mid - solve(k_mid - 1, out_mid).loss) > tol
+        drop_in = abs(loss_mid - level(solve(k_mid - 1, out_mid))) > tol
         # k_M + 1 is solved only to confirm a drop: without one there is no elbow
-        if drop_in and abs(loss_mid - solve(k_mid + 1, out_mid).loss) < tol / 2.0:
+        if drop_in and abs(loss_mid - level(solve(k_mid + 1, out_mid))) < tol / 2.0:
             reason = "elbow"
             break
 
-        gap_left = abs(loss_mid - out_left.loss)
-        gap_right = abs(out_right.loss - loss_mid)
+        gap_left = abs(loss_mid - level(out_left))
+        gap_right = abs(level(out_right) - loss_mid)
         if gap_left > tol > gap_right:
             k_right, out_right = k_mid, out_mid
         elif min(gap_left, gap_right) > tol:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bestsubset
-from bestsubset import bench
+from bestsubset import bench, datagen
 from bestsubset.bench import BenchScenario
 from bestsubset.cli import _sparse_coefficients, main
 from bestsubset.data import Continuous, Dataset, save_csv
@@ -255,6 +255,28 @@ class TestRejectedScenarios:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_negative_seed_refused_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # numpy's own check, inside the draw, names no field
+        draws = []
+
+        def counting_design(*args):
+            draws.append(args)
+            return gen_design(*args)
+
+        monkeypatch.setattr(datagen, "gen_design", counting_design)
+        monkeypatch.setattr(bench, "gen_design", counting_design)
+        argv = [command, "--family", "gaussian", "--n", 20, "--p", 4, "--q", 1,
+                "--seed", -1, "--output", tmp_path / "out.csv"]
+        if command == "bench":
+            argv += ["--reps", 1, "--details", tmp_path / "details.json"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be in [0, inf], got -1\n"
+        assert captured.out == "" and draws == [] and list(tmp_path.iterdir()) == []
 
     def test_spdas_k_max_above_the_cap_fails_before_any_draw(
         self, tmp_path, capsys, monkeypatch

@@ -276,9 +276,15 @@ class TestCensoringHorizon:
          "explicit beta must be finite, got nan"),
         (lambda: GenConfig(n=10, p=2, q=2, family="cox", beta=(1.0, -math.inf)),
          "explicit beta must be finite, got -inf"),
+        # unchecked, numpy refuses -1 without naming the field, fails on 1.5
+        # inside the draw and draws True as seed 1
+        (lambda: GenConfig(n=10, p=3, q=1, seed=-1), "seed must be in [0, inf], got -1"),
+        (lambda: GenConfig(n=10, p=3, q=1, seed=1.5), "seed must be in [0, inf], got 1.5"),
+        (lambda: GenConfig(n=10, p=3, q=1, seed=True), "seed must be in [0, inf], got True"),
     ],
     ids=["config-n", "config-n-float", "config-p", "config-signs", "gen-response-family",
-         "config-q-beta", "config-beta-nan", "config-beta-inf"],
+         "config-q-beta", "config-beta-nan", "config-beta-inf", "config-seed-negative",
+         "config-seed-float", "config-seed-bool"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import re
 import sys
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from bestsubset import families
-from bestsubset.data import Continuous, Dataset, Survival, standardize
+from bestsubset.bench import BenchScenario, run_replication
+from bestsubset.data import Binary, Continuous, Dataset, Survival, standardize
 from bestsubset.datagen import GenConfig, gen_dataset
 from bestsubset.families import (
     LINEAR_PREDICTOR_CLIP,
@@ -35,7 +37,7 @@ from bestsubset.families import (
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import null_fit, pdas
 from bestsubset.tuning import gpdas, spdas
-from conftest import random_standardized
+from conftest import random_standardized, replication_draw
 
 GAUSSIAN = ModelFamily("gaussian")
 BINOMIAL = ModelFamily("binomial")
@@ -1000,3 +1002,138 @@ class TestWarmStartGuard:
         start = fit_active(family, sd, (0, 1))
         cold = fit_active(family, sd, (0, 1, 2))
         assert_same_model(fit_active(family, sd, (0, 1, 2), start), cold)
+
+
+# the logit_reps benchmark scenario (the acceptance-05 binomial one)
+LOGIT_REPS = BenchScenario(
+    family="binomial", n=500, p=100, q=5, holdout=1000, seed=200,
+    methods=("spdas", "gpdas"), criterion="ebic", reps=3,
+)
+
+
+def separated_by_first_column():
+    """n 20, p 2 and y = x1 > 0: the first column separates the classes."""
+    X = np.random.default_rng(0).standard_normal((20, 2))
+    return standardize(Dataset(X, Binary((X[:, 0] > 0).astype(float))))
+
+
+def strictly_separates(sd, model):
+    """Whether ``(2y - 1) * eta > 0`` holds on every row at ``model``."""
+    eta = model.intercept + sd.dataset.X @ model.beta
+    return bool(np.all((2.0 * sd.dataset.response.y - 1.0) * eta > 0.0))
+
+
+def uncertified_binomial_fit(sd, active):
+    """The binomial Newton run without the separation stop, as
+    ``(coef, loss, converged, iterations)`` with the intercept first."""
+    y = sd.dataset.response.y
+    Z = np.column_stack([np.ones(sd.dataset.n), sd.dataset.X[:, list(active)]])
+
+    def objective(c):
+        eta = Z @ c
+        return families._binomial_loss(eta, y), eta
+
+    def derivatives(eta):
+        prob = _sigmoid(eta)
+        w = np.maximum(prob * (1.0 - prob), families.IRLS_WEIGHT_FLOOR)
+        return Z.T @ (prob - y), Z.T @ (Z * w[:, None])
+
+    return families._damped_newton(objective, derivatives, np.zeros(Z.shape[1]))
+
+
+def replication_fits(reps):
+    """``(dataset, model)`` of every fit ``run_replication`` makes on LOGIT_REPS."""
+    fits = []
+    fit = families.fit_active
+
+    def recording(family, sd, active, start=None):
+        model = fit(family, sd, active, start)
+        fits.append((sd, model))
+        return model
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "fit_active", recording)
+        for rep in reps:
+            run_replication(LOGIT_REPS, rep)
+    return fits
+
+
+# Unflagged binomial fits, pinned before the separation stop existed: the
+# spdas k = 5 entries of LOGIT_REPS replications 0-2, then corpus sets, as
+# (sha256 of beta in float32, first 16 hex digits; intercept; loss).  The
+# pins hold at float32 precision, since the BLAS kernel moves the last bits
+# of a Newton fit between CPUs; test_unflagged_fits_take_the_uncertified_path
+# checks the bits on the CPU at hand.
+UNFLAGGED_BITS = {
+    ("rep", 0): ((7, 28, 52, 56, 74), "e985db27c81cf120", "-7.609169711e-01",
+                 "5.985046459e+01"),
+    ("rep", 1): ((5, 10, 60, 86, 98), "ef3bd277bd3993c2", "-4.579191943e-01",
+                 "5.817516205e+01"),
+    ("rep", 2): ((6, 13, 57, 86, 92), "129365369ba360ae", "-1.893905634e-01",
+                 "6.131241217e+01"),
+    ("corpus", 0, (6, 11, 27, 28, 32)): ("8e552daf720f9047", "1.278541175e+00",
+                                          "1.278674363e+01"),
+    ("corpus", 0, tuple(range(20))): ("c6a007028e854cfe", "1.483572462e-01",
+                                       "1.108487895e+02"),
+    ("corpus", 3, (3, 8, 20)): ("7af318691278f684", "1.271382777e-02", "7.093533399e+01"),
+    ("corpus", 3, tuple(range(10))): ("3e3d1ef06a20a0b7", "4.955003244e-02",
+                                       "1.066055809e+02"),
+}
+
+
+def bits(model):
+    digest = hashlib.sha256(np.asarray(model.beta, dtype=np.float32).tobytes()).hexdigest()
+    return digest[:16], format(model.intercept, ".9e"), format(model.loss, ".9e")
+
+
+class TestSeparationCertificate:
+    def test_hand_case(self):
+        sd = separated_by_first_column()
+        model = fit_active(BINOMIAL, sd, (0,))
+        assert model.separated and model.solver_converged
+        assert model.solver_iterations == 2
+        assert strictly_separates(sd, model)
+        # the loss at the returned coefficients, not the infimum 0
+        assert loss(BINOMIAL, sd, model) == model.loss > 0.0
+        other = fit_active(BINOMIAL, sd, (1,))
+        assert not other.separated and other.solver_converged
+        assert not strictly_separates(sd, other)
+
+    def test_flagged_replication_fits_separate_and_refit_alike(self):
+        flagged = [(sd, m) for sd, m in replication_fits((0, 1)) if m.separated]
+        assert len(flagged) > 10
+        for sd, model in flagged:
+            assert model.solver_converged and strictly_separates(sd, model)
+            # perfbench's op check: a cold refit reports the same loss
+            refit = fit_active(BINOMIAL, sd, model.active_set)
+            assert refit.separated and refit.loss == model.loss
+            np.testing.assert_array_equal(refit.beta, model.beta)
+            assert loss(BINOMIAL, sd, model) == pytest.approx(model.loss, rel=1e-12)
+
+    def test_unflagged_fits_take_the_uncertified_path(self):
+        unflagged = [(sd, m) for sd, m in replication_fits((0,)) if not m.separated]
+        assert len(unflagged) > 10
+        for sd, model in unflagged:
+            coef, value, converged, iterations = uncertified_binomial_fit(sd, model.active_set)
+            assert (value, converged, iterations) == (
+                model.loss, model.solver_converged, model.solver_iterations
+            )
+            assert coef[0] == model.intercept
+            np.testing.assert_array_equal(coef[1:], model.beta[list(model.active_set)])
+
+    @pytest.mark.parametrize("rep", [0, 1, 2])
+    def test_replication_bits_are_pinned(self, rep):
+        sd = standardize(replication_draw(LOGIT_REPS, rep))
+        path, _ = spdas(BINOMIAL, sd, criterion="ebic")
+        entry = path.entry_for(5)
+        active, *pinned = UNFLAGGED_BITS["rep", rep]
+        assert entry.active_set == active and bits(entry) == tuple(pinned)
+
+    @pytest.mark.parametrize(
+        "key", [key for key in UNFLAGGED_BITS if key[0] == "corpus"], ids=str
+    )
+    def test_corpus_bits_are_pinned(self, key):
+        _, seed, active = key
+        config = GenConfig(n=200, p=40, q=5, family="binomial", rho=0.5, seed=seed)
+        model = fit_active(BINOMIAL, standardize(gen_dataset(config)[0]), active)
+        assert bits(model) == UNFLAGGED_BITS[key]

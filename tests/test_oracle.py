@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -116,9 +117,10 @@ def duplicated_column():
     return with_copied_column(2, 5, n=60, p=8, q=2, seed=4)
 
 
-# Separated binomial fits report convergence at a loss near 0, which bounds
-# nothing; the seed-0 n20 case and the cox seed-5 case return another set
-# when that check is dropped (TestBranchAndBound).
+# Separated binomial fits stop at their certificate, converged, above their
+# infimum 0, so their loss bounds nothing; the seed-0 n20 case and the cox
+# seed-5 case return another set when the flag and the |eta| test are
+# dropped (TestBranchAndBound).
 SEPARATED_BINOMIAL = [
     pytest.param(
         "binomial", dict(n=n, p=8, q=2, family="binomial", rho=0.5, seed=seed), 3,
@@ -286,8 +288,13 @@ class TestBranchAndBound:
         family, sd = corpus_instance(family, spec)
         want = enumerate_best_subset(family, sd, k).active_set
         assert exhaustive_best_subset(family, sd, k).active_set == want
-        # trusting the converged flag of a separated fit loses the optimum
+        # trusting the loss of a separated fit loses the optimum: a binomial
+        # fit is caught by its flag, a cox one by the |eta| test; drop both
         monkeypatch.setattr(oracle, "LINEAR_PREDICTOR_CLIP", math.inf)
+        monkeypatch.setattr(
+            oracle, "fit_active",
+            lambda *args: dataclasses.replace(fit_active(*args), separated=False),
+        )
         assert exhaustive_best_subset(family, sd, k).active_set != want
 
     def test_bound_fit_warnings_do_not_escape(self, monkeypatch):

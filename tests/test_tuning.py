@@ -47,7 +47,7 @@ LONG_SEARCHES = [
     GenConfig(n=500, p=100, q=5, family="binomial", seed=3),
 ]
 # iterations of each LONG_SEARCHES search whose split passed the drop test
-LONG_SEARCH_DROPS = {"gaussian": 9, "binomial": 0}
+LONG_SEARCH_DROPS = {"gaussian": 9, "binomial": 1}
 # the behaviour-corpus scenarios and the acceptance gate-02 instance, with k_max
 GATE_02_BETA = (4.0, -3.5, 3.0, -2.5, 2.0, -1.5) + (0.0,) * 19
 HELD_END_SEARCHES = [
@@ -94,8 +94,13 @@ def five_call_search(run, k_max, eta, m_max):
     """The former search loop, which solved both interval ends every iteration.
 
     It solves k_M + 1 whatever the drop test says; the last value returned
-    is the number of iterations whose split passed that test.
+    is the number of iterations whose split passed that test.  An output
+    flagged ``separated`` is compared at its infimum 0, as the search does.
     """
+
+    def level(out):
+        return 0.0 if getattr(out, "separated", False) else out.loss
+
     k_left, k_right = 1, k_max
     prev_left = prev_right = prev_mid = None
     rows = []
@@ -108,17 +113,17 @@ def five_call_search(run, k_max, eta, m_max):
         out_mid = run(k_mid, prev_mid)
         rows.append((m, k_left, k_mid, k_right))
 
-        loss_mid = out_mid.loss
+        loss_mid = level(out_mid)
         tol = eta * max(abs(loss_mid), LOSS_FLOOR)
-        drop_in = abs(loss_mid - run(k_mid - 1, out_mid).loss) > tol
-        flat_out = abs(loss_mid - run(k_mid + 1, out_mid).loss) < tol / 2.0
+        drop_in = abs(loss_mid - level(run(k_mid - 1, out_mid))) > tol
+        flat_out = abs(loss_mid - level(run(k_mid + 1, out_mid))) < tol / 2.0
         drops += drop_in
         if drop_in and flat_out:
             reason = "elbow"
             break
 
-        gap_left = abs(loss_mid - out_left.loss)
-        gap_right = abs(out_right.loss - loss_mid)
+        gap_left = abs(loss_mid - level(out_left))
+        gap_right = abs(level(out_right) - loss_mid)
         if gap_left > tol > gap_right:
             k_right, prev_right = k_mid, out_mid
         elif min(gap_left, gap_right) > tol:
@@ -444,8 +449,9 @@ class TestSpdas:
 
 # (config, k_max): k_max = p bounds by the fit on all p columns; below p,
 # binomial and cox bound by 0 and gaussian has no bound.  The last two
-# full fits are separated: "converged" at loss ~5e-8, above the loss some
-# path sizes reach, so their bound is not exact.
+# full fits are separated.  The binomial one is flagged, so it bounds by 0;
+# the cox one (monotone, unflagged) is "converged" at loss ~5e-8, above
+# the loss some path sizes reach, so its bound is not exact.
 STOP_CORPUS = [
     (GenConfig(n=100, p=12, q=3, rho=0.2, seed=41), None),
     (GenConfig(n=100, p=30, q=3, rho=0.2, seed=42), 20),
@@ -598,6 +604,13 @@ class TestCertifiedStop:
         tuning_module = importlib.import_module("bestsubset.tuning")
         monkeypatch.setattr(tuning_module, "fit_active", lambda *args: stalled)
         assert loglik_ceiling(family, sd, 6) == 0.0
+
+    def test_separated_full_fit_gives_the_zero_bound(self):
+        family, sd, k_max = stop_instance(*STOP_CORPUS[6], 0)
+        full = fit_active(family, sd, range(sd.dataset.p))
+        # its loss is the loss at its certificate, above its infimum 0
+        assert full.separated and full.solver_converged and full.loss > 0.0
+        assert loglik_ceiling(family, sd, k_max) == 0.0
 
     @pytest.mark.parametrize("tag, bound", [("gaussian", None), ("binomial", 0.0), ("cox", 0.0)])
     def test_raising_full_fit_gives_the_fallback_bound(self, monkeypatch, tag, bound):
