@@ -60,8 +60,12 @@ def as_set(values, p: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class Continuous:
-    """Real-valued response vector."""
+class _Vector:
+    """A response held as one read-only 1-D vector ``y``.
+
+    A subclass checks the values in ``_check``; the shape error names the
+    subclass.
+    """
 
     columns: ClassVar[tuple[str, ...]] = ("y",)
     y: np.ndarray
@@ -69,9 +73,8 @@ class Continuous:
     def __post_init__(self):
         y = _frozen_array(self.y)
         if y.ndim != 1:
-            raise ValueError("continuous response must be a 1-D vector")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("continuous response contains non-finite values")
+            raise ValueError(f"{type(self).__name__.lower()} response must be a 1-D vector")
+        self._check(y)
         object.__setattr__(self, "y", y)
 
     def __len__(self):
@@ -79,22 +82,23 @@ class Continuous:
 
 
 @dataclass(frozen=True, eq=False)
-class Binary:
+class Continuous(_Vector):
+    """Real-valued response vector."""
+
+    @staticmethod
+    def _check(y):
+        if not np.all(np.isfinite(y)):
+            raise ValueError("continuous response contains non-finite values")
+
+
+@dataclass(frozen=True, eq=False)
+class Binary(_Vector):
     """0/1 response vector."""
 
-    columns: ClassVar[tuple[str, ...]] = ("y",)
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = _frozen_array(self.y)
-        if y.ndim != 1:
-            raise ValueError("binary response must be a 1-D vector")
+    @staticmethod
+    def _check(y):
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise ValueError("binary response out of range: values must be 0 or 1")
-        object.__setattr__(self, "y", y)
-
-    def __len__(self):
-        return self.y.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,21 +107,14 @@ class Survival:
 
     ``status`` is 1 where the event was observed and 0 where the observation
     was censored.  Times must be strictly positive and at least one event is
-    required, otherwise the partial likelihood is vacuous.
-
-    The risk-set layout is derived once here: ``order`` sorts the rows by
-    descending time, ``events`` flags the events in that order, and the
-    risk set of the row at sorted position i is the prefix
-    [0, ``risk_end[i]``) (ties included), so every risk-set sum is a
-    cumulative sum.
+    required, otherwise the partial likelihood is vacuous.  The risk-set
+    layout the cox family reads is derived from these two vectors once per
+    standardized dataset, by ``families.Problem``.
     """
 
     columns: ClassVar[tuple[str, ...]] = ("time", "status")
     time: np.ndarray
     status: np.ndarray
-    order: np.ndarray = field(init=False, repr=False)
-    events: np.ndarray = field(init=False, repr=False)
-    risk_end: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         time = _frozen_array(self.time)
@@ -132,13 +129,6 @@ class Survival:
             raise ValueError("no events: all observations are censored")
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "status", status)
-        order = np.argsort(-time, kind="stable")
-        neg_sorted = -time[order]
-        # number of observations with time >= the sorted one's (ties included)
-        risk_end = np.searchsorted(neg_sorted, neg_sorted, side="right")
-        object.__setattr__(self, "order", _frozen_array(order, dtype=np.intp))
-        object.__setattr__(self, "events", _frozen_array(status[order] == 1.0, dtype=bool))
-        object.__setattr__(self, "risk_end", _frozen_array(risk_end, dtype=np.intp))
 
     def __len__(self):
         return self.time.shape[0]

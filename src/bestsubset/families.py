@@ -105,22 +105,36 @@ class Problem:
     first, as every family reads the one memo.  Dropping the oldest changes
     no selection; a cox fit's last digits (<= 1e-12 relative in the loss,
     the Newton tolerance in beta) can depend on which warm start fitted the
-    set first.  ``risk_design`` is the cox design with rows in risk order
-    and ``zero_loss`` the cox loss at beta = 0.  It holds no reference to
-    the dataset, so the two form no cycle.  No lock guards it, so the
-    dataset stays picklable: concurrent calls each drop the oldest sets
-    until the memo fits, and none raises, but threads' first calls can each
-    make a context, and all but one are dropped, which costs refits, not
-    errors.
+    set first.
+
+    A cox problem also holds the risk-set layout, which no other module
+    derives.  ``order`` sorts the rows by descending time (risk order);
+    ``events`` are the events' positions in that order and ``event_ends``
+    the last row of each one's risk set, ties included, so a risk-set sum
+    is a cumulative sum read at an end.  ``tied`` says whether some event's
+    time equals another row's.  ``risk_design`` is the design with rows in
+    risk order and ``zero_loss`` the loss at beta = 0.
+
+    A problem holds no reference to the dataset, so the two form no cycle.
+    No lock guards it, so the dataset stays picklable: concurrent calls
+    each drop the oldest sets until the memo fits, and none raises, but
+    threads' first calls can each make a problem, and all but one are
+    dropped, which costs refits, not errors.
     """
 
     def __init__(self, d: StandardizedDataset):
         self.fits, self.capacity = {}, d.dataset.n // 2
         resp = d.dataset.response
-        self.risk_design = self.zero_loss = None
         if isinstance(resp, Survival):
-            self.risk_design = d.dataset.X[resp.order]
-            self.zero_loss = _cox_loss(np.zeros(d.dataset.n), resp)
+            self.order = np.argsort(-resp.time, kind="stable")
+            neg_sorted = -resp.time[self.order]
+            self.events = np.flatnonzero(resp.status[self.order] == 1.0)
+            # the rows tied with an event are [first, end) in risk order
+            first = np.searchsorted(neg_sorted, neg_sorted[self.events], side="left")
+            end = np.searchsorted(neg_sorted, neg_sorted[self.events], side="right")
+            self.event_ends, self.tied = end - 1, bool(np.any(end - first > 1))
+            self.risk_design = d.dataset.X[self.order]
+            self.zero_loss = _cox_loss(np.zeros(d.dataset.n), self)
 
     def _hold(self, entry: tuple) -> None:
         self.fits[entry[0].active_set] = entry  # a held set keeps its place
@@ -172,56 +186,51 @@ def _binomial_loss(eta: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
 
 
-def _cox_log_risk(eta_sorted: np.ndarray, risk_end: np.ndarray):
-    """log of risk-set sums of exp(eta), shift-stabilized, plus the weights."""
+def _cox_weights(eta_sorted: np.ndarray):
+    """``(shift, w, cumsum(w))`` with ``w = exp(eta - shift)``, shift the max eta."""
     shift = eta_sorted.max()
     w = np.exp(eta_sorted - shift)
-    cw = np.cumsum(w)
-    log_risk = shift + np.log(cw[risk_end - 1])
-    return log_risk, w, cw
+    return shift, w, np.cumsum(w)
 
 
-def _cox_loss(eta_sorted: np.ndarray, resp: Survival) -> float:
-    log_risk, _, _ = _cox_log_risk(eta_sorted, resp.risk_end)
-    return float(np.sum(log_risk[resp.events] - eta_sorted[resp.events]))
+def _cox_loss(eta_sorted: np.ndarray, context: Problem) -> float:
+    shift, _, cw = _cox_weights(eta_sorted)
+    log_risk = shift + np.log(cw[context.event_ends])
+    return float(np.sum(log_risk - eta_sorted[context.events]))
 
 
-def _monotone(eta_sorted: np.ndarray, resp: Survival) -> bool:
+def _monotone(eta_sorted: np.ndarray, context: Problem) -> bool:
     """Whether ``eta_sorted`` certifies a monotone partial likelihood.
 
     It does when every event's eta is strictly above the running max of the
     rows before it in risk order, which is then every other row of its risk
     set: scaling beta up drives the loss to its infimum 0, so the loss has
-    no minimizer.  An event whose time is tied never certifies (the risk set
-    then holds a row after it, and two tied events bound the loss above 0).
-    O(n).
+    no minimizer.  Data with a tied event time never certify (that risk set
+    then holds a row after the event, and two tied events bound the loss
+    above 0).  O(n).
     """
-    ev = np.flatnonzero(resp.events)
-    end = resp.risk_end
-    before = ev[ev > 0]
-    # a tie: the event's risk set reaches past it, or the previous row's reaches it
-    if np.any(end[ev] > ev + 1) or np.any(end[before - 1] > before):
+    if context.tied:
         return False
     prior = np.maximum.accumulate(np.concatenate(([-np.inf], eta_sorted[:-1])))
-    return bool(np.all(eta_sorted[ev] > prior[ev]))
+    return bool(np.all((eta_sorted > prior)[context.events]))
 
 
-def _cox_derivatives(Xs: np.ndarray, eta_sorted: np.ndarray, resp: Survival):
+def _cox_derivatives(Xs: np.ndarray, eta_sorted: np.ndarray, context: Problem):
     """Score, per-row weights ``u`` and event risk-set means ``xbar``.
 
-    ``Xs`` holds the columns of interest with rows in ``resp.order``.  With
-    ``w = exp(eta)`` and ``S0(e)`` the risk-set sum of ``w`` at event e,
-    ``xbar_e`` is the w-weighted mean of the rows at risk at e and
+    ``Xs`` holds the columns of interest with rows in ``context.order``.
+    With ``w = exp(eta)`` and ``S0(e)`` the risk-set sum of ``w`` at event
+    e, ``xbar_e`` is the w-weighted mean of the rows at risk at e and
     ``u_i = w_i * sum(1 / S0(e))`` over the events whose risk set holds
     row i.  The Hessian of the loss is then ``Xs' diag(u) Xs - xbar' xbar``.
     """
-    _, w, cw = _cox_log_risk(eta_sorted, resp.risk_end)
-    last = resp.risk_end[resp.events] - 1  # end row of each event's risk set
+    _, w, cw = _cox_weights(eta_sorted)
+    last = context.event_ends
     denom = cw[last]
     xbar = np.cumsum(w[:, None] * Xs, axis=0)[last] / denom[:, None]
     at_or_after = np.bincount(last, weights=1.0 / denom, minlength=w.shape[0])
     u = w * np.cumsum(at_or_after[::-1])[::-1]
-    score = -(Xs[resp.events] - xbar).sum(axis=0)
+    score = -(Xs[context.events] - xbar).sum(axis=0)
     return score, u, xbar
 
 
@@ -238,7 +247,8 @@ def loss(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel) -> fl
         return _gaussian_loss(resp.y - X @ m.beta)
     if family.tag == "binomial":
         return _binomial_loss(m.intercept + X @ m.beta, resp.y)
-    return _cox_loss((X @ m.beta)[resp.order], resp)
+    context = problem(d)
+    return _cox_loss((X @ m.beta)[context.order], context)
 
 
 def _active_predictor(X: np.ndarray, m: CoefficientModel) -> np.ndarray:
@@ -269,9 +279,9 @@ def grad_hess(family: ModelFamily, d: StandardizedDataset, m: CoefficientModel):
         g = X.T @ (prob - y)
         h = (X**2).T @ (prob * (1.0 - prob))
         return g, h
-    resp = d.dataset.response
-    Xs = problem(d).risk_design
-    g, u, xbar = _cox_derivatives(Xs, _active_predictor(X, m)[resp.order], resp)
+    context = problem(d)
+    Xs = context.risk_design
+    g, u, xbar = _cox_derivatives(Xs, _active_predictor(X, m)[context.order], context)
     h = u @ Xs**2 - (xbar**2).sum(axis=0)
     # exact h is nonnegative; clear roundoff dust
     np.maximum(h, 0.0, out=h)
@@ -414,23 +424,22 @@ def _fit_binomial(d, active):
 def _fit_cox(d, active, context, start):
     if not active:
         return _model(d, active, (), 0.0, True, 0, context.zero_loss)
-    resp = d.dataset.response
     XA = context.risk_design.take(list(active), axis=1)  # C order, the bits of a row gather
 
     def objective(c):
         eta = XA @ c
-        return _cox_loss(eta, resp), eta
+        return _cox_loss(eta, context), eta
 
     def derivatives(eta):
-        score, u, xbar = _cox_derivatives(XA, eta, resp)
+        score, u, xbar = _cox_derivatives(XA, eta, context)
         return score, XA.T @ (XA * u[:, None]) - xbar.T @ xbar
 
     if start is not None and start.solver_converged:
         coef = start.beta[list(active)]
         value, eta = objective(coef)
-        if np.any(coef) and value <= context.zero_loss and not _monotone(eta, resp):
+        if np.any(coef) and value <= context.zero_loss and not _monotone(eta, context):
             warm = quiet_fit(_damped_newton, objective, derivatives, coef)
-            if warm is not None and warm[2] and not _monotone(XA @ warm[0], resp):
+            if warm is not None and warm[2] and not _monotone(XA @ warm[0], context):
                 coef, value, _, iterations = warm
                 return _model(d, active, coef, 0.0, True, iterations, value)
     coef, value, converged, iterations = _damped_newton(

@@ -51,10 +51,11 @@ def criteria(loglik: float, k: int, n: int, p: int) -> dict[str, float]:
     """Information criteria from a log-likelihood and model size, by name.
 
     deviance = -2 loglik, aic = deviance + 2k, bic = deviance + k log n,
-    ebic = bic + 2k log p.
+    ebic = bic + 2k log p.  Sizes are checked by ``as_size``: n in [2, inf],
+    p in [1, inf] and k in [0, p].
     """
-    if n < 2 or p < 1 or k < 0:
-        raise ValueError("need n >= 2, p >= 1, k >= 0")
+    n, p = as_size(n, "n", 2, math.inf), as_size(p, "p", 1, math.inf)
+    k = as_size(k, "k", 0, p)
     deviance = -2.0 * loglik
     aic = deviance + 2.0 * k
     bic = deviance + k * math.log(n)
@@ -84,7 +85,8 @@ def check_epsilon(epsilon: float) -> None:
 
 
 def default_k_max(family: ModelFamily, n: int, p: int) -> int:
-    """Family-specific cap on candidate subset sizes."""
+    """Family-specific cap on candidate subset sizes; n and p as in :func:`criteria`."""
+    n, p = as_size(n, "n", 2, math.inf), as_size(p, "p", 1, math.inf)
     if family.tag == "gaussian":
         cap = min(n / 2, p)
     else:

@@ -4,7 +4,7 @@ Per family, one small dataset is solved by ``pdas`` at a fixed k, by
 ``spdas`` with EBIC and by ``gpdas``; the selected k, the active set, the
 gpdas trace and stop reason, and the loss (to 1e-9 relative) are pinned.
 So are ROADMAP item 1's regression cases (gpdas's size, stop reason,
-iterations and solver calls).
+iterations and solver calls), and one fixed-k run at a separated size.
 The pins record what the code did when they were taken: they are
 behaviour, not correctness, and exist so that a refactor of the solver
 shows "same selections, same losses" mechanically.  Work on the
@@ -74,6 +74,20 @@ ITEM_1_SEARCHES = {
                  (12, "interval-collapse", 66, 143)),
 }
 
+# A fixed-k pdas at a size where every fit separates the classes (the
+# console smoke's sep.csv, `fit --method one -k 12`): each fit stops at its
+# separation certificate, whose score is not near 0, so the sacrifices keep
+# moving: the run stops unconverged at a repeated set, after 9 sweeps, and
+# returns the lowest loss it visited.
+# Pinned as (k, active set, loss) and (sweeps, converged, separated); work
+# on separated sizes (ROADMAP items 1 and 3) is expected to change it, and
+# re-pins it with the reason.
+SEPARATED_CONFIG = GenConfig(n=60, p=40, q=3, family="binomial", seed=1)
+SEPARATED_PIN = (
+    (12, (3, 5, 6, 7, 8, 9, 10, 11, 14, 17, 24, 32), 3.398918959027479),
+    (9, False, True),
+)
+
 
 def _check(got, pinned):
     k, active, loss_value = pinned
@@ -113,3 +127,10 @@ def test_item_1_searches(family):
     report, trace = gpdas(ModelFamily(family), standardize(gen_dataset(config)[0]))
     assert (report.k, trace.reason, len(trace.rows), trace.pdas_calls) == pinned
     assert trace.terminal_k == report.k
+
+
+def test_separated_fixed_k_run():
+    out = pdas(ModelFamily("binomial"), standardize(gen_dataset(SEPARATED_CONFIG)[0]), 12)
+    pinned, run = SEPARATED_PIN
+    _check((out.k, out.model.active_set, out.loss), pinned)
+    assert (out.iterations, out.converged, out.separated) == run

@@ -36,7 +36,7 @@ from bestsubset.families import (
 )
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import null_fit, pdas
-from bestsubset.tuning import gpdas, spdas
+from bestsubset.tuning import criteria, default_k_max, gpdas, spdas
 from conftest import random_standardized, replication_draw
 
 GAUSSIAN = ModelFamily("gaussian")
@@ -468,8 +468,9 @@ class TestCoxDerivatives:
         ref_score, ref_H, _ = tensor_cox_derivatives(
             sd.dataset.X, resp.time, resp.status, beta
         )
-        Xs = sd.dataset.X[resp.order]
-        score, u, xbar = _cox_derivatives(Xs, Xs @ beta, resp)
+        context = families.problem(sd)
+        Xs = sd.dataset.X[context.order]
+        score, u, xbar = _cox_derivatives(Xs, Xs @ beta, context)
         H = Xs.T @ (Xs * u[:, None]) - xbar.T @ xbar
         np.testing.assert_allclose(score, ref_score, rtol=1e-10, atol=1e-10 * np.abs(ref_score).max())
         np.testing.assert_allclose(H, ref_H, rtol=1e-10, atol=1e-10 * np.abs(ref_H).max())
@@ -490,11 +491,17 @@ class TestCoxDerivatives:
     def test_risk_set_layout(self):
         sd = tied_censored_cox()
         resp = sd.dataset.response
-        t_sorted = resp.time[resp.order]
+        context = families.problem(sd)
+        t_sorted = resp.time[context.order]
         assert np.all(np.diff(t_sorted) <= 0)
-        np.testing.assert_array_equal(resp.events, resp.status[resp.order] == 1.0)
-        for i, end in enumerate(resp.risk_end):
-            assert end == np.sum(resp.time >= t_sorted[i])
+        np.testing.assert_array_equal(
+            context.events, np.flatnonzero(resp.status[context.order] == 1.0)
+        )
+        assert len(context.event_ends) == len(context.events)
+        for e, end in zip(context.events, context.event_ends):
+            assert end + 1 == np.sum(resp.time >= t_sorted[e])
+        assert context.tied
+        np.testing.assert_array_equal(context.risk_design, sd.dataset.X[context.order])
 
 
 class TestFitLoss:
@@ -531,8 +538,9 @@ def full_design_grad_hess(family, sd, m):
     if family.tag == "binomial":
         prob = _sigmoid(m.intercept + eta)
         return X.T @ (prob - resp.y), (X**2).T @ (prob * (1.0 - prob))
-    Xs = X[resp.order]
-    g, u, xbar = _cox_derivatives(Xs, eta[resp.order], resp)
+    context = families.problem(sd)
+    Xs = X[context.order]
+    g, u, xbar = _cox_derivatives(Xs, eta[context.order], context)
     return g, np.maximum(u @ Xs**2 - (xbar**2).sum(axis=0), 0.0)
 
 
@@ -615,8 +623,21 @@ class TestSolveSpd:
         (lambda: ModelFamily("poisson"), "unknown family 'poisson'"),
         (lambda: fit_active(GAUSSIAN, random_standardized("binomial", 20, 3, seed=1), (0,)),
          "family 'gaussian' does not match response type Binary"),
+        # the size rules of tuning's criteria and default cap: n = 1 used to
+        # divide by log(1) = 0, and 2.5, 1.5, True or k > p to give numbers
+        (lambda: default_k_max(ModelFamily("binomial"), 1, 5), "n must be in [2, inf], got 1"),
+        (lambda: default_k_max(ModelFamily("binomial"), 2.5, 5), "n must be in [2, inf], got 2.5"),
+        (lambda: default_k_max(GAUSSIAN, 10, 0), "p must be in [1, inf], got 0"),
+        (lambda: criteria(0.0, 1.5, 10, 5), "k must be in [0, 5], got 1.5"),
+        (lambda: criteria(0.0, True, 10, 5), "k must be in [0, 5], got True"),
+        (lambda: criteria(0.0, 6, 10, 5), "k must be in [0, 5], got 6"),
+        (lambda: criteria(0.0, -1, 10, 2), "k must be in [0, 2], got -1"),
+        (lambda: criteria(0.0, 1, 1, 5), "n must be in [2, inf], got 1"),
+        (lambda: criteria(0.0, 0, 10, 0), "p must be in [1, inf], got 0"),
     ],
-    ids=["unknown-family", "family-mismatch"],
+    ids=["unknown-family", "family-mismatch", "k-max-n-one", "k-max-n-float", "k-max-p-zero",
+         "criteria-k-float", "criteria-k-bool", "criteria-k-above-p", "criteria-k-negative",
+         "criteria-n-one", "criteria-p-zero"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -864,11 +885,13 @@ class TestPredictorReuse:
         assert reused.solver_iterations > 1
 
 
-def survival(times, status):
-    """A Survival response given in risk order (descending times)."""
-    resp = Survival(np.array(times, dtype=float), np.array(status, dtype=float))
-    assert np.array_equal(resp.order, np.arange(len(times)))
-    return resp
+def risk_context(times, status):
+    """The cox context of a dataset whose rows are given in risk order."""
+    X = np.arange(len(times), dtype=float)[:, None]
+    sd = standardize(Dataset(X, Survival(np.array(times, float), np.array(status, float))))
+    context = families.problem(sd)
+    assert np.array_equal(context.order, np.arange(len(times)))
+    return context
 
 
 def fit_and_warnings(family, sd, active, start=None):
@@ -912,10 +935,12 @@ class TestWarmStartGuard:
             ((4, 3, 3, 1), (1, 1, 0, 1), (0.0, 1.0, -9.0, 3.0), False),
             ((4, 3, 3, 1), (1, 0, 0, 1), (0.0, 1.0, 2.0, 3.0), True),
             ((2, 1), (0, 1), (0.0, 0.0), False),  # equal eta is not strictly above
+            # an event tied with the censored row before it
+            ((4, 3, 3, 1), (1, 0, 1, 1), (0.0, 1.0, 2.0, 3.0), False),
         ],
     )
     def test_monotone_hand_cases(self, times, status, eta, certified):
-        assert families._monotone(np.array(eta), survival(times, status)) is certified
+        assert families._monotone(np.array(eta), risk_context(times, status)) is certified
 
     def test_separated_set_keeps_the_cold_fit(self, monkeypatch):
         # oracle corpus case cox-censored-seed1: on (0, 2, 6) the loss has no
@@ -924,16 +949,16 @@ class TestWarmStartGuard:
         sd = standardize(gen_dataset(GenConfig(
             n=30, p=8, q=2, family="cox", rho=0.5, censor_rate=0.7, seed=1
         ))[0])
-        resp = sd.dataset.response
+        context = families.problem(sd)
         active = (0, 2, 6)
         cold, cold_warnings = fit_and_warnings(COX, sd, active)
         assert cold.loss < 1e-6
-        assert families._monotone((sd.dataset.X @ cold.beta)[resp.order], resp)
+        assert families._monotone((sd.dataset.X @ cold.beta)[context.order], context)
         # the warm run from the (0, 6) fit ends certified with no warning,
         # the one from the (0, 2) fit warns, and the nearby start certifies
         subsets = [fit_active(COX, sd, subset) for subset in ((0, 6), (0, 2))]
         for start in subsets:
-            assert not families._monotone((sd.dataset.X @ start.beta)[resp.order], resp)
+            assert not families._monotone((sd.dataset.X @ start.beta)[context.order], context)
         nearby = CoefficientModel(0.9 * cold.beta, 0.0, active)
         starts = newton_starts(monkeypatch)
         for start in (*subsets, nearby):
