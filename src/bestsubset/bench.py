@@ -113,6 +113,7 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
     d = standardize(Dataset(X, response))
 
     def method_row(model, elapsed):
+        """One method's record from its ``CoefficientModel``; a report is one."""
         tp, fp = tp_fp(model.active_set, truth)
         return {
             "k": len(model.active_set),

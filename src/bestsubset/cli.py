@@ -62,8 +62,8 @@ def _sparse_coefficients(names, beta):
 def _model_payload(family, method, model, meta):
     """Keys every model report has, plus the original-scale coefficients.
 
-    ``model`` is a :class:`SelectionReport` or a fitted ``CoefficientModel``
-    on the standardized scale; both carry the ``loss`` reported here.
+    ``model`` is a ``CoefficientModel`` on the standardized scale; a
+    :class:`SelectionReport` is one.
     """
     names = meta.dataset.names()
     intercept, beta_orig = destandardize_coefficients(model.beta, meta, model.intercept)

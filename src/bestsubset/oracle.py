@@ -80,9 +80,10 @@ def exhaustive_best_subset(
     branch and bound usually fits far fewer, at k = 1 just the p singletons.
     A leaf the dataset's memo holds is not fitted, and no set is fitted
     twice unless ``pdas`` here fitted more sets than the memo keeps (n / 2).
+    ``p_cap``, a size in [1, inf], refuses the search when p exceeds it.
     """
     n, p = d.dataset.n, d.dataset.p
-    if p > p_cap:
+    if p > as_size(p_cap, "p_cap", 1, math.inf):
         raise ValueError(f"refusing exhaustive search: p={p} exceeds p_cap={p_cap}")
     k = as_size(k, "k", 0, family.max_size(n, p))
     if k in (0, p):  # a single subset

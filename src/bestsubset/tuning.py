@@ -27,18 +27,19 @@ says what sharing changes), so ``GoldenSectionTrace.pdas_calls`` counts
 solver calls, not fits.
 
 Every size is reported by one builder, :func:`fixed_k_report`, as a
-:class:`SelectionReport`: each entry of the sequential path is one, and
-``spdas`` returns the entry it chose, not a copy of it.  Both searches take
+:class:`SelectionReport`: the ``CoefficientModel`` its ``pdas`` output
+fitted, with the search's own fields added.  Each entry of the sequential
+path is one, and ``spdas`` returns the entry it chose, not a copy of it.  Both searches take
 ``k_max`` from :func:`search_k_max` and run ``pdas`` with its sweep cap.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import StandardizedDataset
-from .families import ModelFamily, as_size, fit_active, loglik_from_loss, problem, quiet_fit
+from .families import (
+    CoefficientModel, ModelFamily, as_size, fit_active, loglik_from_loss, problem, quiet_fit,
+)
 from .pdas import PdasOutput, null_fit, pdas, warm_start_set
 
 CRITERIA = ("aic", "bic", "ebic")
@@ -94,30 +95,33 @@ def default_k_max(family: ModelFamily, n: int, p: int) -> int:
     return max(1, int(cap))
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionReport:
-    """A model at one subset size with its criteria and diagnostics.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class SelectionReport(CoefficientModel):
+    """The model fitted at one subset size, with its criteria and diagnostics.
 
-    Both the selected model and every entry of a :class:`FitPath` are
-    reports; ``method`` and ``criterion`` say how the size was chosen,
-    ``criteria`` is the dict :func:`criteria` returns and ``separated`` is
-    the model's flag.
+    A report is the ``CoefficientModel`` of its ``pdas`` output, field for
+    field (``beta`` is the model's own read-only array), plus the search's
+    own fields: ``method`` and ``criterion`` say how the size was chosen,
+    ``criteria`` is the dict :func:`criteria` returns at ``k``, and
+    ``pdas_iterations`` and ``pdas_converged`` describe the run.  Both the
+    selected model and every entry of a :class:`FitPath` are reports.
     """
 
     family: str
     method: str
     k: int
-    active_set: tuple[int, ...]
-    beta: np.ndarray
-    intercept: float
-    loss: float
     loglik: float
     criteria: dict[str, float]
     criterion: str
     pdas_iterations: int
     pdas_converged: bool
-    solver_converged: bool
-    separated: bool
+
+    def __post_init__(self):
+        """No check and no copy: the model fields come from a checked model.
+
+        So a report altered with ``dataclasses.replace`` keeps what it was
+        given, which lets a checker of reports be tested on a corrupt one.
+        """
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,24 +147,12 @@ class FitPath:
 
 
 def fixed_k_report(family, d, out: PdasOutput, method: str, criterion: str):
-    """Selection report for one ``pdas`` output at its own size."""
-    model = out.model
-    loglik = loglik_from_loss(family, d.dataset.n, model.loss)
+    """Selection report for one ``pdas`` output at its own size: its model, field for field."""
+    loglik = loglik_from_loss(family, d.dataset.n, out.loss)
     return SelectionReport(
-        family=family.tag,
-        method=method,
-        k=out.k,
-        active_set=model.active_set,
-        beta=model.beta,
-        intercept=model.intercept,
-        loss=model.loss,
-        loglik=loglik,
-        criteria=criteria(loglik, out.k, d.dataset.n, d.dataset.p),
-        criterion=criterion,
-        pdas_iterations=out.iterations,
-        pdas_converged=out.converged,
-        solver_converged=model.solver_converged,
-        separated=model.separated,
+        **vars(out.model), family=family.tag, method=method, k=out.k, loglik=loglik,
+        criteria=criteria(loglik, out.k, d.dataset.n, d.dataset.p), criterion=criterion,
+        pdas_iterations=out.iterations, pdas_converged=out.converged,
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import re
@@ -13,9 +14,10 @@ import pytest
 import bestsubset
 from bestsubset import bench, datagen
 from bestsubset.bench import BenchScenario
-from bestsubset.cli import _sparse_coefficients, main
+from bestsubset.cli import _sparse_coefficients, build_parser, main
 from bestsubset.data import Continuous, Dataset, save_csv
 from bestsubset.datagen import GenConfig, gen_design
+from bestsubset.tuning import gpdas, spdas
 
 
 def run(argv):
@@ -381,6 +383,17 @@ def test_sparse_coefficients_match_the_loop():
     assert [e["index"] for e in _sparse_coefficients(names, beta)] == [
         j + 1 for j in range(300) if beta[j] != 0.0
     ]
+
+
+def test_each_search_default_has_one_value():
+    # the searches' signatures, BenchScenario's fields and the fit parser
+    # each restate these defaults
+    parsed = vars(build_parser().parse_args(["fit", "--family", "gaussian"]))
+    scenario = {f.name: f.default for f in fields(BenchScenario)}
+    signatures = [inspect.signature(search).parameters for search in (spdas, gpdas)]
+    for name in ("k_max", "criterion", "epsilon", "eta"):
+        searches = {params[name].default for params in signatures if name in params}
+        assert searches == {scenario[name]} == {parsed[name]}, name
 
 
 class TestFit:
@@ -813,6 +826,15 @@ class TestOracleCommand:
         assert run(["oracle", "--input", data, "--family", "gaussian",
                     "-k", 2]) == 1
         assert "p_cap" in capsys.readouterr().err
+
+    def test_p_cap_is_a_size(self, tmp_path, capsys):
+        # --p-cap 0 used to read as a refusal of p
+        data, out = gen_planted(tmp_path), tmp_path / "oracle.json"
+        assert run(["oracle", "--input", data, "--family", "gaussian", "-k", 2,
+                    "--p-cap", 0, "--output", out]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: p_cap must be in [1, inf], got 0\n")
+        assert not out.exists()
 
 
 class TestBenchCommand:

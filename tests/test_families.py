@@ -617,6 +617,11 @@ class TestSolveSpd:
             _solve_spd(A, b, "test")
 
 
+def oracle_p_cap(p_cap):
+    sd = random_standardized("gaussian", 20, 8, seed=1)
+    return exhaustive_best_subset(GAUSSIAN, sd, 2, p_cap=p_cap)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -634,10 +639,17 @@ class TestSolveSpd:
         (lambda: criteria(0.0, -1, 10, 2), "k must be in [0, 2], got -1"),
         (lambda: criteria(0.0, 1, 1, 5), "n must be in [2, inf], got 1"),
         (lambda: criteria(0.0, 0, 10, 0), "p must be in [1, inf], got 0"),
+        # the oracle's p_cap is a size: 25.5 used to pass, True to act as 1,
+        # "25" to raise TypeError and 0 to read as a refusal of p
+        (lambda: oracle_p_cap(25.5), "p_cap must be in [1, inf], got 25.5"),
+        (lambda: oracle_p_cap(True), "p_cap must be in [1, inf], got True"),
+        (lambda: oracle_p_cap("25"), "p_cap must be in [1, inf], got '25'"),
+        (lambda: oracle_p_cap(0), "p_cap must be in [1, inf], got 0"),
     ],
     ids=["unknown-family", "family-mismatch", "k-max-n-one", "k-max-n-float", "k-max-p-zero",
          "criteria-k-float", "criteria-k-bool", "criteria-k-above-p", "criteria-k-negative",
-         "criteria-n-one", "criteria-p-zero"],
+         "criteria-n-one", "criteria-p-zero", "p-cap-float", "p-cap-bool", "p-cap-str",
+         "p-cap-zero"],
 )
 def test_input_check_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

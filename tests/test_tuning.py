@@ -28,6 +28,7 @@ from bestsubset.tuning import (
     SelectionReport,
     criteria,
     default_k_max,
+    fixed_k_report,
     golden_section_search,
     gpdas,
     loglik_ceiling,
@@ -935,6 +936,38 @@ def test_entry_for_a_size_off_the_path(k):
     path, _ = spdas(GAUSSIAN, standardize(gen_dataset(GenConfig(n=40, p=6, q=2, seed=1))[0]), k_max=2)
     with pytest.raises(KeyError, match=f"^'no path entry for k={k}'$"):
         path.entry_for(k)
+
+
+# The console smoke's sep.csv draw, where most binomial sizes are flagged
+# separated, and a small cox draw
+REPORT_MODEL_CASES = [
+    GenConfig(n=60, p=40, q=3, family="binomial", seed=1),
+    GenConfig(n=80, p=20, q=3, family="cox", censor_rate=0.2, seed=1),
+]
+
+
+@pytest.mark.parametrize("cfg", REPORT_MODEL_CASES, ids=lambda cfg: cfg.family)
+def test_a_report_is_its_model(cfg, monkeypatch):
+    family, sd = ModelFamily(cfg.family), standardize(gen_dataset(cfg)[0])
+    built = []
+
+    def recording(family, d, out, method, criterion):
+        built.append((out, fixed_k_report(family, d, out, method, criterion)))
+        return built[-1][1]
+
+    monkeypatch.setattr(TUNING_MODULE, "fixed_k_report", recording)
+    path, _ = spdas(family, sd, k_max=12)
+    report, _ = gpdas(family, sd, k_max=12)
+    assert [r for _, r in built] == [*path.entries, report]
+    recording(family, sd, pdas(family, sd, 12), "one", "fixed-k")
+    if cfg.family == "binomial":
+        assert any(r.separated for _, r in built)
+    for out, report in built:
+        assert isinstance(report, CoefficientModel)
+        assert np.array_equal(report.beta, out.model.beta)
+        for name in ("intercept", "active_set", "loss", "solver_converged",
+                     "solver_iterations", "separated"):
+            assert getattr(report, name) == getattr(out.model, name), name
 
 
 # An open defect (ROADMAP item 11): with k_max = p = 8 both searches on this
