@@ -2,6 +2,8 @@
 # Smoke run of the installed `bestsubset` console script, in the current
 # directory: gen, fit (one, sequential path as JSON and CSV, gsection) and
 # oracle for each family, two cox searches run twice with the same bytes,
+# fit and bench runs with the search defaults spelled out, which give the
+# same bytes as the runs that leave them unset,
 # a separated binomial dataset whose gsection and fixed-k (k = 12) fits stop
 # at their certificate and, run twice, give the same bytes,
 # a cox oracle whose refused bound fits stay silent, the oracle past the
@@ -69,6 +71,25 @@ for method in sequential gsection; do
   cmp cox-$method-1.json cox-$method-2.json
   cmp cox-$method-1.err cox-$method-2.err
 done
+# an unset search option keeps the library default: --criterion auto,
+# --epsilon 0 and --eta 0.01 spelled out change no byte
+bestsubset fit --input d.csv --family gaussian --method sequential --k-max 5 > seq-unset.json
+bestsubset fit --input d.csv --family gaussian --method sequential --k-max 5 \
+  --criterion auto --epsilon 0 > seq-spelled.json
+cmp seq-unset.json seq-spelled.json
+bestsubset fit --input d.csv --family gaussian --method gsection --k-max 5 \
+  > gs-unset.json 2> gs-unset.err
+bestsubset fit --input d.csv --family gaussian --method gsection --k-max 5 --eta 0.01 \
+  > gs-spelled.json 2> gs-spelled.err
+cmp gs-unset.json gs-spelled.json
+cmp gs-unset.err gs-spelled.err
+small_bench=(bestsubset bench --family gaussian --n 60 --p 8 --q 2 --reps 2
+  --methods spdas,gpdas --no-timing)
+"${small_bench[@]}" --details bench-unset.json > bench-unset.csv
+"${small_bench[@]}" --criterion auto --epsilon 0 --eta 0.01 \
+  --details bench-spelled.json > bench-spelled.csv
+cmp bench-unset.csv bench-spelled.csv
+cmp bench-unset.json bench-spelled.json
 # n 60 at p 40: most binomial sizes separate the classes, and each such fit
 # stops at its separation certificate; the same CSV gives the same bytes
 bestsubset gen --family binomial --n 60 --p 40 --q 3 --seed 1 --output sep.csv

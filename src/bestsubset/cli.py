@@ -8,6 +8,7 @@ machine-parsable ``error: <reason>`` line on stderr; a warning is one
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -43,13 +44,17 @@ _CRITERIA = ("deviance", *CRITERIA)
 _PATH_KEYS = ("k", "active", "loss", *_CRITERIA, "coefficients", "pdas_converged")
 
 
+def _given(args, *names):
+    """The options among ``names`` that were given (an unset one is absent)."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _from_args(cls, args, **overrides):
     """Build dataclass ``cls`` from the parsed arguments named after its fields.
 
-    A field the user left unset is absent from ``args`` and keeps its default.
+    A field the user left unset keeps its default.
     """
-    names = [f.name for f in fields(cls) if hasattr(args, f.name)]
-    return cls(**{**{name: getattr(args, name) for name in names}, **overrides})
+    return cls(**{**_given(args, *(f.name for f in fields(cls))), **overrides})
 
 
 def _sparse_coefficients(names, beta):
@@ -59,48 +64,36 @@ def _sparse_coefficients(names, beta):
     ]
 
 
-def _model_payload(family, method, model, meta):
-    """Keys every model report has, plus the original-scale coefficients.
+def _model_payload(model, meta, dense=False, **extra):
+    """A model report: its size, set, loss, original-scale coefficients and ``extra``.
 
     ``model`` is a ``CoefficientModel`` on the standardized scale; a
-    :class:`SelectionReport` is one.
+    :class:`SelectionReport` is one.  ``dense`` adds all p coefficients.
     """
     names = meta.dataset.names()
     intercept, beta_orig = destandardize_coefficients(model.beta, meta, model.intercept)
     payload = {
-        "family": family,
-        "method": method,
         "k": len(model.active_set),
         "active": [names[j] for j in model.active_set],
         "active_indices": [j + 1 for j in model.active_set],
         "intercept": intercept,
         "coefficients": _sparse_coefficients(names, beta_orig),
         "loss": model.loss,
+        **extra,
     }
-    return payload, beta_orig
-
-
-def _report_payload(report: SelectionReport, meta, dense=False):
-    payload, beta_orig = _model_payload(report.family, report.method, report, meta)
-    payload.update(
-        criterion=report.criterion,
-        n=meta.dataset.n,
-        p=meta.dataset.p,
-        loglik=report.loglik,
-        pdas_iterations=report.pdas_iterations,
-        pdas_converged=report.pdas_converged,
-        solver_converged=report.solver_converged,
-        **report.criteria,
-    )
     if dense:
         payload["coefficients_dense"] = [float(v) for v in beta_orig]
     return payload
 
 
-def _path_payload(path, meta):
-    """Each path entry's report payload, cut to ``_PATH_KEYS``."""
-    payloads = (_report_payload(entry, meta) for entry in path.entries)
-    return [{key: payload[key] for key in _PATH_KEYS} for payload in payloads]
+def _report_payload(report: SelectionReport, meta, dense=False):
+    return _model_payload(
+        report, meta, dense, family=report.family, method=report.method,
+        criterion=report.criterion, n=meta.dataset.n, p=meta.dataset.p,
+        loglik=report.loglik, pdas_iterations=report.pdas_iterations,
+        pdas_converged=report.pdas_converged,
+        solver_converged=report.solver_converged, **report.criteria,
+    )
 
 
 def _write_text(text, output):
@@ -126,9 +119,8 @@ def _csv_text(rows):
 def _path_csv(path, meta):
     rows = [["k", "loss", *_CRITERIA, *meta.dataset.names()]]
     for entry in path.entries:
-        payload = _report_payload(entry, meta, dense=True)
-        values = [payload[key] for key in ("loss", *_CRITERIA)]
-        values += payload["coefficients_dense"]
+        _, beta_orig = destandardize_coefficients(entry.beta, meta, entry.intercept)
+        values = [entry.loss, *(entry.criteria[key] for key in _CRITERIA), *beta_orig]
         rows.append([entry.k] + [repr(float(v)) for v in values])
     return _csv_text(rows)
 
@@ -150,9 +142,9 @@ def _load_input(args):
 
 
 def cmd_fit(args) -> int:
-    if args.method == "gsection":
+    if args.method == "gsection" and hasattr(args, "eta"):
         check_eta(args.eta)
-    if args.method == "sequential":
+    if args.method == "sequential" and hasattr(args, "epsilon"):
         check_epsilon(args.epsilon)
     if args.method == "one" and args.k is None:
         raise ValueError("method 'one' requires -k")
@@ -164,21 +156,16 @@ def cmd_fit(args) -> int:
         out = pdas(family, meta, args.k)
         report = fixed_k_report(family, meta, out, "one", "fixed-k")
     elif args.method == "sequential":
-        path, report = spdas(
-            family,
-            meta,
-            k_max=args.k_max,
-            criterion=args.criterion,
-            epsilon=args.epsilon,
-        )
+        path, report = spdas(family, meta, **_given(args, "k_max", "criterion", "epsilon"))
     else:
-        report, trace = gpdas(family, meta, k_max=args.k_max, eta=args.eta)
+        report, trace = gpdas(family, meta, **_given(args, "k_max", "eta"))
         trace_lines = trace.lines()
 
     payload = _report_payload(report, meta, dense=args.dense)
     if args.format == "json":
         if path is not None:
-            payload["path"] = _path_payload(path, meta)
+            entries = (_report_payload(entry, meta) for entry in path.entries)
+            payload["path"] = [{key: row[key] for key in _PATH_KEYS} for row in entries]
             payload["best_by"] = dict(sorted(path.best_by.items()))
             payload["stop"] = path.stop
         if trace_lines:
@@ -234,7 +221,7 @@ def cmd_gen(args) -> int:
 def cmd_oracle(args) -> int:
     meta, family = _load_input(args)
     model = exhaustive_best_subset(family, meta, args.k, p_cap=args.p_cap)
-    payload, _ = _model_payload(family.tag, "oracle", model, meta)
+    payload = _model_payload(model, meta, family=family.tag, method="oracle")
     if args.format == "json":
         _emit_json(payload, args.output)
     else:
@@ -303,13 +290,25 @@ def _add_scenario_arguments(sub, **q_options):
     sub.add_argument("--seed", type=int)
 
 
+def _add_search_arguments(sub):
+    """The search options ``fit`` and ``bench`` share.
+
+    Unset options are suppressed, so each default lives only in ``spdas``,
+    ``gpdas`` and ``BenchScenario``.
+    """
+    add = functools.partial(sub.add_argument, default=argparse.SUPPRESS)
+    add("--k-max", type=int, help="largest candidate subset size")
+    add("--criterion", choices=(*CRITERIA, "auto"))
+    add("--eta", type=float, help="elbow tolerance (gsection)")
+    add("--epsilon", type=float, help="sequential early-stop threshold")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bestsubset",
         description="Best subset selection for linear, logistic and Cox models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    criteria = (*CRITERIA, "auto")
 
     fit = sub.add_parser("fit", help="fit a model to a CSV dataset")
     _add_io_arguments(fit)
@@ -317,12 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("one", "sequential", "gsection"), default="sequential"
     )
     fit.add_argument("-k", type=int, help="subset size for method 'one'")
-    fit.add_argument("--k-max", type=int, help="largest candidate subset size")
-    fit.add_argument("--criterion", choices=criteria, default="auto")
-    fit.add_argument("--eta", type=float, default=0.01, help="elbow tolerance (gsection)")
-    fit.add_argument(
-        "--epsilon", type=float, default=0.0, help="sequential early-stop threshold"
-    )
+    _add_search_arguments(fit)
     fit.add_argument(
         "--dense", action="store_true", help="also emit all p coefficients"
     )
@@ -346,11 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_arguments(bench, required=True)
     bench.add_argument("--reps", type=int, default=10)
-    bench.add_argument("--methods", help="comma list from: spdas,gpdas,oracle")
-    bench.add_argument("--criterion", choices=criteria)
-    bench.add_argument("--k-max", type=int)
-    bench.add_argument("--eta", type=float)
-    bench.add_argument("--epsilon", type=float)
+    methods = ",".join(bench_mod.KNOWN_METHODS)
+    bench.add_argument("--methods", help=f"comma list from: {methods}")
+    _add_search_arguments(bench)
     bench.add_argument("--holdout", type=int)
     bench.add_argument("--jobs", type=int, default=1, help="parallel replications")
     bench.add_argument(

@@ -310,7 +310,7 @@ def test_input_check_messages(make, message):
         make()
 
 
-# An open defect (ROADMAP item 11): at 70 % censoring a cox fit on this
+# An open defect (ROADMAP items 15 and 11): at 70 % censoring a cox fit on this
 # replication meets a non-finite Newton system and the error escapes.
 # Strict: once that is fixed, this fails until its mark is removed.
 @pytest.mark.xfail(strict=True, raises=ValueError, reason="non-finite cox Newton system")

@@ -970,7 +970,7 @@ def test_a_report_is_its_model(cfg, monkeypatch):
             assert getattr(report, name) == getattr(out.model, name), name
 
 
-# An open defect (ROADMAP item 11): with k_max = p = 8 both searches on this
+# An open defect (ROADMAP items 15 and 11): with k_max = p = 8 both searches on this
 # design meet a non-finite Newton system and the error escapes (k_max = 7
 # passes).  Strict: once that is fixed, these fail until their mark is removed.
 OPEN_COX_CRASH = GenConfig(n=30, p=8, q=3, family="cox", rho=0.5, censor_rate=0.2, seed=5)
