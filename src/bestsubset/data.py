@@ -23,9 +23,30 @@ import numpy as np
 
 
 def _frozen_array(values, dtype=float, order="K"):
-    arr = np.array(values, dtype=dtype, order=order)
+    # a read-only array that owns its memory was handed over by whoever
+    # froze it, so it is kept when dtype and order fit; the rest is copied
+    handed_over = isinstance(values, np.ndarray) and values.base is None
+    handed_over = handed_over and not values.flags.writeable
+    arr = np.array(values, dtype=dtype, order=order, copy=None if handed_over else True)
     arr.setflags(write=False)
     return arr
+
+
+def column_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of ``X``, from 512-column blocks.
+
+    No n x p squared copy is made, and the axis-0 sum adds rows in the same
+    order whatever the block width.  A column whose sum of squares
+    overflows to inf is divided by its largest magnitude first, so a
+    finite norm stays finite; every other column keeps these bits.
+    """
+    with np.errstate(over="ignore"):
+        sq_sums = [(X[:, lo : lo + 512] ** 2).sum(axis=0) for lo in range(0, X.shape[1], 512)]
+    norms = np.sqrt(np.concatenate(sq_sums))
+    for j in np.flatnonzero(np.isinf(norms)):
+        top = np.abs(X[:, j]).max()
+        norms[j] = top * np.sqrt(((X[:, j] / top) ** 2).sum())
+    return norms
 
 
 def as_size(value, name: str, low: int, high: float) -> int:
@@ -146,7 +167,10 @@ class Dataset:
 
     Rows are observations, columns are predictors.  Instances are immutable
     after construction (arrays are marked read-only) and safe to share
-    across threads.
+    across threads.  ``X`` is copied unless its maker hands it over: a
+    read-only, C-ordered float array that owns its memory is kept as is,
+    which is how the generator and :func:`standardize` pass on the one
+    n x p array they write.  Any array a caller can still write is copied.
     """
 
     X: np.ndarray
@@ -218,7 +242,11 @@ def standardize(d: Dataset) -> StandardizedDataset:
     For a continuous response the mean is removed as well, so the fitted
     model needs no intercept.  Constant columns are rejected (silently
     dropping them would desynchronize reported indices from the user's
-    data).
+    data).  The centred design is the one n x p array written: it is
+    scaled in place and handed to the new dataset, which checks it once
+    for the values that centring can overflow near the float limit.  A
+    column whose sum of squares overflows still gets sqrt(n) norm (see
+    :func:`column_norms`).
     """
     response = d.response
     response_center = 0.0
@@ -226,17 +254,9 @@ def standardize(d: Dataset) -> StandardizedDataset:
         response_center = float(response.y.mean())
         response = Continuous(response.y - response_center)
 
-    transformed = Dataset(d.X, response, d.column_names)
-    # the new dataset's own copy of X is the only n x p array: it is centred
-    # and scaled in place, then frozen again
-    X = transformed.X
-    X.setflags(write=True)
-    centers = X.mean(axis=0)
-    X -= centers
-    # norms from 512-column blocks, so no n x p squared copy is made; the
-    # axis-0 sum adds rows in the same order whatever the block width
-    sq_sums = [(X[:, lo : lo + 512] ** 2).sum(axis=0) for lo in range(0, d.p, 512)]
-    norms = np.sqrt(np.concatenate(sq_sums))
+    centers = d.X.mean(axis=0)
+    X = d.X - centers
+    norms = column_norms(X)
     if np.any(norms == 0.0):
         j = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(
@@ -245,8 +265,7 @@ def standardize(d: Dataset) -> StandardizedDataset:
     scales = norms / math.sqrt(d.n)
     X /= scales
     X.setflags(write=False)
-    if not np.all(np.isfinite(X)):  # centring can overflow near the float limit
-        raise ValueError("X contains non-finite entries")
+    transformed = Dataset(X, response, d.column_names)
     return StandardizedDataset(transformed, centers, scales, response_center)
 
 

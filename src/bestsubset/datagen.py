@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FAMILIES, Binary, Continuous, Dataset, Survival, as_size
+from .data import FAMILIES, Binary, Continuous, Dataset, Survival, as_size, column_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +84,22 @@ class GenConfig:
 
 
 def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Correlated design with every column rescaled to exact sqrt(n) norm."""
+    """Correlated design with every column rescaled to exact sqrt(n) norm.
+
+    Only Z and X are held: the neighbour terms are added in 512-column
+    blocks, Z is dropped before the norms are taken, and X is scaled in
+    place.  A column whose sum of squares overflows (a huge ``rho``) still
+    gets sqrt(n) norm (see ``data.column_norms``).
+    """
     Z = rng.standard_normal((n, p))
     X = Z.copy()
-    if p > 1:
-        X[:, :-1] += rho * Z[:, 1:]
-        X[:, 1:] += rho * Z[:, :-1]
-    norms = np.sqrt((X**2).sum(axis=0))
-    return X * (math.sqrt(n) / norms)
+    for lo in range(0, p, 512):
+        hi = min(lo + 512, p)
+        X[:, lo : min(hi, p - 1)] += rho * Z[:, lo + 1 : hi + 1]
+        X[:, max(lo, 1) : hi] += rho * Z[:, max(lo, 1) - 1 : hi - 1]
+    del Z
+    X *= math.sqrt(n) / column_norms(X)
+    return X
 
 
 def gen_beta(config: GenConfig, rng: np.random.Generator) -> np.ndarray:
@@ -167,6 +175,7 @@ def gen_dataset(config: GenConfig):
     """
     rng = np.random.default_rng(config.seed)
     X = gen_design(config.n, config.p, config.rho, rng)
+    X.setflags(write=False)  # handed to the Dataset, which keeps it
     beta_star = gen_beta(config, rng)
     response = gen_response(config, X, beta_star, rng)
     support = tuple(int(j) for j in np.flatnonzero(beta_star))

@@ -83,7 +83,7 @@ class CoefficientModel:
         beta = np.array(self.beta, dtype=float)
         beta.setflags(write=False)
         active = as_set(self.active_set, beta.shape[0])
-        if np.any(np.delete(beta, active) != 0.0):
+        if np.count_nonzero(beta) != np.count_nonzero(beta[list(active)]):
             raise ValueError("beta must vanish off the active set")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "active_set", active)
@@ -294,14 +294,17 @@ def dual_sacrifice(family: ModelFamily, d: StandardizedDataset, m: CoefficientMo
     Active coordinates have zero dual and sacrifice h_j b_j^2 / 2; inactive
     coordinates get the Newton step gamma_j = -g_j / h_j from zero and
     sacrifice h_j gamma_j^2 / 2.  Curvature is floored before the division
-    so that flat coordinates cannot produce infinities.
+    so that flat coordinates cannot produce infinities.  Both are computed
+    once over p as if every coordinate were inactive, and then the few
+    active entries are overwritten: no mask or merge over p is built.
     """
     g, h = grad_hess(family, d, m)
-    active = np.zeros(d.dataset.p, dtype=bool)
-    active[list(m.active_set)] = True
+    active = list(m.active_set)
     h_safe = np.maximum(h, CURVATURE_FLOOR)
-    gamma = np.where(active, 0.0, -g / h_safe)
-    delta = np.where(active, 0.5 * h * m.beta**2, 0.5 * h_safe * gamma**2)
+    gamma = -g / h_safe
+    delta = 0.5 * h_safe * gamma**2
+    gamma[active] = 0.0
+    delta[active] = 0.5 * h[active] * m.beta[active] ** 2
     return gamma, delta
 
 

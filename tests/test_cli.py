@@ -16,7 +16,7 @@ import bestsubset
 from bestsubset import bench, datagen
 from bestsubset.bench import BenchScenario
 from bestsubset.cli import _sparse_coefficients, build_parser, main
-from bestsubset.data import Continuous, Dataset, save_csv
+from bestsubset.data import Continuous, Dataset, load_csv, save_csv
 from bestsubset.datagen import GenConfig, gen_design
 from bestsubset.tuning import gpdas, spdas
 
@@ -178,6 +178,16 @@ class TestGen:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cox" in err
         assert not out.exists()
+
+    def test_huge_rho_keeps_sqrt_n_norms_without_a_warning(self, tmp_path, capsys):
+        # every column's sum of squares overflows; this used to write an
+        # all-zero design and one "warning: overflow" line
+        out = tmp_path / "d.csv"
+        assert run(["gen", "--family", "gaussian", "--n", 6, "--p", 3, "--q", 1,
+                    "--rho", "1e200", "--seed", 0, "--output", out]) == 0
+        assert capsys.readouterr().err == ""
+        X = load_csv(out, "gaussian").X
+        np.testing.assert_allclose(np.linalg.norm(X, axis=0), np.sqrt(6), rtol=1e-12)
 
 
 class TestRejectedScenarios:

@@ -378,6 +378,18 @@ class TestValidation:
         assert d.X[0, 0] == 1.0
         assert X.flags.writeable
 
+    def test_keeps_a_design_handed_over(self):
+        # read-only and owning its memory: nobody else can write it
+        X = np.eye(3)
+        X.setflags(write=False)
+        assert Dataset(X, Continuous([1.0, 2.0, 3.0])).X is X
+        # a read-only view of an array its caller can still write is copied
+        base = np.eye(3)
+        view = base[:]
+        view.setflags(write=False)
+        d = Dataset(view, Continuous([1.0, 2.0, 3.0]))
+        assert not np.shares_memory(d.X, base)
+
     @pytest.mark.parametrize(
         "make, message",
         [
@@ -511,6 +523,21 @@ class TestStandardize:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 standardize(Dataset(X, Continuous([1.0, 2.0, 3.0])))
+
+    def test_column_whose_sum_of_squares_overflows(self):
+        # column 1's squares overflow to inf; it used to come back as zeros
+        # with scale inf, and only numpy's overflow warning said so
+        X = np.random.default_rng(0).standard_normal((20, 3))
+        X[:, 1] *= 1e160
+        with np.errstate(all="raise"):  # any escaping warning raises
+            sd = standardize(Dataset(X, Continuous(np.arange(20.0))))
+        np.testing.assert_allclose(np.linalg.norm(sd.dataset.X, axis=0), math.sqrt(20), rtol=1e-12)
+        assert np.all(np.isfinite(sd.column_scales))
+        # the other columns keep the plain formula's bits
+        Xc = (X - X.mean(axis=0))[:, [0, 2]]
+        scales = np.sqrt((Xc**2).sum(axis=0)) / math.sqrt(20)
+        assert np.array_equal(sd.column_scales[[0, 2]], scales)
+        assert np.array_equal(sd.dataset.X[:, [0, 2]], Xc / scales)
 
     def test_constant_column_rejected(self):
         X = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ class TestGenDesign:
         np.testing.assert_allclose(adj.mean(), expected_adj, atol=0.03)
         np.testing.assert_allclose(second.mean(), expected_second, atol=0.03)
         assert 0 < second.mean() < adj.mean()
+
+
+    def test_columns_whose_sums_of_squares_overflow(self, rng):
+        # at rho 1e200 every column's squares overflow; the design used to
+        # come back all zeros, with only numpy's overflow warning
+        with np.errstate(all="raise"):  # any escaping warning raises
+            X = gen_design(6, 3, 1e200, rng)
+        np.testing.assert_allclose(np.linalg.norm(X, axis=0), math.sqrt(6), rtol=1e-12)
 
 
 class TestGenBeta:
@@ -121,6 +130,19 @@ class TestGenDataset:
         y = gen_response(cfg, X, np.array(target), rng).y
         np.testing.assert_array_equal(dataset.X, X)
         np.testing.assert_array_equal(dataset.response.y, y)
+
+
+    def test_peak_memory_is_two_designs(self):
+        # Z and X, plus one 512-column block of rho * Z; the Dataset keeps X
+        n, p = 200, 5000
+        tracemalloc.start()
+        try:
+            d, _, _ = gen_dataset(GenConfig(n=n, p=p, q=5, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.X.shape == (n, p)
+        assert peak <= 2.2 * 8 * n * p
 
 
 class TestDeterminism:

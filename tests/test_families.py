@@ -209,7 +209,55 @@ class TestDualSacrifice:
         assert delta[2] == pytest.approx(0.5 * model.beta[2] ** 2, rel=1e-12)
 
 
+def masked_sacrifice(family, sd, m):
+    """``dual_sacrifice`` as a boolean mask and two ``np.where`` merges over p."""
+    g, h = grad_hess(family, sd, m)
+    active = np.zeros(sd.dataset.p, dtype=bool)
+    active[list(m.active_set)] = True
+    h_safe = np.maximum(h, families.CURVATURE_FLOOR)
+    gamma = np.where(active, 0.0, -g / h_safe)
+    delta = np.where(active, 0.5 * h * m.beta**2, 0.5 * h_safe * gamma**2)
+    return gamma, delta
+
+
+def spread_set(p, k):
+    return tuple(int(j) for j in np.random.default_rng(k).choice(p, size=k, replace=False))
+
+
+class TestSacrificeBits:
+    # the sizes are 0, 1, a middle one and the family's cap; at the gaussian
+    # cap of the wide design the Gram is singular and the fit takes the ridge
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
+    @pytest.mark.parametrize("n, p", [(20, 60), (60, 8)], ids=["wide", "tall"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_equal_to_the_masked_formula(self, family, n, p):
+        sd = random_standardized(family, n, p, seed=n + p, censor_rate=0.2)
+        cap = FAMILY[family].max_size(n, p)
+        for k in (0, 1, cap // 2, cap):
+            model = fit_active(FAMILY[family], sd, spread_set(p, k))
+            got = dual_sacrifice(FAMILY[family], sd, model)
+            want = masked_sacrifice(FAMILY[family], sd, model)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (family, k)
+
+    def test_equal_to_the_masked_formula_below_the_curvature_floor(self):
+        sd = separated_by_first_column()
+        model = CoefficientModel(np.array([1e4, 0.0]), 0.0, (0,), separated=True)
+        _, h = grad_hess(BINOMIAL, sd, model)
+        assert np.all(h < families.CURVATURE_FLOOR)
+        got = dual_sacrifice(BINOMIAL, sd, model)
+        want = masked_sacrifice(BINOMIAL, sd, model)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestCoefficientModel:
+    def test_off_set_nan_refused_and_negative_zero_accepted(self):
+        with pytest.raises(ValueError, match="^beta must vanish off the active set$"):
+            CoefficientModel(np.array([0.0, 1.5, np.nan]), 0.0, (1,))
+        model = CoefficientModel(np.array([-0.0, 1.5, -0.0]), 0.0, (1,))
+        assert model.active_set == (1,)
+
     def test_rejects_beta_off_the_active_set(self):
         beta = np.array([0.0, 1.5, 0.0, 0.25])
         CoefficientModel(beta, 0.0, (1, 3))
