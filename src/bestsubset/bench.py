@@ -98,7 +98,6 @@ def run_replication(scn: BenchScenario, rep: int) -> dict:
     rng = np.random.default_rng([scn.seed, rep])
     cfg = scn.gen_config()
     X = gen_design(scn.n, scn.p, scn.rho, rng)
-    X.setflags(write=False)  # handed to the Dataset, which keeps it
     beta_star = gen_beta(cfg, rng)
     response = gen_response(cfg, X, beta_star, rng)
     X_test = gen_design(scn.holdout, scn.p, scn.rho, rng)

@@ -23,29 +23,25 @@ import numpy as np
 
 
 def _frozen_array(values, dtype=float, order="K"):
-    # a read-only array that owns its memory was handed over by whoever
-    # froze it, so it is kept when dtype and order fit; the rest is copied
-    handed_over = isinstance(values, np.ndarray) and values.base is None
-    handed_over = handed_over and not values.flags.writeable
-    arr = np.array(values, dtype=dtype, order=order, copy=None if handed_over else True)
+    arr = np.array(values, dtype=dtype, order=order)
     arr.setflags(write=False)
     return arr
 
 
-def column_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of ``X``, from 512-column blocks.
+def column_norms(X: np.ndarray, per: float = 1.0) -> np.ndarray:
+    """Euclidean norm of each column of ``X`` over ``per``, from 512-column blocks.
 
-    No n x p squared copy is made, and the axis-0 sum adds rows in the same
-    order whatever the block width.  A column whose sum of squares
-    overflows to inf is divided by its largest magnitude first, so a
-    finite norm stays finite; every other column keeps these bits.
+    No n x p squared copy is made; the axis-0 sum adds rows in the same
+    order whatever the block width.  A column whose result overflows is
+    divided by its largest magnitude first, so a result in the float range
+    (always, with ``per`` sqrt(n)) is finite; other columns keep these bits.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         sq_sums = [(X[:, lo : lo + 512] ** 2).sum(axis=0) for lo in range(0, X.shape[1], 512)]
-    norms = np.sqrt(np.concatenate(sq_sums))
-    for j in np.flatnonzero(np.isinf(norms)):
-        top = np.abs(X[:, j]).max()
-        norms[j] = top * np.sqrt(((X[:, j] / top) ** 2).sum())
+        norms = np.sqrt(np.concatenate(sq_sums)) / per
+        for j in np.flatnonzero(np.isinf(norms)):
+            top = np.abs(X[:, j]).max()
+            norms[j] = top * (np.sqrt(((X[:, j] / top) ** 2).sum()) / per)
     return norms
 
 
@@ -170,7 +166,8 @@ class Dataset:
     across threads.  ``X`` is copied unless its maker hands it over: a
     read-only, C-ordered float array that owns its memory is kept as is,
     which is how the generator and :func:`standardize` pass on the one
-    n x p array they write.  Any array a caller can still write is copied.
+    n x p array they write.  Its maker must not make it writable again.
+    The response arrays are always copied.
     """
 
     X: np.ndarray
@@ -178,8 +175,12 @@ class Dataset:
     column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # C order whatever the caller's, so no fit's bits depend on it
-        X = _frozen_array(self.X, order="C")
+        # C order whatever the caller's, so no fit's bits depend on it; a
+        # read-only array that owns its memory is taken over when it fits
+        X = self.X
+        kept = isinstance(X, np.ndarray) and X.base is None and not X.flags.writeable
+        X = np.asarray(X, dtype=float, order="C") if kept else np.array(X, dtype=float, order="C")
+        X.setflags(write=False)
         if X.ndim != 2:
             raise ValueError("X must be a 2-D matrix")
         n, p = X.shape
@@ -245,8 +246,8 @@ def standardize(d: Dataset) -> StandardizedDataset:
     data).  The centred design is the one n x p array written: it is
     scaled in place and handed to the new dataset, which checks it once
     for the values that centring can overflow near the float limit.  A
-    column whose sum of squares overflows still gets sqrt(n) norm (see
-    :func:`column_norms`).
+    column whose sum of squares, or even whose norm, overflows still gets
+    sqrt(n) norm (see :func:`column_norms`).
     """
     response = d.response
     response_center = 0.0
@@ -256,13 +257,12 @@ def standardize(d: Dataset) -> StandardizedDataset:
 
     centers = d.X.mean(axis=0)
     X = d.X - centers
-    norms = column_norms(X)
-    if np.any(norms == 0.0):
-        j = int(np.flatnonzero(norms == 0.0)[0])
+    scales = column_norms(X, math.sqrt(d.n))
+    if np.any(scales == 0.0):
+        j = int(np.flatnonzero(scales == 0.0)[0])
         raise ValueError(
             f"constant column {d.names()[j]!r} (index {j}): zero variance"
         )
-    scales = norms / math.sqrt(d.n)
     X /= scales
     X.setflags(write=False)
     transformed = Dataset(X, response, d.column_names)

@@ -87,9 +87,10 @@ def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
     """Correlated design with every column rescaled to exact sqrt(n) norm.
 
     Only Z and X are held: the neighbour terms are added in 512-column
-    blocks, Z is dropped before the norms are taken, and X is scaled in
-    place.  A column whose sum of squares overflows (a huge ``rho``) still
-    gets sqrt(n) norm (see ``data.column_norms``).
+    blocks, Z is dropped before the norms, and X is scaled in place and
+    returned read-only, so a ``Dataset`` takes it over.  A column whose sum
+    of squares overflows still gets sqrt(n) norm (``data.column_norms``);
+    a ``rho`` so large that a norm itself overflows is refused.
     """
     Z = rng.standard_normal((n, p))
     X = Z.copy()
@@ -98,7 +99,11 @@ def gen_design(n: int, p: int, rho: float, rng: np.random.Generator) -> np.ndarr
         X[:, lo : min(hi, p - 1)] += rho * Z[:, lo + 1 : hi + 1]
         X[:, max(lo, 1) : hi] += rho * Z[:, max(lo, 1) - 1 : hi - 1]
     del Z
-    X *= math.sqrt(n) / column_norms(X)
+    norms = column_norms(X)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError(f"rho={rho} is too large: a column norm overflows")
+    X *= math.sqrt(n) / norms
+    X.setflags(write=False)
     return X
 
 
@@ -175,7 +180,6 @@ def gen_dataset(config: GenConfig):
     """
     rng = np.random.default_rng(config.seed)
     X = gen_design(config.n, config.p, config.rho, rng)
-    X.setflags(write=False)  # handed to the Dataset, which keeps it
     beta_star = gen_beta(config, rng)
     response = gen_response(config, X, beta_star, rng)
     support = tuple(int(j) for j in np.flatnonzero(beta_star))

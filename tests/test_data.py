@@ -389,6 +389,11 @@ class TestValidation:
         view.setflags(write=False)
         d = Dataset(view, Continuous([1.0, 2.0, 3.0]))
         assert not np.shares_memory(d.X, base)
+        # only X is taken over: a response array is always copied
+        y = np.arange(3.0)
+        y.setflags(write=False)
+        assert not np.shares_memory(Continuous(y).y, y)
+        assert not np.shares_memory(Survival(y + 1, y > 0).time, y)
 
     @pytest.mark.parametrize(
         "make, message",
@@ -538,6 +543,20 @@ class TestStandardize:
         scales = np.sqrt((Xc**2).sum(axis=0)) / math.sqrt(20)
         assert np.array_equal(sd.column_scales[[0, 2]], scales)
         assert np.array_equal(sd.dataset.X[:, [0, 2]], Xc / scales)
+
+    def test_column_whose_norm_overflows(self):
+        # column 1's norm, sqrt(20) * 1.5e308, is past the float range; it
+        # used to come back as zeros with scale inf
+        X = np.random.default_rng(0).standard_normal((20, 2))
+        X[:, 1] = np.where(np.arange(20) % 2 == 0, 1.5e308, -1.5e308)
+        with np.errstate(all="raise"):  # any escaping warning raises
+            sd = standardize(Dataset(X, Continuous(np.arange(20.0))))
+        assert sd.column_scales[1] == 1.5e308
+        assert np.array_equal(np.abs(sd.dataset.X[:, 1]), np.ones(20))
+        Xc = X[:, 0] - X[:, 0].mean()
+        scale = np.sqrt((Xc**2).sum()) / math.sqrt(20)
+        assert sd.column_scales[0] == scale
+        assert np.array_equal(sd.dataset.X[:, 0], Xc / scale)
 
     def test_constant_column_rejected(self):
         X = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])

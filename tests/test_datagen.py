@@ -55,6 +55,12 @@ class TestGenDesign:
         with np.errstate(all="raise"):  # any escaping warning raises
             X = gen_design(6, 3, 1e200, rng)
         np.testing.assert_allclose(np.linalg.norm(X, axis=0), math.sqrt(6), rtol=1e-12)
+        assert not X.flags.writeable  # so a Dataset takes it over
+
+    def test_rho_whose_column_norms_overflow_refused(self, rng):
+        # at n 500 a column of about 1.4e307 has norm past the float range
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="rho=1e[+]307 is too large"):
+            gen_design(500, 3, 1e307, rng)
 
 
 class TestGenBeta:
