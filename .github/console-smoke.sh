@@ -14,7 +14,9 @@
 # with an empty field or a non-finite value, a bench --k-max above spdas's
 # cap (refused before any replication draws), a gen --n below 2, a negative
 # gen --seed and an out-of-range size, a p > n gaussian dataset whose
-# sequential search gives the same bytes twice, and a gen --rho 1e200 whose
+# sequential search gives the same bytes twice and whose gsection search,
+# where memo hits recompute sacrifices, gives the same report and stderr
+# bytes twice, and a gen --rho 1e200 whose
 # columns' squares overflow yet keep sqrt(n) norm with nothing on stderr.
 # gsection reports are piped into a JSON parser, since
 # its trace lines go to stderr.
@@ -208,16 +210,20 @@ oracle = json.load(open("p40-oracle.json"))["loss"]
 one = json.load(open("p40-one.json"))["loss"]
 assert oracle <= one, (oracle, one)
 '
-# p > n: 400 columns on 40 rows; the sequential search gives the same bytes
-# twice, and the gsection report parses
+# p > n: 400 columns on 40 rows, where a memo hit recomputes its set's
+# sacrifices; the sequential and gsection searches each give the same bytes
+# twice (gsection's stderr trace too), and the gsection report parses
 bestsubset gen --family gaussian --n 40 --p 400 --q 3 --seed 1 --output wide400.csv
 for run in 1 2; do
   bestsubset fit --input wide400.csv --family gaussian --method sequential \
     --criterion ebic --k-max 10 > wide400-seq-$run.json
+  bestsubset fit --input wide400.csv --family gaussian --method gsection --k-max 10 \
+    > wide400-gs-$run.json 2> wide400-gs-$run.err
 done
 cmp wide400-seq-1.json wide400-seq-2.json
-bestsubset fit --input wide400.csv --family gaussian --method gsection --k-max 10 \
-  | python3 -c 'import json,sys; json.load(sys.stdin)'
+cmp wide400-gs-1.json wide400-gs-2.json
+cmp wide400-gs-1.err wide400-gs-2.err
+python3 -c 'import json,sys; json.load(sys.stdin)' < wide400-gs-1.json
 # at --rho 1e200 every column's sum of squares overflows; each column still
 # gets sqrt(n) norm, and nothing is written to stderr
 bestsubset gen --family gaussian --n 6 --p 3 --q 1 --rho 1e200 --seed 0 \

@@ -400,7 +400,9 @@ def load_csv(path, family: str, response=None, header: bool = True) -> Dataset:
     if not x_idx:
         raise ValueError("no predictor columns left after removing the response")
     resp = kind(*parsed[:, resp_idx].T)
-    return Dataset(parsed[:, x_idx], resp, [names[j] for j in x_idx])
+    X = parsed.take(x_idx, axis=1)  # C order and its own memory, so Dataset keeps it
+    X.setflags(write=False)
+    return Dataset(X, resp, [names[j] for j in x_idx])
 
 
 def save_csv(d: Dataset, path) -> None:

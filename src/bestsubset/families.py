@@ -97,12 +97,48 @@ def _check_family(family: ModelFamily, d: StandardizedDataset) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class _Held:
+    """One evaluated set as :class:`Problem` holds it: no p-vector of beta.
+
+    ``coef`` are the model's coefficients on its set, in set order, and
+    ``delta`` its read-only sacrifices, or None until they are needed or
+    when they are not kept.
+    """
+
+    coef: np.ndarray
+    intercept: float
+    converged: bool
+    iterations: int
+    loss: float | None
+    separated: bool
+    delta: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, model: CoefficientModel, delta=None) -> "_Held":
+        coef = model.beta[list(model.active_set)]
+        coef.setflags(write=False)
+        return cls(coef, model.intercept, model.solver_converged,
+                   model.solver_iterations, model.loss, model.separated, delta)
+
+    def model(self, d: StandardizedDataset, active) -> CoefficientModel:
+        """The held model, rebuilt bit for bit."""
+        return _model(d, active, self.coef, self.intercept, self.converged,
+                      self.iterations, self.loss, self.separated)
+
+
 class Problem:
     """Work done once per standardized dataset, shared by every search.
 
-    Only its methods touch ``fits``, the memo of the latest n / 2 sets'
-    models and sacrifices (at most n x p floats); a read checks the family
-    first, as every family reads the one memo.  Dropping the oldest changes
+    Only its methods touch ``fits``, the memo of the latest n / 2 evaluated
+    sets; a read checks the family first, as every family reads the one
+    memo.  A set is held as an immutable record: its k coefficients, the
+    intercept, loss, iteration count and the ``solver_converged`` and
+    ``separated`` flags, from which each read rebuilds the same model.  Its
+    read-only sacrifices are kept too, but only when p <= n, where they are
+    no longer than a column: the memo's sacrifices then hold at most n^2 / 2
+    floats, however wide the design.  At p > n a hit in :meth:`evaluate`
+    recomputes them, one pass over the design.  Dropping the oldest changes
     no selection; a cox fit's last digits (<= 1e-12 relative in the loss,
     the Newton tolerance in beta) can depend on which warm start fitted the
     set first.
@@ -124,6 +160,7 @@ class Problem:
 
     def __init__(self, d: StandardizedDataset):
         self.fits, self.capacity = {}, d.dataset.n // 2
+        self.keeps_delta = d.dataset.p <= d.dataset.n
         resp = d.dataset.response
         if isinstance(resp, Survival):
             self.order = np.argsort(-resp.time, kind="stable")
@@ -136,29 +173,33 @@ class Problem:
             self.risk_design = d.dataset.X[self.order]
             self.zero_loss = _cox_loss(np.zeros(d.dataset.n), self)
 
-    def _hold(self, entry: tuple) -> None:
-        self.fits[entry[0].active_set] = entry  # a held set keeps its place
+    def _hold(self, model: CoefficientModel, delta=None) -> None:
+        self.fits[model.active_set] = _Held.of(model, delta)  # a held set keeps its place
         while len(self.fits) > self.capacity:  # drop the oldest,
             self.fits.pop(next(iter(list(self.fits)), None), None)  # if no thread did
 
     def add(self, model: CoefficientModel) -> None:
         """Hold ``model`` unless its set is held; its sacrifices wait until needed."""
-        self._hold(self.fits.get(model.active_set) or (model, None))
+        if model.active_set not in self.fits:
+            self._hold(model)
 
     def fit(self, family: ModelFamily, d: StandardizedDataset, active) -> CoefficientModel:
         """The held model of ``active``, else a cold fit that is not held."""
         _check_family(family, d)
-        entry = self.fits.get(active)
-        return entry[0] if entry else fit_active(family, d, active)
+        held = self.fits.get(active)
+        return held.model(d, active) if held else fit_active(family, d, active)
 
     def evaluate(self, family: ModelFamily, d: StandardizedDataset, active, start=None):
         """``(model, delta)`` on ``active``, fitted from ``start`` unless held."""
         _check_family(family, d)
-        model, delta = self.fits.get(active) or (fit_active(family, d, active, start), None)
-        if delta is None:  # a held pair is replaced, never changed
+        held = self.fits.get(active)
+        model = held.model(d, active) if held else fit_active(family, d, active, start)
+        delta = held.delta if held else None
+        if delta is None:
             _, delta = dual_sacrifice(family, d, model)
             delta.setflags(write=False)  # outputs share this array
-            self._hold((model, delta))
+            if not held or self.keeps_delta:  # a held record is replaced, never changed
+                self._hold(model, delta if self.keeps_delta else None)
         return model, delta
 
 

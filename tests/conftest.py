@@ -66,6 +66,13 @@ def replication_draw(scn, rep):
     return seen[0]
 
 
+def model_value(model):
+    """What a memo read must give back for ``model``: its set, beta's bytes,
+    intercept, loss, iteration count and flags."""
+    return (model.active_set, model.beta.tobytes(), model.intercept, model.loss,
+            model.solver_iterations, model.solver_converged, model.separated)
+
+
 def random_subset(p, k, rng):
     """A uniformly random size-k subset of {0..p-1}, usable as a pdas init."""
     return tuple(sorted(int(j) for j in rng.choice(p, size=k, replace=False)))

@@ -240,6 +240,19 @@ class TestLoadCsv:
         assert loaded.X.tobytes() == d.X.tobytes()
         assert peak <= 5 * loaded.X.nbytes
 
+    def test_peak_memory_is_the_parsed_rows_and_one_design(self, tmp_path):
+        # the predictor columns are gathered once into the array Dataset keeps
+        d, _, _ = gen_dataset(GenConfig(n=200, p=2000, q=5, seed=0))
+        save_csv(d, tmp_path / "wide.csv")
+        tracemalloc.start()
+        try:
+            loaded = load_csv(str(tmp_path / "wide.csv"), "gaussian")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.X.tobytes() == d.X.tobytes() and loaded.X.base is None
+        assert peak <= 2.3 * loaded.X.nbytes
+
     def test_non_utf8_file_raises_the_decode_error(self, tmp_path):
         (tmp_path / "d.csv").write_bytes(b"x1,y\n1,2\n3,\xff\n")
         path = str(tmp_path / "d.csv")

@@ -37,7 +37,7 @@ from bestsubset.families import (
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import null_fit, pdas
 from bestsubset.tuning import criteria, default_k_max, gpdas, spdas
-from conftest import random_standardized, replication_draw
+from conftest import model_value, random_standardized, replication_draw
 
 GAUSSIAN = ModelFamily("gaussian")
 BINOMIAL = ModelFamily("binomial")
@@ -771,24 +771,25 @@ class TestProblem:
             search(GAUSSIAN, sd)
 
     @pytest.mark.parametrize("read", ["fit", "evaluate"])
-    def test_memo_reads_check_the_family_themselves(self, read):
+    def test_memo_reads_check_the_family_themselves(self, read, monkeypatch):
         # the held sets are read directly, with no pdas call to check first
         cfg = GenConfig(n=40, p=6, q=2, family="cox", censor_rate=0.2, seed=3)
         sd = standardize(gen_dataset(cfg)[0])
         spdas(COX, sd)
         context = families.problem(sd)
 
-        def models(fits):
-            return [(active, model) for active, (model, _) in fits.items()]
+        def held():  # the held sets in order, with their models by value
+            return [(active, model_value(context.fit(COX, sd, active))) for active in context.fits]
 
-        held = models(context.fits)
-        assert len(held) > 1
-        for active, model in held:
+        before = held()
+        assert len(before) > 1
+        monkeypatch.setattr(families, "fit_active", None)  # every read must be a hit
+        for active, value in before:
             with pytest.raises(ValueError, match="family 'gaussian' does not match response type Survival"):
                 getattr(context, read)(GAUSSIAN, sd, active)
             got = getattr(context, read)(COX, sd, active)
-            assert (got if read == "fit" else got[0]) is model
-        assert models(context.fits) == held  # same sets, order and models
+            assert model_value(got if read == "fit" else got[0]) == value
+        assert held() == before  # same sets, order and models
 
     def test_fit_leaves_a_set_it_fits_out_of_the_memo(self):
         sd = random_standardized("gaussian", 40, 6, seed=1)
@@ -802,15 +803,62 @@ class TestProblem:
         models = [fit_active(COX, sd, (j,)) for j in range(3)]
         for model in models:
             context.add(model)
-        context.add(fit_active(COX, sd, (1,)))  # a held set keeps its model
+        context.add(CoefficientModel(np.eye(6)[1], 0.0, (1,), loss=0.0))  # a held set keeps its model
         first = context.fits[(1,)]
-        assert first == (models[1], None)
+        assert first.delta is None
+        assert model_value(context.fit(COX, sd, (1,))) == model_value(models[1])
         model, delta = context.evaluate(COX, sd, (1,))
-        assert model is models[1] and first == (models[1], None)
+        assert model_value(model) == model_value(models[1]) and first.delta is None
         assert list(context.fits) == [(0,), (1,), (2,)]
-        assert context.fits[(1,)][1] is delta and not delta.flags.writeable
+        assert context.fits[(1,)].delta is delta and not delta.flags.writeable
         monkeypatch.setattr(families, "dual_sacrifice", None)  # a second call must not run it
         assert context.evaluate(COX, sd, (1,))[1] is delta
+
+    def test_memo_holds_no_p_vector_when_p_exceeds_n(self):
+        sd = random_standardized("gaussian", 40, 400, seed=0)
+        spdas(GAUSSIAN, sd)
+        gpdas(GAUSSIAN, sd)
+        fits = families.problem(sd).fits
+
+        def arrays(held):  # every array a held entry reaches
+            if isinstance(held, np.ndarray):
+                yield held
+            elif isinstance(held, tuple):
+                for part in held:
+                    yield from arrays(part)
+            elif hasattr(held, "__dict__"):
+                for part in vars(held).values():
+                    yield from arrays(part)
+
+        held = [array for entry in fits.values() for array in arrays(entry)]
+        assert fits and held
+        assert max(array.size for array in held) <= sd.dataset.n
+        assert sum(array.nbytes for array in held) < sd.dataset.X.nbytes / 10
+
+    @pytest.mark.parametrize("tag", ["gaussian", "binomial", "cox"])
+    def test_a_hit_keeps_its_sacrifices_only_when_p_is_at_most_n(self, tag, monkeypatch):
+        family, active = FAMILY[tag], (1, 3)
+        for p in (6, 80):
+            sd = random_standardized(tag, 40, p, seed=2, censor_rate=0.2)
+            context = families.problem(sd)
+            model, delta = context.evaluate(family, sd, active)
+            calls = []
+
+            def counted(*args):
+                calls.append(args[2].active_set)
+                return dual_sacrifice(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(families, "fit_active", None)  # the second call is a hit
+                patch.setattr(families, "dual_sacrifice", counted if p > 40 else None)
+                again, again_delta = context.evaluate(family, sd, active)
+            assert model_value(again) == model_value(model)
+            assert not again_delta.flags.writeable
+            if p > 40:  # recomputed, once, with the same bits
+                assert calls == [active] and again_delta is not delta
+                assert again_delta.tobytes() == delta.tobytes()
+            else:  # the held array itself
+                assert again_delta is delta
 
     @pytest.mark.parametrize("tag", ["gaussian", "binomial", "cox"])
     def test_dataset_is_freed_without_the_cycle_collector(self, tag):

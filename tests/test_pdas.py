@@ -13,7 +13,7 @@ from bestsubset.families import ModelFamily, dual_sacrifice, fit_active, loss, p
 from bestsubset.oracle import exhaustive_best_subset
 from bestsubset.pdas import null_fit, pdas, select_top_k, warm_start_set
 from bestsubset.tuning import gpdas, spdas
-from conftest import random_standardized, random_subset
+from conftest import model_value, random_standardized, random_subset
 
 GAUSSIAN = ModelFamily("gaussian")
 
@@ -431,11 +431,13 @@ class TestSharedEvaluations:
             for init in inits:
                 out = pdas(fam, sd, k, init=init)
                 assert_same_output(out, pdas(fam, instance(), k, init=init))
-                assert shared[out.model.active_set][0] is out.model
+                assert out.model.active_set in shared
+                held = problem(sd).fit(fam, sd, out.model.active_set)
+                assert model_value(held) == model_value(out.model)
             returned.append(out)  # a larger output, trimmed by the next k
         assert () in shared
-        for active, (model, _) in shared.items():
-            assert model.active_set == active
+        for active in shared:
+            assert problem(sd).fit(fam, sd, active).active_set == active
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial", "cox"])
     def test_memo_holds_at_most_n_over_2_sets(self, family):
@@ -466,7 +468,9 @@ class TestSharedEvaluations:
         assert all(same_loss(a.loss, b.loss) for a, b in zip(path.entries, fresh_path.entries))
         assert (report.k, path.stop) == (fresh_report.k, fresh_path.stop)
         # a memo hit returns the fit of its own set
-        for active, (model, _) in fits.items():
+        for active in fits:
+            model = problem(sd).fit(fam, sd, active)
+            assert model.active_set == active
             assert same_loss(model.loss, fit_active(fam, sd, active).loss)
 
     def test_delta_is_read_only(self):
